@@ -1,18 +1,25 @@
 """The n-cycle census: counts, conjugacy classes, subgroup counts, verdicts.
 
-For a transitive group G of degree n the census enumerates every element
-(below a hard cap), collects the n-cycles, partitions them into G-classes,
-and derives the quantities of interest: the number of cyclic transitive
-subgroups (= n-cycle count / phi(n)), the bound |G|/n, whether the bound
-is attained, and, in the attained case, solvability plus a prime-tower
+For a transitive group G of degree n the census counts the n-cycles
+(below a hard cap on |G|), derives their classes, and from them the
+quantities of interest: the number of cyclic transitive subgroups
+(= n-cycle count / phi(n)), the bound |G|/n, whether the bound is
+attained, and, in the attained case, solvability plus a prime-tower
 certificate for the wreath-like block structure.
+
+The count visits one coset slice per orbit of the point stabilizer G_0,
+not the whole group: the number N(0, b) of n-cycles sending 0 to b is
+constant on each G_0-orbit, and the slice of elements sending 0 to b has
+|G|/n elements.  The n-cycles are counted, never stored.  The class count
+then follows from the class-size identity |class| = |G|/n, since the
+centralizer of an n-cycle sigma in the full symmetric group is <sigma>.
 
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
-for any one such relabeling x0, because the centralizer of an n-cycle in
-the full symmetric group is exactly <sigma>.  Class partitioning itself
-walks conjugation orbits under the generators, which is faster and gives
-the same classes; the two routes are cross-checked in the test suite.
+for any one such relabeling x0.  Class representatives are found with
+that test inside the orbit-minimum slices.  The test suite checks counts,
+classes and representatives against full enumeration with a
+conjugation-orbit partition.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from multiprocessing import get_context
+from typing import Iterator
 
 from . import catalog
 from .blocks import (all_minimal_block_systems, block_action,
@@ -29,8 +36,8 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _compose, _contains_raw, _conjugate, _inverse,
-                           _is_full_cycle, _iter_raw, group_from_generators,
+                           _compose, _contains_raw, _is_full_cycle,
+                           _iter_raw, _orbits, group_from_generators,
                            is_transitive, random_element)
 
 __all__ = [
@@ -104,38 +111,48 @@ class CensusReport:
         )
 
 
-# collection --------------------------------------------------------------
+# counting ----------------------------------------------------------------
 
-def _collect_slice(args):
-    group, points = args
-    return [t for t in _iter_raw(group, points) if _is_full_cycle(t)]
-
-
-def _top_slices(G: PermGroup, workers: int) -> list[list[int]]:
-    points = sorted(G.transversals[0]) if G.base else [0]
-    return [points[w::workers] for w in range(workers) if points[w::workers]]
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below one instead of silently running serially."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _collect_n_cycles(G: PermGroup, cap: int, workers: int = 1) -> list[tuple[int, ...]]:
-    if G.order > cap:
-        raise CapExceeded(G.order, cap)
-    if workers <= 1 or not G.base or G.order < 50_000:
-        return [t for t in _iter_raw(G) if _is_full_cycle(t)]
-    slices = _top_slices(G, workers)
-    with get_context("fork").Pool(len(slices)) as pool:
-        chunks = pool.map(_collect_slice, [(G, pts) for pts in slices])
-    merged: list[tuple[int, ...]] = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return merged
+def _suborbits(G: PermGroup) -> list[tuple[int, int]]:
+    """(min O, |O|) for every orbit O of the point stabilizer G_0 on 1..n-1.
+
+    base[0] == 0 for a transitive group of degree > 1, so G_0 is generated
+    by the transversal representatives of the chain levels below the top.
+    Degree 1 has no such orbit; its one slice, the identity, is the 1-cycle.
+    """
+    if G.degree == 1:
+        return [(0, 1)]
+    gens = [rep for tr in G.transversals[1:] for rep in tr.values()]
+    return [(orbit[0], len(orbit)) for orbit in _orbits(G.degree, gens)[1:]]
+
+
+def _slice_n_cycles(G: PermGroup, b: int) -> Iterator[tuple[int, ...]]:
+    """The n-cycles sending 0 to b, streamed from one coset of |G|/n elements."""
+    return filter(_is_full_cycle, _iter_raw(G, [b]))
 
 
 def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                    workers: int = 1) -> int:
-    """Exact number of n-cycles, by exhaustive enumeration under the cap."""
+    """Exact n-cycle count, summed over one coset slice per G_0-orbit.
+
+    N(0, b), the number of n-cycles sending 0 to b, is constant on each
+    orbit O of G_0 (conjugation by G_0 moves the image of 0 along O), so
+    the count is the sum of |O| * N(0, min O).  Refused when |G| exceeds
+    the cap.  Every census entry point is a view over this pass.
+    """
+    check_workers(workers)
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
-    return len(_collect_n_cycles(G, cap, workers))
+    if G.order > cap:
+        raise CapExceeded(G.order, cap)
+    return sum(size * sum(1 for _ in _slice_n_cycles(G, b))
+               for b, size in _suborbits(G))
 
 
 # conjugacy ---------------------------------------------------------------
@@ -179,55 +196,42 @@ def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...]) -> 
     return False
 
 
-def _conjugacy_orbits(G: PermGroup,
-                      cycles: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """Partition the n-cycles into G-conjugacy orbits.
-
-    Returns (minimal representative, orbit size) per class, sorted by
-    representative, independent of the input order.
-    """
-    conjugators = [(g.images, _inverse(g.images)) for g in G.generators]
-    remaining = set(cycles)
-    classes = []
-    for start in sorted(cycles):
-        if start not in remaining:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in conjugators:
-                    y = _conjugate(x, g, ginv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if not orbit <= remaining:
-            raise CensusInvariantError(
-                "conjugation orbit left the collected n-cycle set")
-        remaining -= orbit
-        classes.append((min(orbit), len(orbit)))
-    classes.sort(key=lambda item: item[0])
-    return classes
-
-
 def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                     workers: int = 1) -> tuple[int, tuple[Permutation, ...]]:
-    """Number of conjugacy classes of n-cycles, with one representative each."""
-    if not is_transitive(G):
-        raise NotTransitiveError("the census requires a transitive group")
-    cycles = _collect_n_cycles(G, cap, workers)
-    classes = _conjugacy_orbits(G, cycles)
-    return len(classes), tuple(Permutation(rep) for rep, _ in classes)
+    """Number of conjugacy classes of n-cycles, with the lexicographically
+    minimal representative of each, in increasing order.
+
+    Every class has |G|/n elements.  The images of 0 over one class form
+    a union of G_0-orbits, so the class minimum lies in the slice of the
+    least point of one of them.  The orbit-minimum slices are scanned in
+    increasing order, each sorted, and a candidate not conjugate to an
+    earlier one opens a new class.
+    """
+    count = count_n_cycles(G, cap, workers)
+    class_count, remainder = divmod(count * G.degree, G.order)
+    if remainder:
+        raise CensusInvariantError(
+            f"n-cycle count {count} is not a multiple of |G|/n = "
+            f"{Fraction(G.order, G.degree)}")
+    reps: list[tuple[int, ...]] = []
+    for b, _ in _suborbits(G):
+        if len(reps) == class_count:
+            break
+        for t in sorted(_slice_n_cycles(G, b)):
+            if not any(_are_conjugate_raw(G, r, t) for r in reps):
+                reps.append(t)
+                if len(reps) == class_count:
+                    break
+    if len(reps) != class_count:
+        raise CensusInvariantError(
+            f"found {len(reps)} class representatives, expected {class_count}")
+    return class_count, tuple(Permutation(rep) for rep in reps)
 
 
 def cyclic_transitive_count(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                             workers: int = 1) -> int:
     """Number of cyclic transitive subgroups: n-cycle count / phi(n), exactly."""
-    if not is_transitive(G):
-        raise NotTransitiveError("the census requires a transitive group")
-    count = len(_collect_n_cycles(G, cap, workers))
+    count = count_n_cycles(G, cap, workers)
     phi = euler_phi(G.degree)
     quotient, remainder = divmod(count, phi)
     if remainder:
@@ -270,18 +274,15 @@ def contains_safe(G: PermGroup, p: Permutation) -> bool:
 
 # verdicts ----------------------------------------------------------------
 
-def _has_full_cycle(G: PermGroup, cap: int) -> bool:
-    if G.order > cap:
-        raise CapExceeded(G.order, cap)
-    return any(_is_full_cycle(t) for t in _iter_raw(G))
-
-
 def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | None]:
     """Search for a chain of invariant partitions with prime ratios.
 
     Each step must induce, on the sub-blocks inside one super-block, a
     group that sits between C_p and AGL_1(p): degree p, containing a
-    p-cycle, order dividing p(p-1).  Greedy over minimal systems with
+    p-cycle, order dividing p(p-1).  The p-cycle needs no search: H and
+    each block constituent are transitive (the setwise stabilizer of a
+    block is transitive on it), so p divides the order and an element of
+    order p in S_p is a p-cycle.  Greedy over minimal systems with
     backtracking; the first passing tower is reported, finest step first.
     """
 
@@ -291,8 +292,7 @@ def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | No
             return []
         systems = all_minimal_block_systems(H)
         if not systems:
-            if is_prime(m) and (m * (m - 1)) % H.order == 0 \
-                    and _has_full_cycle(H, cap):
+            if is_prime(m) and (m * (m - 1)) % H.order == 0:
                 return [m]
             return None
         for system in systems:
@@ -301,8 +301,6 @@ def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | No
                 continue
             constituent = block_constituent(H, system, 0, cap=cap)
             if (s * (s - 1)) % constituent.order != 0:
-                continue
-            if not _has_full_cycle(constituent, cap):
                 continue
             image, _ = block_action(H, system)
             rest = rec(image)
@@ -332,23 +330,16 @@ def extremal_structure_check(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
 
 def _verdict_full(G: PermGroup, cap: int, workers: int = 1,
                   with_structure: bool = True):
-    if not is_transitive(G):
-        raise NotTransitiveError("the census requires a transitive group")
+    count = count_n_cycles(G, cap, workers)
     n = G.degree
     order = G.order
     phi = euler_phi(n)
     violations: list[str] = []
 
-    cycles = _collect_n_cycles(G, cap, workers)
-    count = len(cycles)
-    classes = _conjugacy_orbits(G, cycles) if cycles else []
-    class_count = len(classes)
-
-    class_size = order // n
-    for rep, size in classes:
-        if size != class_size:
-            violations.append(
-                f"class of {Permutation(rep)} has size {size}, expected |G|/n = {class_size}")
+    class_count, remainder = divmod(count * n, order)   # |class| = |G|/n
+    if remainder:
+        violations.append(
+            f"n-cycle count {count} is not a multiple of |G|/n = {Fraction(order, n)}")
 
     subcount, remainder = divmod(count, phi)
     if remainder:
@@ -431,6 +422,7 @@ def run_sweep(instance_cap: int = 200_000,
     catalog instances, keeping the transitive ones of order at most
     subgroup_order_cap, until subgroup_count of them have been censused.
     """
+    check_workers(workers)
     rows: list[SweepRow] = []
     instances = catalog.standard_instances(include_m23=include_m23)
 

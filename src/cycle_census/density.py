@@ -26,6 +26,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from .census import check_workers, count_n_cycles
 from .ntheory import euler_phi, prime_divisors
 from .permutations import DEFAULT_ELEMENT_CAP, PermGroup
 
@@ -368,7 +369,6 @@ def _classify_chunk(args):
 
 def predicted_density(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Fraction:
     """Fraction of n-cycles in G: the Chebotarev prediction for the density."""
-    from .census import count_n_cycles
     return Fraction(count_n_cycles(G, cap), G.order)
 
 
@@ -380,6 +380,7 @@ def density_report(coeffs, bound: int, floor: int = 0,
     Callers are responsible for f being irreducible over the rationals;
     the report is purely an exact count of what happens mod each prime.
     """
+    check_workers(workers)
     coeffs = tuple(_trim(list(coeffs)))
     if len(coeffs) < 2:
         raise ValueError("the polynomial must have degree at least 1")

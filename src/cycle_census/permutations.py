@@ -451,12 +451,11 @@ def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[P
     return (Permutation(t) for t in _iter_raw(G))
 
 
-def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Orbits of G on points, plus a transitivity flag."""
-    raw = [g.images for g in G.generators]
-    seen = [False] * G.degree
+def _orbits(degree: int, raw_gens) -> list[tuple[int, ...]]:
+    """Orbits of the raw generators on points, each sorted, by minimum."""
+    seen = [False] * degree
     parts = []
-    for start in range(G.degree):
+    for start in range(degree):
         if seen[start]:
             continue
         orbit = [start]
@@ -465,7 +464,7 @@ def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
         while frontier:
             nxt = []
             for x in frontier:
-                for g in raw:
+                for g in raw_gens:
                     y = g[x]
                     if not seen[y]:
                         seen[y] = True
@@ -473,6 +472,12 @@ def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
                         nxt.append(y)
             frontier = nxt
         parts.append(tuple(sorted(orbit)))
+    return parts
+
+
+def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Orbits of G on points, plus a transitivity flag."""
+    parts = _orbits(G.degree, G.raw_generators())
     return tuple(parts), len(parts) == 1
 
 

@@ -1,13 +1,16 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive (breadth-first closures, exhaustive
-partition search, trial division of polynomials) and shares no code with
-the paths it checks.
+partition search, trial division of polynomials, full enumeration) and
+shares no code with the paths it checks, apart from the element stream
+that the census oracle walks in full.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from cycle_census.permutations import _is_full_cycle, _iter_raw
 
 
 def compose(p, q):
@@ -121,3 +124,45 @@ def naive_irreducible(coeffs, p):
             if not r:
                 return False
     return True
+
+
+# the census by full enumeration -------------------------------------------
+
+def collect_n_cycles(G):
+    """Every n-cycle of G, by enumerating all |G| elements."""
+    return [t for t in _iter_raw(G) if _is_full_cycle(t)]
+
+
+def conjugacy_orbits(G, cycles):
+    """Partition n-cycles into G-classes by breadth-first conjugation.
+
+    Returns (minimal representative, class size) per class, sorted by
+    representative.  Conjugates are taken under the generators only.
+    """
+    conjugators = []
+    for g in G.generators:
+        g = tuple(g.images)
+        ginv = [0] * len(g)
+        for i, j in enumerate(g):
+            ginv[j] = i
+        conjugators.append((g, tuple(ginv)))
+    remaining = set(cycles)
+    classes = []
+    for start in sorted(cycles):
+        if start not in remaining:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, ginv in conjugators:
+                    y = tuple(g[x[ginv[i]]] for i in range(len(x)))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        assert orbit <= remaining, "conjugation left the n-cycle set"
+        remaining -= orbit
+        classes.append((min(orbit), len(orbit)))
+    return classes

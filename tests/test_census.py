@@ -13,7 +13,10 @@ from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  theorem_verdict, validate_report)
 from cycle_census.permutations import (CapExceeded, NotTransitiveError,
                                        Permutation, group_from_generators,
-                                       iterate_elements, parse_permutation)
+                                       is_transitive, iterate_elements,
+                                       parse_permutation, random_element)
+
+from helpers import collect_n_cycles, conjugacy_orbits, naive_closure
 
 
 class TestEulerPhi:
@@ -292,6 +295,83 @@ class TestWorkers:
         assert count_n_cycles(m11, workers=2) == 1440
 
 
+class TestWorkerValidation:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_census_entry_points_refuse(self, workers):
+        G = catalog.cyclic_regular(6)
+        for entry in (count_n_cycles, n_cycle_classes, cyclic_transitive_count,
+                      theorem_verdict):
+            with pytest.raises(ValueError, match="at least 1"):
+                entry(G, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_sweep_and_density_refuse(self, workers):
+        from cycle_census.density import density_report
+        with pytest.raises(ValueError, match="at least 1"):
+            census.run_sweep(subgroup_count=0, workers=workers)
+        with pytest.raises(ValueError, match="at least 1"):
+            density_report((1, 0, 1), bound=100, workers=workers)
+
+
+class TestSuborbitCensusAgainstEnumeration:
+    """The census counts one coset slice per G_0-orbit; the oracle enumerates
+    all of G and partitions the n-cycles by breadth-first conjugation."""
+
+    @staticmethod
+    def _mismatch(G):
+        cycles = collect_n_cycles(G)
+        classes = conjugacy_orbits(G, cycles)
+        class_size = G.order // G.degree
+        if any(size != class_size for _, size in classes):
+            return f"a class size differs from |G|/n = {class_size}"
+        count, phi = len(cycles), euler_phi(G.degree)
+        class_count, reps = n_cycle_classes(G)
+        report = theorem_verdict(G, with_structure=False)
+        have = (report.n_cycle_count, report.class_count,
+                report.cyclic_transitive_count, class_count,
+                [r.images for r in reps])
+        want = (count, len(classes), count // phi, len(classes),
+                [rep for rep, _ in classes])
+        return None if have == want else f"census {have[:3]} != oracle {want[:3]}"
+
+    def test_catalog_instances(self):
+        checked = 0
+        for name, G in catalog.standard_instances():
+            if G.order > 200_000:
+                continue
+            checked += 1
+            assert self._mismatch(G) is None, name
+        assert checked == 179
+
+    def test_random_subgroups(self):
+        rng = random.Random(20240809)
+        parents = [G for _, G in catalog.standard_instances()]
+        checked = 0
+        while checked < 40:
+            parent = parents[rng.randrange(len(parents))]
+            H = group_from_generators(
+                parent.degree,
+                [random_element(parent, rng), random_element(parent, rng)])
+            if H.order > 10 ** 5 or not is_transitive(H):
+                continue
+            checked += 1
+            assert self._mismatch(H) is None, H.generators
+
+    def test_degree_one(self):
+        """G_0 has no orbit on points other than 0; the identity is the
+        single 1-cycle."""
+        G = catalog.cyclic_regular(1)
+        assert self._mismatch(G) is None
+        assert n_cycle_classes(G) == (1, (Permutation.identity(1),))
+
+    def test_m23(self):
+        report = theorem_verdict(catalog.load_named("m23"))
+        assert report.n_cycle_count == 887_040
+        assert report.class_count == 2
+        assert report.cyclic_transitive_count == 40_320
+        assert report.bound == 443_520 and not report.equality
+
+
 class TestRandomSubgroupInvariants:
     def test_class_bound_on_random_subgroups(self):
         """Random 2-generator transitive subgroups never break the bound."""
@@ -333,13 +413,15 @@ class TestConstituentChoice:
         return group_from_generators(
             len(block), [Permutation(t) for t in sorted(projections)])
 
-    def _tower(self, G, constituent_fn):
+    @staticmethod
+    def _tower(G, constituent_fn, has_cycle=None):
         from cycle_census.blocks import all_minimal_block_systems, block_action
         from cycle_census.ntheory import is_prime
         from cycle_census.permutations import _iter_raw, _is_full_cycle
 
-        def has_cycle(H):
-            return any(_is_full_cycle(t) for t in _iter_raw(H))
+        if has_cycle is None:
+            def has_cycle(H):
+                return any(_is_full_cycle(t) for t in _iter_raw(H))
 
         def rec(H):
             m = H.degree
@@ -378,3 +460,34 @@ class TestConstituentChoice:
             with_kernel = self._tower(G, self._kernel_constituent)
             assert (with_stab is None) == (with_kernel is None), name
         assert checked >= 25
+
+    def test_every_prime_step_contains_a_p_cycle(self):
+        """The library tower search does not look for the p-cycle of a prime
+        step: the step's group is transitive of prime degree p, so p divides
+        its order and it holds an element of order p, a p-cycle.  Check that
+        by naive closure at every step the search grades, and that the
+        towers equal those of the search that still looks."""
+        from cycle_census.blocks import block_constituent, derived_series
+        steps = []
+
+        def has_cycle(H):
+            found = any(Permutation(t).is_n_cycle()
+                        for t in naive_closure(H.degree, H.raw_generators()))
+            steps.append(found)
+            return found
+
+        checked = 0
+        for name, G in catalog.standard_instances():
+            if G.order > 200_000:
+                continue
+            report = theorem_verdict(G)
+            if not report.equality:
+                continue
+            checked += 1
+            searched = self._tower(G, block_constituent, has_cycle)
+            tower = tuple(searched) if searched is not None else None
+            assert report.tower == tower, name
+            solvable = derived_series(G)[1]
+            assert extremal_structure_check(G) == (
+                tower is not None and solvable, tower), name
+        assert checked == 38 and len(steps) >= checked and all(steps)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from cycle_census import cli
 from cycle_census.census import CensusReport
 from cycle_census.density import DensityReport
@@ -103,6 +105,19 @@ class TestExportSpec:
         code, text = run(["export-spec", "--family", "cyclic", "--n", "5"])
         assert code == 0
         assert "degree 5" in text and "# expected_order 5" in text
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["census", "--family", "cyclic", "--n", "6"],
+        ["verify", "--suite", "feit-jones", "--random-subgroups", "0"],
+        ["density", "--poly", "x^2+1", "--bound", "100"],
+    ])
+    def test_below_one_is_an_error(self, argv, workers, capsys):
+        code, text = run(argv + ["--workers", workers])
+        assert code == 1 and text == ""
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 class TestCatalogCommand:
