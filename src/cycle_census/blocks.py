@@ -3,19 +3,20 @@
 Block systems are G-invariant partitions of the points into r blocks of
 equal size s.  Minimal systems are found by the classic union-find
 closure of a point pair, swept over all partners of the first base
-point; the derived series closes commutators of generator pairs under
-conjugation until the order stabilizes.
+point; block constituents are read off the stabilizer chain, so no
+function here enumerates the group; the derived series closes
+commutators of generator pairs under conjugation until the order
+stabilizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
-                           NotTransitiveError, PermGroup, Permutation,
+from .permutations import (NotTransitiveError, PermGroup, Permutation,
                            _compose, _conjugate, _contains_raw, _inverse,
-                           _is_identity, _iter_raw, group_from_generators,
-                           is_transitive)
+                           _is_identity, _stabilizer_gens,
+                           group_from_generators, is_transitive)
 
 
 class InvalidBlockSystemError(ValueError):
@@ -137,18 +138,12 @@ def is_primitive(G: PermGroup) -> bool:
     return not all_minimal_block_systems(G)
 
 
-def block_action(G: PermGroup, system: BlockSystem):
-    """The induced group on blocks, plus a kernel membership predicate.
-
-    Raises InvalidBlockSystemError when some generator fails to map
-    blocks to blocks.  The kernel (elements fixing every block setwise)
-    is represented lazily by the returned predicate.
-    """
+def _block_images(G: PermGroup, system: BlockSystem) -> list[tuple[int, ...]]:
+    """Each generator's action on the blocks, as block-index images."""
     if system.degree != G.degree:
         raise InvalidBlockSystemError("partition degree does not match the group")
-    idx = system.block_index()
     block_lookup = {block: j for j, block in enumerate(system.blocks)}
-    image_gens = []
+    out = []
     for g in G.generators:
         images = []
         for block in system.blocks:
@@ -158,8 +153,20 @@ def block_action(G: PermGroup, system: BlockSystem):
                 raise InvalidBlockSystemError(
                     f"partition is not invariant under generator {g}")
             images.append(j)
-        image_gens.append(Permutation(tuple(images)))
+        out.append(tuple(images))
+    return out
+
+
+def block_action(G: PermGroup, system: BlockSystem):
+    """The induced group on blocks, plus a kernel membership predicate.
+
+    Raises InvalidBlockSystemError when some generator fails to map
+    blocks to blocks.  The kernel (elements fixing every block setwise)
+    is represented lazily by the returned predicate.
+    """
+    image_gens = [Permutation(t) for t in _block_images(G, system)]
     image = group_from_generators(system.r, image_gens)
+    idx = system.block_index()
 
     def in_kernel(p: Permutation) -> bool:
         return all(idx[p.images[x]] == idx[x] for x in range(G.degree))
@@ -167,28 +174,33 @@ def block_action(G: PermGroup, system: BlockSystem):
     return image, in_kernel
 
 
-def block_constituent(G: PermGroup, system: BlockSystem, block_index: int,
-                      cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def block_constituent(G: PermGroup, system: BlockSystem,
+                      block_index: int) -> PermGroup:
     """Action of the setwise stabilizer of one block on that block.
 
-    Found by filtered iteration over the whole group, so G must be below
-    the enumeration cap.
+    Built from the stabilizer chain of transitive G: an element keeps the
+    block B_0 of point 0 iff it maps 0 into B_0, so G_0 and the top
+    transversal representatives of B_0 generate G_{B_0}.  Block B_j is
+    B_0^t for t the representative of its least point; its stabilizer is
+    t^-1 G_{B_0} t.  Positions on the block follow its point order.
     """
     if not 0 <= block_index < system.r:
         raise ValueError("block index out of range")
-    # validate invariance up front
-    block_action(G, system)
-    idx = system.block_index()
+    _block_images(G, system)
+    if not is_transitive(G):
+        raise NotTransitiveError("block constituents are defined for transitive groups")
+    home = next(b for b in system.blocks if 0 in b)
+    gens = _stabilizer_gens(G) + [G.transversals[0][b] for b in home if b != 0]
     block = system.blocks[block_index]
+    if block != home:
+        t = G.transversals[0][block[0]]
+        tinv = _inverse(t)
+        gens = [_conjugate(g, t, tinv) for g in gens]
     position = {x: i for i, x in enumerate(block)}
-    if G.order > cap:
-        raise CapExceeded(G.order, cap)
-    projections = set()
-    for t in _iter_raw(G):
-        if all(idx[t[x]] == block_index for x in block):
-            projections.add(tuple(position[t[x]] for x in block))
-    gens = [Permutation(t) for t in sorted(projections)]
-    return group_from_generators(len(block), gens)
+    projections = {tuple(range(len(block)))}
+    projections.update(tuple(position[g[x]] for x in block) for g in gens)
+    return group_from_generators(
+        len(block), [Permutation(t) for t in sorted(projections)])
 
 
 def _normal_closure_order_and_gens(G: PermGroup, seeds: list[tuple[int, ...]]):

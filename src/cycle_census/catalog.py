@@ -38,12 +38,18 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+def _check_degree(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+
+
 # elementary families ---------------------------------------------------
 
 def cyclic_regular(n: int) -> PermGroup:
     """The cyclic group generated by the n-cycle (1,2,...,n)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
+    _check_degree(n)
     images = tuple((i + 1) % n for i in range(n))
     return group_from_generators(n, [Permutation(images)])
 
@@ -56,6 +62,7 @@ def holomorph_cyclic(m: int) -> PermGroup:
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
+    _check_degree(m)
     translation = Permutation(tuple((i + 1) % m for i in range(m)))
     gens = [translation]
     for u in unit_group_generators(m):
@@ -66,6 +73,7 @@ def holomorph_cyclic(m: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
+    _check_degree(n)
     if n == 1:
         return group_from_generators(1, [Permutation.identity(1)])
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
@@ -78,6 +86,7 @@ def symmetric(n: int) -> PermGroup:
 def alternating(n: int) -> PermGroup:
     if n < 3:
         raise ValueError("alternating groups need degree at least 3")
+    _check_degree(n)
     three = parse_permutation("(1,2,3)", n)
     if n == 3:
         return group_from_generators(3, [three])
@@ -98,8 +107,7 @@ def wreath_imprimitive(inner: PermGroup, outer: PermGroup) -> PermGroup:
     """
     s, r = inner.degree, outer.degree
     n = s * r
-    if n > MAX_DEGREE:
-        raise ValueError(f"wreath degree {n} exceeds supported maximum {MAX_DEGREE}")
+    _check_degree(n)
     gens = []
     for a in inner.raw_generators():
         for j in range(r):
@@ -189,9 +197,7 @@ def _check_pgl_params(d: int, q: int) -> tuple[int, int]:
     if d < 2:
         raise ValueError("projective dimension parameter d must be at least 2")
     p, e = prime_power(q)
-    n = (q ** d - 1) // (q - 1)
-    if n > MAX_DEGREE:
-        raise ValueError(f"projective degree {n} exceeds supported maximum {MAX_DEGREE}")
+    _check_degree((q ** d - 1) // (q - 1))
     return p, e
 
 
@@ -376,8 +382,7 @@ def sharpness_group(k: int) -> PermGroup:
         raise ValueError("k must be at least 1")
     m = 3 ** k
     n = 2 * m
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+    _check_degree(n)
     u = smallest_primitive_root(m)
 
     def block_translation(block: int) -> Permutation:
@@ -450,6 +455,10 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise GroupSpecError(f"{name}:{lineno}: malformed degree line")
             degree = int(parts[1])
+            try:
+                _check_degree(degree)
+            except ValueError as exc:
+                raise GroupSpecError(f"{name}:{lineno}: {exc}") from None
             continue
         if line.startswith("gen"):
             if degree is None:

@@ -37,8 +37,9 @@ from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
                            _compose, _contains_raw, _is_full_cycle,
-                           _iter_raw, _orbits, group_from_generators,
-                           is_transitive, random_element)
+                           _iter_raw, _orbits, _stabilizer_gens,
+                           group_from_generators, is_transitive,
+                           random_element)
 
 __all__ = [
     "CensusReport", "CensusInvariantError", "euler_phi", "count_n_cycles",
@@ -113,23 +114,15 @@ class CensusReport:
 
 # counting ----------------------------------------------------------------
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count below one instead of silently running serially."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
 def _suborbits(G: PermGroup) -> list[tuple[int, int]]:
     """(min O, |O|) for every orbit O of the point stabilizer G_0 on 1..n-1.
 
-    base[0] == 0 for a transitive group of degree > 1, so G_0 is generated
-    by the transversal representatives of the chain levels below the top.
     Degree 1 has no such orbit; its one slice, the identity, is the 1-cycle.
     """
     if G.degree == 1:
         return [(0, 1)]
-    gens = [rep for tr in G.transversals[1:] for rep in tr.values()]
-    return [(orbit[0], len(orbit)) for orbit in _orbits(G.degree, gens)[1:]]
+    orbits = _orbits(G.degree, _stabilizer_gens(G))
+    return [(orbit[0], len(orbit)) for orbit in orbits[1:]]
 
 
 def _slice_n_cycles(G: PermGroup, b: int) -> Iterator[tuple[int, ...]]:
@@ -137,8 +130,7 @@ def _slice_n_cycles(G: PermGroup, b: int) -> Iterator[tuple[int, ...]]:
     return filter(_is_full_cycle, _iter_raw(G, [b]))
 
 
-def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                   workers: int = 1) -> int:
+def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Exact n-cycle count, summed over one coset slice per G_0-orbit.
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
@@ -146,7 +138,6 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     the count is the sum of |O| * N(0, min O).  Refused when |G| exceeds
     the cap.  Every census entry point is a view over this pass.
     """
-    check_workers(workers)
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
@@ -196,8 +187,8 @@ def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...]) -> 
     return False
 
 
-def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                    workers: int = 1) -> tuple[int, tuple[Permutation, ...]]:
+def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
+                    ) -> tuple[int, tuple[Permutation, ...]]:
     """Number of conjugacy classes of n-cycles, with the lexicographically
     minimal representative of each, in increasing order.
 
@@ -207,12 +198,7 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     increasing order, each sorted, and a candidate not conjugate to an
     earlier one opens a new class.
     """
-    count = count_n_cycles(G, cap, workers)
-    class_count, remainder = divmod(count * G.degree, G.order)
-    if remainder:
-        raise CensusInvariantError(
-            f"n-cycle count {count} is not a multiple of |G|/n = "
-            f"{Fraction(G.order, G.degree)}")
+    class_count = theorem_verdict(G, cap, with_structure=False).class_count
     reps: list[tuple[int, ...]] = []
     for b, _ in _suborbits(G):
         if len(reps) == class_count:
@@ -228,16 +214,9 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     return class_count, tuple(Permutation(rep) for rep in reps)
 
 
-def cyclic_transitive_count(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                            workers: int = 1) -> int:
+def cyclic_transitive_count(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Number of cyclic transitive subgroups: n-cycle count / phi(n), exactly."""
-    count = count_n_cycles(G, cap, workers)
-    phi = euler_phi(G.degree)
-    quotient, remainder = divmod(count, phi)
-    if remainder:
-        raise CensusInvariantError(
-            f"n-cycle count {count} is not divisible by phi({G.degree}) = {phi}")
-    return quotient
+    return theorem_verdict(G, cap, with_structure=False).cyclic_transitive_count
 
 
 def normalizer_order_of_cycle(G: PermGroup, sigma: Permutation) -> int:
@@ -274,7 +253,7 @@ def contains_safe(G: PermGroup, p: Permutation) -> bool:
 
 # verdicts ----------------------------------------------------------------
 
-def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | None]:
+def _structure_tower(G: PermGroup) -> tuple[bool, tuple[int, ...] | None]:
     """Search for a chain of invariant partitions with prime ratios.
 
     Each step must induce, on the sub-blocks inside one super-block, a
@@ -284,6 +263,7 @@ def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | No
     block is transitive on it), so p divides the order and an element of
     order p in S_p is a p-cycle.  Greedy over minimal systems with
     backtracking; the first passing tower is reported, finest step first.
+    It enumerates no group: constituents are built from stabilizer chains.
     """
 
     def rec(H: PermGroup):
@@ -299,7 +279,7 @@ def _structure_tower(G: PermGroup, cap: int) -> tuple[bool, tuple[int, ...] | No
             s = system.s
             if not is_prime(s):
                 continue
-            constituent = block_constituent(H, system, 0, cap=cap)
+            constituent = block_constituent(H, system, 0)
             if (s * (s - 1)) % constituent.order != 0:
                 continue
             image, _ = block_action(H, system)
@@ -324,43 +304,27 @@ def extremal_structure_check(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
     if not report.equality:
         raise ValueError("extremal structure check requires the bound to be attained")
     _, solvable = derived_series(G)
-    passed, tower = _structure_tower(G, cap)
+    passed, tower = _structure_tower(G)
     return (passed and solvable), tower
 
 
-def _verdict_full(G: PermGroup, cap: int, workers: int = 1,
-                  with_structure: bool = True):
-    count = count_n_cycles(G, cap, workers)
+def _verdict_full(G: PermGroup, cap: int, with_structure: bool = True):
+    count = count_n_cycles(G, cap)
     n = G.degree
     order = G.order
     phi = euler_phi(n)
-    violations: list[str] = []
-
-    class_count, remainder = divmod(count * n, order)   # |class| = |G|/n
-    if remainder:
-        violations.append(
-            f"n-cycle count {count} is not a multiple of |G|/n = {Fraction(order, n)}")
-
+    class_count = count * n // order   # |class| = |G|/n
     subcount, remainder = divmod(count, phi)
-    if remainder:
-        violations.append(
-            f"n-cycle count {count} not divisible by phi({n}) = {phi}")
     bound = Fraction(order, n)
     equality = remainder == 0 and Fraction(subcount) == bound
-    if class_count > phi:
-        violations.append(f"class count {class_count} exceeds phi({n}) = {phi}")
-    if subcount > bound:
-        violations.append(f"subgroup count {subcount} exceeds bound {bound}")
 
     solvable = None
     verdict = "not_applicable"
     tower = None
     if equality and with_structure:
         _, solvable = derived_series(G)
-        passed, tower = _structure_tower(G, cap)
+        passed, tower = _structure_tower(G)
         verdict = "pass" if (solvable and passed) else "fail"
-        if not solvable:
-            violations.append("bound attained by a non-solvable group")
 
     report = CensusReport(
         degree=n, order=order, n_cycle_count=count, class_count=class_count,
@@ -368,32 +332,36 @@ def _verdict_full(G: PermGroup, cap: int, workers: int = 1,
         equality=equality, solvable=solvable, structure_verdict=verdict,
         count_divides_order=(order % subcount == 0) if subcount else None,
         tower=tower)
-    return report, violations
+    return report, validate_report(report)
 
 
 def theorem_verdict(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                    workers: int = 1, with_structure: bool = True) -> CensusReport:
+                    with_structure: bool = True) -> CensusReport:
     """Full census of one group; raises CensusInvariantError on any
     violated identity (which would mean a bug or a counterexample)."""
-    report, violations = _verdict_full(G, cap, workers, with_structure)
+    report, violations = _verdict_full(G, cap, with_structure)
     if violations:
         raise CensusInvariantError("; ".join(violations))
     return report
 
 
 def validate_report(report: CensusReport) -> list[str]:
-    """Re-check every exact identity a report must satisfy."""
+    """Re-check every exact identity a report must satisfy; one message
+    per failed identity."""
+    count, n, phi = report.n_cycle_count, report.degree, report.phi_n
+    subcount, classes = report.cyclic_transitive_count, report.class_count
     problems = []
-    if report.n_cycle_count != report.cyclic_transitive_count * report.phi_n:
-        problems.append("count != subgroup count * phi(n)")
-    if report.n_cycle_count * report.degree != report.class_count * report.order:
-        problems.append("class size identity fails")
-    if report.class_count > report.phi_n:
-        problems.append("class count exceeds phi(n)")
-    if report.cyclic_transitive_count > report.bound:
-        problems.append("subgroup count exceeds |G|/n")
+    if count != subcount * phi:
+        problems.append(f"n-cycle count {count} != {subcount} * phi({n}) = {phi}")
+    if count * n != classes * report.order:
+        problems.append(f"n-cycle count {count} != {classes} classes * "
+                        f"|G|/n = {Fraction(report.order, n)}")
+    if classes > phi:
+        problems.append(f"class count {classes} exceeds phi({n}) = {phi}")
+    if subcount > report.bound:
+        problems.append(f"subgroup count {subcount} exceeds bound {report.bound}")
     if report.equality and report.solvable is False:
-        problems.append("equality without solvability")
+        problems.append("bound attained by a non-solvable group")
     return problems
 
 
@@ -413,7 +381,6 @@ def run_sweep(instance_cap: int = 200_000,
               subgroup_count: int = 200,
               subgroup_order_cap: int = 100_000,
               seed: int = 20240809,
-              workers: int = 1,
               include_m23: bool = False) -> list[SweepRow]:
     """Census every standard catalog instance, then random subgroups.
 
@@ -422,7 +389,6 @@ def run_sweep(instance_cap: int = 200_000,
     catalog instances, keeping the transitive ones of order at most
     subgroup_order_cap, until subgroup_count of them have been censused.
     """
-    check_workers(workers)
     rows: list[SweepRow] = []
     instances = catalog.standard_instances(include_m23=include_m23)
 
@@ -431,9 +397,7 @@ def run_sweep(instance_cap: int = 200_000,
             rows.append(SweepRow(name, group.degree, group.order, "skipped",
                                  None, f"order above sweep cap {instance_cap}"))
             continue
-        report, violations = _verdict_full(group, cap=instance_cap,
-                                           workers=workers)
-        violations.extend(validate_report(report))
+        report, violations = _verdict_full(group, cap=instance_cap)
         if violations:
             rows.append(SweepRow(name, group.degree, group.order, "violation",
                                  report, "; ".join(violations)))
@@ -454,9 +418,7 @@ def run_sweep(instance_cap: int = 200_000,
             continue
         produced += 1
         name = f"rand{produced:03d}<{parent_name}"
-        report, violations = _verdict_full(H, cap=subgroup_order_cap,
-                                           workers=workers)
-        violations.extend(validate_report(report))
+        report, violations = _verdict_full(H, cap=subgroup_order_cap)
         if violations:
             rows.append(SweepRow(name, H.degree, H.order, "violation",
                                  report, "; ".join(violations)))

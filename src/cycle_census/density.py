@@ -21,12 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from multiprocessing import get_context
 
 import numpy as np
 
-from .census import check_workers, count_n_cycles
+from .census import count_n_cycles
 from .ntheory import euler_phi, prime_divisors
 from .permutations import DEFAULT_ELEMENT_CAP, PermGroup
 
@@ -367,6 +367,13 @@ def _classify_chunk(args):
 
 # reports --------------------------------------------------------------------
 
+# The vector kernel holds residues below p in int64; _vec_polymul_mod sums
+# up to n products of two of them before reducing, and every other
+# intermediate is smaller.  Any p with n * (p - 1)^2 > 2^63 - 1 would wrap
+# silently, so such bounds are refused (at degree 6, above ~1.24 * 10^9).
+_INT64_MAX = 2 ** 63 - 1
+
+
 def predicted_density(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Fraction:
     """Fraction of n-cycles in G: the Chebotarev prediction for the density."""
     return Fraction(count_n_cycles(G, cap), G.order)
@@ -380,11 +387,16 @@ def density_report(coeffs, bound: int, floor: int = 0,
     Callers are responsible for f being irreducible over the rationals;
     the report is purely an exact count of what happens mod each prime.
     """
-    check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     coeffs = tuple(_trim(list(coeffs)))
     if len(coeffs) < 2:
         raise ValueError("the polynomial must have degree at least 1")
     n = len(coeffs) - 1
+    if n * (bound - 1) ** 2 > _INT64_MAX:
+        limit = 1 + isqrt(_INT64_MAX // n)
+        raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
+                         f"whose degree-{n} arithmetic fits in int64")
     primes = [p for p in sieve_primes(bound) if p > floor]
     lead = coeffs[-1]
     sep_res = _separability_resultant(coeffs)

@@ -417,7 +417,8 @@ def _iter_raw(G: PermGroup, top_points: Sequence[int] | None = None) -> Iterator
     The walk is a mixed-radix sweep over transversal products, deepest
     stabilizer innermost, orbit points in increasing order.  Restricting
     top_points to a subset of the first orbit yields a deterministic
-    partition of the element stream, which is how censuses fan out.
+    partition of the element stream; the census walks one such coset
+    slice per orbit of the point stabilizer.
     """
     identity = tuple(range(G.degree))
     if not G.base:
@@ -449,6 +450,13 @@ def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[P
     if G.order > cap:
         raise CapExceeded(G.order, cap)
     return (Permutation(t) for t in _iter_raw(G))
+
+
+def _stabilizer_gens(G: PermGroup) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of base[0]: the transversal
+    representatives below the top level.  That is G_0 for transitive G of
+    degree > 1, whose base[0] is 0."""
+    return [rep for tr in G.transversals[1:] for rep in tr.values()]
 
 
 def _orbits(degree: int, raw_gens) -> list[tuple[int, ...]]:

@@ -126,6 +126,18 @@ def naive_irreducible(coeffs, p):
     return True
 
 
+# block constituents by full enumeration -----------------------------------
+
+def constituent_elements(G, system, block_index):
+    """Every element of a block constituent, as image tuples on the block's
+    positions: the projections of all elements that keep the block."""
+    block_of = system.block_index()
+    block = system.blocks[block_index]
+    position = {x: i for i, x in enumerate(block)}
+    return {tuple(position[t[x]] for x in block) for t in _iter_raw(G)
+            if all(block_of[t[x]] == block_index for x in block)}
+
+
 # the census by full enumeration -------------------------------------------
 
 def collect_n_cycles(G):

@@ -10,7 +10,7 @@ from cycle_census.permutations import (NotTransitiveError, Permutation,
                                        group_from_generators,
                                        iterate_elements, parse_permutation)
 
-from helpers import minimal_invariant_partitions
+from helpers import constituent_elements, minimal_invariant_partitions
 
 
 class TestMinimalBlockContaining:
@@ -165,6 +165,38 @@ class TestBlockConstituent:
         system = all_minimal_block_systems(c3wrc3)[0]
         with pytest.raises(ValueError):
             block_constituent(c3wrc3, system, 99)
+
+    def test_requires_transitive(self):
+        G = group_from_generators(4, [parse_permutation("(1,2)(3,4)", 4)])
+        system = BlockSystem(degree=4, blocks=((0, 1), (2, 3)))
+        with pytest.raises(NotTransitiveError):
+            block_constituent(G, system, 1)
+
+    def test_group_above_the_element_cap(self):
+        """S8 wr C2 has 3 251 404 800 elements; each block still sees S8."""
+        G = catalog.wreath_imprimitive(catalog.symmetric(8),
+                                       catalog.symmetric(2))
+        assert G.order == 3_251_404_800
+        system = all_minimal_block_systems(G)[0]
+        assert [block_constituent(G, system, j).order
+                for j in range(system.r)] == [40_320, 40_320]
+
+    def test_matches_enumeration_across_catalog(self):
+        """Every block of every minimal system of every catalog group of
+        order <= 1e4: the chain-built constituent has the oracle's order
+        and its generators lie in the oracle's element set."""
+        checked = 0
+        for name, G in catalog.standard_instances():
+            if G.order > 10 ** 4:
+                continue
+            for system in all_minimal_block_systems(G):
+                for j in range(system.r):
+                    elements = constituent_elements(G, system, j)
+                    H = block_constituent(G, system, j)
+                    assert H.order == len(elements), (name, system, j)
+                    assert all(g.images in elements for g in H.generators)
+                    checked += 1
+        assert checked == 682
 
 
 class TestDerivedSeries:

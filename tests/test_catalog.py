@@ -189,6 +189,13 @@ class TestSharpness:
             sharpness_group(4)
 
 
+@pytest.mark.parametrize("family", [cyclic_regular, holomorph_cyclic,
+                                    catalog.symmetric, catalog.alternating])
+def test_degree_above_64_refused(family):
+    with pytest.raises(ValueError, match="degree 65 exceeds supported maximum 64"):
+        family(65)
+
+
 class TestGroupSpecFiles:
     def test_m11(self, m11):
         assert m11.degree == 11 and m11.order == 7920
@@ -219,6 +226,10 @@ class TestGroupSpecFiles:
     def test_unknown_line(self):
         with pytest.raises(GroupSpecError):
             parse_group_spec("degree 3\nfoo bar\n")
+
+    def test_degree_above_64(self):
+        with pytest.raises(GroupSpecError, match="degree 65 exceeds"):
+            parse_group_spec("degree 65\ngen (1,2)\n")
 
     def test_write_then_load_roundtrip(self, tmp_path):
         G = catalog.pgl(3, 2)

@@ -285,32 +285,35 @@ class TestSerialization:
         assert CensusReport.from_json_dict(json.loads(blob)) == report
 
 
-class TestWorkers:
-    def test_reports_independent_of_worker_count(self):
-        G = catalog.wreath_imprimitive(catalog.symmetric(4),
-                                       catalog.symmetric(3))
-        assert theorem_verdict(G, workers=1) == theorem_verdict(G, workers=3)
-
-    def test_counts_independent(self, m11):
-        assert count_n_cycles(m11, workers=2) == 1440
-
-
 class TestWorkerValidation:
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_census_entry_points_refuse(self, workers):
-        G = catalog.cyclic_regular(6)
-        for entry in (count_n_cycles, n_cycle_classes, cyclic_transitive_count,
-                      theorem_verdict):
-            with pytest.raises(ValueError, match="at least 1"):
-                entry(G, workers=workers)
-
     @pytest.mark.parametrize("workers", [0, -3])
     def test_sweep_and_density_refuse(self, workers):
         from cycle_census.density import density_report
         with pytest.raises(ValueError, match="at least 1"):
-            census.run_sweep(subgroup_count=0, workers=workers)
-        with pytest.raises(ValueError, match="at least 1"):
             density_report((1, 0, 1), bound=100, workers=workers)
+
+
+class TestOneIdentityCheck:
+    """With a count that is off by one, every failed identity is reported
+    once, by validate_report, in the verdict and in the sweep."""
+
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        original = census.count_n_cycles
+        monkeypatch.setattr(census, "count_n_cycles",
+                            lambda *args: original(*args) + 1)
+
+    def test_verdict_raises(self, off_by_one):
+        with pytest.raises(census.CensusInvariantError,
+                           match="class count 3 exceeds phi"):
+            theorem_verdict(catalog.cyclic_regular(6))
+
+    def test_sweep_rows_name_each_identity_once(self, off_by_one):
+        rows = census.run_sweep(instance_cap=50, subgroup_count=0)
+        violations = [r for r in rows if r.status == "violation"]
+        assert violations
+        for row in violations:
+            assert row.detail.split("; ") == validate_report(row.report), row.name
 
 
 class TestSuborbitCensusAgainstEnumeration:

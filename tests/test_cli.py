@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cycle_census import cli
+from cycle_census import cli, density
 from cycle_census.census import CensusReport
 from cycle_census.density import DensityReport
 
@@ -70,6 +70,11 @@ class TestCensusCommand:
         code, _ = run(["census", "--family", "nosuch"])
         assert code == 1
 
+    def test_degree_above_64_is_an_error(self, capsys):
+        code, text = run(["census", "--family", "cyclic", "--n", "65"])
+        assert code == 1 and text == ""
+        assert "degree 65 exceeds supported maximum 64" in capsys.readouterr().err
+
 
 class TestDensityCommand:
     def test_json_roundtrip(self):
@@ -88,6 +93,13 @@ class TestDensityCommand:
     def test_bad_polynomial(self):
         code, _ = run(["density", "--poly", "x^", "--bound", "100"])
         assert code == 1
+
+    def test_bound_past_int64_limit_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(density, "sieve_primes", None)   # never reached
+        code, text = run(["density", "--poly", "x^6+x^3+1",
+                          "--bound", "1239850264"])
+        assert code == 1 and text == ""
+        assert "fits in int64" in capsys.readouterr().err
 
 
 class TestExportSpec:
@@ -110,8 +122,6 @@ class TestExportSpec:
 class TestWorkersFlag:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
-        ["census", "--family", "cyclic", "--n", "6"],
-        ["verify", "--suite", "feit-jones", "--random-subgroups", "0"],
         ["density", "--poly", "x^2+1", "--bound", "100"],
     ])
     def test_below_one_is_an_error(self, argv, workers, capsys):

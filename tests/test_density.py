@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cycle_census import catalog
+from cycle_census import catalog, density
 from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   PolynomialParseError, _batch_irreducible,
                                   density_report, is_irreducible_mod_p,
                                   parse_polynomial, predicted_density,
                                   reduce_mod_p, sieve_primes)
+from cycle_census.ntheory import is_prime
 
 from helpers import naive_irreducible
 
@@ -113,6 +114,29 @@ class TestBatchAgainstScalar:
         batch = _batch_irreducible(tuple(coeffs),
                                    np.array(good, dtype=np.int64))
         assert list(batch) == scalar
+
+    def test_batch_equals_scalar_just_below_int64_limit(self):
+        """The 50 largest primes that density_report admits for a sextic:
+        6 * (p - 1)^2 <= 2^63 - 1."""
+        coeffs = (1, 0, 0, 1, 0, 0, 1)
+        p = 1 + math.isqrt((2 ** 63 - 1) // 6)
+        assert 6 * (p - 1) ** 2 <= 2 ** 63 - 1 < 6 * p ** 2
+        primes = []
+        while len(primes) < 50:
+            if is_prime(p):
+                primes.append(p)
+            p -= 1
+        scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p)) for p in primes]
+        batch = _batch_irreducible(coeffs, np.array(primes, dtype=np.int64))
+        assert list(batch) == scalar and 0 < sum(scalar) < 50
+
+    def test_refuses_bound_past_int64_limit(self, monkeypatch):
+        """Refused before the sieve, which would need gigabytes here."""
+        monkeypatch.setattr(density, "sieve_primes", None)
+        with pytest.raises(ValueError, match="fits in int64"):
+            density_report((1, 0, 0, 1, 0, 0, 1), bound=3 * 10 ** 9)
+        with pytest.raises(ValueError, match="fits in int64"):
+            density_report((1, 0, 0, 1, 0, 0, 1), bound=1_239_850_264)
 
     def test_skip_classification_matches_scalar(self):
         """Resultant screen = per-prime gcd test, checked to 10^4."""
