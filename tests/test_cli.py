@@ -122,12 +122,19 @@ class TestExportSpec:
 class TestWorkersFlag:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
+        ["census", "--family", "cyclic", "--n", "6"],
+        ["verify", "--suite", "feit-jones", "--random-subgroups", "0"],
         ["density", "--poly", "x^2+1", "--bound", "100"],
     ])
     def test_below_one_is_an_error(self, argv, workers, capsys):
+        # Only density takes --workers; census and verify refuse the flag.
         code, text = run(argv + ["--workers", workers])
         assert code == 1 and text == ""
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        if argv[0] == "density":
+            expected = f"workers must be at least 1, got {workers}"
+        else:
+            expected = f"unrecognized arguments: --workers {workers}"
+        assert expected in capsys.readouterr().err
 
 
 class TestCatalogCommand:
