@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgroup-order-cap", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20240809)
     p.add_argument("--include-m23", action="store_true")
-    add_common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("density", help="prime-density experiment for a polynomial")

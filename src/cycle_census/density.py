@@ -12,8 +12,10 @@ group-predicted density.
 Irreducibility over GF(p) uses the distinct-degree criterion: f of degree
 n is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1
 for every prime l dividing n.  The per-prime reference implementation is
-scalar; density reports run the same criterion vectorized across all
-primes at once (numpy), with the two routes cross-checked in the tests.
+scalar; density reports run it in numpy over all primes at once: X^p by
+square-and-multiply, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix of
+rows X^(ip) mod f, and a batched division-free Euclid for the survivors'
+gcds and the bad-prime screen.  The tests cross-check the two routes.
 """
 
 from __future__ import annotations
@@ -106,18 +108,15 @@ class DensityReport:
 # primes -------------------------------------------------------------------
 
 def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, ascending (Eratosthenes on a bytearray)."""
+    """All primes <= bound, ascending (Eratosthenes on a numpy bool array)."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= bound:
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(bound) + 1):
         if flags[p]:
-            start = p * p
-            flags[start::p] = bytearray(len(range(start, bound + 1, p)))
-        p += 1
-    return [i for i in range(2, bound + 1) if flags[i]]
+            flags[p * p::p] = False
+    return np.nonzero(flags)[0].tolist()
 
 
 # scalar polynomial arithmetic over GF(p) -----------------------------------
@@ -235,142 +234,147 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 
 
 # batched classification -----------------------------------------------------
-
-def _separability_resultant(coeffs: tuple[int, ...]) -> int:
-    """Res(f, f') over the integers; 0 iff f has repeated rational roots.
-
-    For a prime p not dividing the leading coefficient, p divides this
-    resultant exactly when gcd(f, f') mod p is nonconstant, which makes it
-    a one-integer screen for the bad-reduction primes.
-    """
-    n = len(coeffs) - 1
-    if n == 1:
-        return 1
-    from sympy import Poly, Symbol, resultant
-    x = Symbol("x")
-    f = Poly(list(reversed(coeffs)), x)
-    return int(resultant(f, f.diff(x)))
+#
+# Polynomials are held coefficient-major, shape (slots, primes) int64: array
+# row i is coefficient i, a contiguous vector over the primes (one column
+# each).
+# Residues lie in [0, p); each step states the largest magnitude it reaches,
+# none above n * (p - 1)^2 (see _INT64_MAX).  density_report hands the
+# kernel blocks of _BLOCK_CELLS // (n + 1)^2 primes, which bounds the
+# n x n x rows Frobenius matrix and keeps a block's working set in cache.
+_BLOCK_CELLS = 1 << 18
 
 
-def _vec_polymul_mod(a, b, ps):
-    rows, n = a.shape
-    nb = b.shape[1]
-    out = np.zeros((rows, n + nb - 1), dtype=np.int64)
-    for i in range(n):
-        ai = a[:, i]
-        for j in range(nb):
-            out[:, i + j] += ai * b[:, j]
-    return np.mod(out, ps[:, None])
-
-
-def _vec_reduce_monic(acc, f, ps):
-    """Reduce rows of acc by the monic rows of f (degree n), in place."""
-    n = f.shape[1] - 1
-    for k in range(acc.shape[1] - 1, n - 1, -1):
-        c = acc[:, k].copy()
-        if not c.any():
-            continue
-        acc[:, k - n:k] -= c[:, None] * f[:, :n]
-        acc[:, k] = 0
-        acc[:, k - n:k] %= ps[:, None]
-    return acc[:, :n]
-
-
-def _vec_mulx_mod(a, f, ps):
-    rows, n = a.shape
-    out = np.zeros((rows, n + 1), dtype=np.int64)
-    out[:, 1:] = a
-    return _vec_reduce_monic(out, f, ps)
-
-
-def _vec_compose_mod(g, h, f, ps):
-    rows, n = g.shape
-    out = np.zeros((rows, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        if out.any():
-            out = _vec_reduce_monic(_vec_polymul_mod(out, h, ps), f, ps)
-        out[:, 0] = (out[:, 0] + g[:, i]) % ps
+def _square_and_multiply(one, exponents, square, times_base):
+    """base^e per column, scanning the bits of the exponents from the top."""
+    out = one
+    for k in range(int(exponents.max()).bit_length() - 1, -1, -1):
+        out = square(out)
+        out = np.where((exponents >> k) % 2 == 1, times_base(out), out)
     return out
 
 
-def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
-    """Vectorized distinct-degree test for the (good) primes in ps."""
-    n = len(coeffs) - 1
-    rows = len(ps)
-    if rows == 0:
-        return np.zeros(0, dtype=bool)
-    if n == 1:
-        return np.ones(rows, dtype=bool)
-
-    f = np.empty((rows, n + 1), dtype=np.int64)
-    for j, c in enumerate(coeffs):
-        f[:, j] = np.mod(c, ps)
-    if coeffs[-1] != 1:
-        lead_inv = np.array([pow(int(v), -1, int(p))
-                             for v, p in zip(f[:, n], ps)], dtype=np.int64)
-        f = np.mod(f * lead_inv[:, None], ps[:, None])
-
-    # X^p per row by a masked square-and-multiply over the bits of p
-    cur = np.zeros((rows, n), dtype=np.int64)
-    cur[:, 0] = 1
-    for k in range(int(ps.max()).bit_length() - 1, -1, -1):
-        cur = _vec_reduce_monic(_vec_polymul_mod(cur, cur, ps), f, ps)
-        shifted = _vec_mulx_mod(cur, f, ps)
-        bit = ((ps >> k) & 1).astype(bool)
-        cur = np.where(bit[:, None], shifted, cur)
-    t1 = cur
-
-    powers = {1: t1}
-    cur = t1
-    for k in range(2, n + 1):
-        cur = _vec_compose_mod(cur, t1, f, ps)
-        powers[k] = cur
-
-    xrow = np.zeros((rows, n), dtype=np.int64)
-    xrow[:, 1] = 1
-    reducible = ~(powers[n] == xrow).all(axis=1)
-    subs = sorted({n // ell for ell in prime_divisors(n)})
-    for m in subs:
-        reducible |= (powers[m] == xrow).all(axis=1)
-
-    # only the survivors need a real gcd; done scalar per row
-    survivors = np.nonzero(~reducible)[0]
-    if len(survivors):
-        f_list = f[survivors].tolist()
-        ps_list = ps[survivors].tolist()
-        power_lists = {m: powers[m][survivors].tolist() for m in subs}
-        for row, (frow, p) in enumerate(zip(f_list, ps_list)):
-            for m in subs:
-                g = list(power_lists[m][row])
-                g[1] = (g[1] - 1) % p
-                g = _trim(g)
-                if len(_pgcd(g, _trim(list(frow)), p)) - 1 >= 1:
-                    reducible[survivors[row]] = True
-                    break
-    return ~reducible
+def _reduce(acc, f, ps):
+    """acc mod the monic f (its low n coefficients), one % p a slot, top
+    first.  A slot starts as a sum of at most n products of residues and
+    loses at most n - 1 more before its % p: within +-n(p-1)^2."""
+    n = len(f)
+    for k in range(len(acc) - 1, n - 1, -1):
+        acc[k] %= ps
+        acc[k - n:k] -= acc[k] * f
+    return acc[:n] % ps
 
 
-def _classify_chunk(args):
-    coeffs, lead, sep_res, ps_list = args
-    ps = np.array(ps_list, dtype=np.int64)
-    if sep_res == 0:
-        bad = np.ones(len(ps), dtype=bool)
+def _mulmod(a, b, f, ps):
+    """a * b mod the monic f; slot k sums at most n products before _reduce."""
+    n = len(a)
+    acc = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
+    if a is b:
+        # the n(n+1)/2 distinct products: cross terms once, then doubled
+        for i in range(n - 1):
+            acc[2 * i + 1:i + n] += a[i] * a[i + 1:]
+        acc *= 2
+        acc[::2] += a * a
     else:
-        bad = np.zeros(len(ps), dtype=bool)
-        if abs(lead) != 1:
-            bad |= np.array([lead % int(p) == 0 for p in ps_list])
-        bad |= np.array([sep_res % int(p) == 0 for p in ps_list])
-    good = ps[~bad]
+        for i in range(n):
+            acc[i:i + n] += a[i] * b
+    return _reduce(acc, f, ps)
+
+
+def _degrees(a):
+    """Degree of each column's polynomial, -1 for zero."""
+    nonzero = a != 0
+    return np.where(nonzero.any(axis=0),
+                    len(a) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
+
+
+def _gcd(a, b, ps):
+    """gcd(a, b) mod p per column, up to a unit, by division-free Euclid: a
+    <- lc(b) a - lc(a) X^(deg a - deg b) b cancels lc(a) without an inverse
+    (two products <= (p-1)^2), and a, b swap when a falls below b.  Columns
+    with b = 0 are done; deg a + deg b drops on every other column."""
+    cols = np.arange(a.shape[1])
+    slots = np.arange(len(a))[:, None]
+    da, db = _degrees(a), _degrees(b)
+    while True:
+        swap = da < db
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        live = db >= 0
+        if not live.any():
+            return a
+        lca = np.where(live, a[da, cols], 0)
+        lcb = np.where(live, b[db, cols], 1)
+        src = slots - np.where(live, da - db, 0)
+        shifted = np.where(src >= 0,
+                           np.take_along_axis(b, np.maximum(src, 0), axis=0), 0)
+        a = (lcb * a - lca * shifted) % ps
+        da = _degrees(a)
+
+
+def _bad_primes(coeffs, ps):
+    """p divides lc(f), or gcd(f, f') mod p is nonconstant (also if f' = 0)."""
+    f = np.stack([np.mod(c, ps) for c in coeffs])
+    deriv = np.zeros_like(f)
+    deriv[:-1] = f[1:] * np.arange(1, len(f))[:, None] % ps   # i * f_i < n * p
+    return (f[-1] == 0) | (_degrees(_gcd(f, deriv, ps)) >= 1)
+
+
+def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
+    """Vectorized distinct-degree test for the (good) primes in ps; its
+    memory grows as n^2 len(ps), so callers pass blocks of primes."""
+    n = len(coeffs) - 1
+    if n == 1 or len(ps) == 0:
+        return np.full(len(ps), n == 1)   # linear f is always irreducible
+    f = np.stack([np.mod(c, ps) for c in coeffs])
+    if coeffs[-1] != 1:   # Fermat: lc^(p-2) inverts lc; products <= (p-1)^2
+        inv = _square_and_multiply(np.ones_like(ps), ps - 2,
+                                   lambda a: a * a % ps,
+                                   lambda a: a * f[-1] % ps)
+        f = f * inv % ps
+    f = f[:-1]
+    one = np.zeros((n, len(ps)), dtype=np.int64)
+    one[0] = 1
+    x = np.roll(one, 1, axis=0)
+    xp = _square_and_multiply(  # X * a is the shifted a, then _reduce
+        one, ps, lambda a: _mulmod(a, a, f, ps),
+        lambda a: _reduce(np.concatenate((np.zeros_like(a[:1]), a)), f, ps))
+
+    # Frobenius matrix Q[i] = X^(ip) mod f.  Since h^p = h(X^p) over GF(p),
+    # X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)): n products per slot.
+    Q = [one, xp]
+    while len(Q) < n:
+        Q.append(_mulmod(Q[-1], xp, f, ps))
+    Q = np.stack(Q)
+    powers = {1: xp}
+    for k in range(2, n + 1):
+        powers[k] = np.einsum("ir,ijr->jr", powers[k - 1], Q) % ps
+
+    subs = sorted({n // ell for ell in prime_divisors(n)})
+    # X^(p^m) = X gives gcd = f; the rest need gcd(X^(p^m) - X, f) = 1
+    irreducible = (powers[n] == x).all(axis=0) & ~np.any(
+        [(powers[m] == x).all(axis=0) for m in subs], axis=0)
+    for m in subs:
+        cols = np.nonzero(irreducible)[0]
+        pc = ps[cols]
+        g = np.vstack([powers[m][:, cols], np.zeros_like(pc)])
+        g[1] = (g[1] - 1) % pc
+        gcd = _gcd(g, np.vstack([f[:, cols], np.ones_like(pc)]), pc)
+        irreducible[cols] = _degrees(gcd) == 0
+    return irreducible
+
+
+def _classify_block(args):
+    coeffs, ps = args
+    good = ps[~_bad_primes(coeffs, ps)]
     inert = int(_batch_irreducible(coeffs, good).sum())
-    return int(bad.sum()), int(len(good)), inert
+    return len(ps) - len(good), len(good), inert
 
 
 # reports --------------------------------------------------------------------
 
-# The vector kernel holds residues below p in int64; _vec_polymul_mod sums
-# up to n products of two of them before reducing, and every other
-# intermediate is smaller.  Any p with n * (p - 1)^2 > 2^63 - 1 would wrap
-# silently, so such bounds are refused (at degree 6, above ~1.24 * 10^9).
+# Every kernel intermediate is bounded by n * (p - 1)^2; past 2^63 - 1 it
+# would wrap silently, so such bounds are refused (degree 6: ~1.24 * 10^9).
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -397,25 +401,18 @@ def density_report(coeffs, bound: int, floor: int = 0,
         limit = 1 + isqrt(_INT64_MAX // n)
         raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
                          f"whose degree-{n} arithmetic fits in int64")
-    primes = [p for p in sieve_primes(bound) if p > floor]
-    lead = coeffs[-1]
-    sep_res = _separability_resultant(coeffs)
+    primes = np.array(sieve_primes(bound), dtype=np.int64)
+    primes = primes[np.searchsorted(primes, floor, side="right"):]
 
-    if workers <= 1 or len(primes) < 1000:
-        chunks = [primes]
+    step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
+    blocks = [(coeffs, primes[i:i + step]) for i in range(0, len(primes), step)]
+    if workers == 1 or len(blocks) <= 1:
+        results = [_classify_block(b) for b in blocks]
     else:
-        size = (len(primes) + workers - 1) // workers
-        chunks = [primes[i:i + size] for i in range(0, len(primes), size)]
-    args = [(coeffs, lead, sep_res, chunk) for chunk in chunks if chunk]
-    if len(args) <= 1:
-        results = [_classify_chunk(a) for a in args]
-    else:
-        with get_context("fork").Pool(len(args)) as pool:
-            results = pool.map(_classify_chunk, args)
+        with get_context("fork").Pool(min(workers, len(blocks))) as pool:
+            results = pool.map(_classify_block, blocks)
 
-    skipped = sum(r[0] for r in results)
-    tested = sum(r[1] for r in results)
-    inert = sum(r[2] for r in results)
+    skipped, tested, inert = (sum(r[i] for r in results) for i in range(3))
     density = Fraction(inert, tested) if tested else Fraction(0, 1)
     return DensityReport(
         polynomial=coeffs, degree=n, bound=bound, floor=floor,

@@ -156,3 +156,10 @@ class TestVerifyCommand:
     def test_unknown_suite(self):
         code, _ = run(["verify", "--suite", "nope"])
         assert code == 1
+
+    def test_cap_is_refused(self, capsys):
+        # verify bounds its work with --instance-cap; --cap selected nothing
+        code, text = run(["verify", "--cap", "1", "--random-subgroups", "2",
+                          "--instance-cap", "500"])
+        assert code == 1 and text == ""
+        assert "unrecognized arguments: --cap 1" in capsys.readouterr().err

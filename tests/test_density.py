@@ -138,16 +138,89 @@ class TestBatchAgainstScalar:
         with pytest.raises(ValueError, match="fits in int64"):
             density_report((1, 0, 0, 1, 0, 0, 1), bound=1_239_850_264)
 
+    @pytest.mark.parametrize("degree", range(2, 9))
+    def test_batch_equals_scalar_random(self, degree):
+        """Seeded random f of each degree, monic and not, over the good
+        primes <= 3000; degree 7 is prime and 8 = 2^3."""
+        rng = random.Random(degree)
+        primes = sieve_primes(3000)
+        for lead in (1, rng.choice([2, 3, 6, 10, -7])):
+            coeffs = tuple(rng.randrange(-99, 100) for _ in range(degree))
+            coeffs += (lead,)
+            good = [p for p in primes
+                    if not isinstance(reduce_mod_p(coeffs, p), BadReduction)]
+            scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p))
+                      for p in good]
+            batch = _batch_irreducible(coeffs, np.array(good, dtype=np.int64))
+            assert list(batch) == scalar, coeffs
+
+    def test_blocks_do_not_change_reports(self, monkeypatch):
+        """Reports are identical in many small blocks, and when two worker
+        processes share those blocks."""
+        polys = [(1, 0, 0, 1, 0, 0, 1), (2, 3, 0, 5), (-4, 0, 1, 0, 2)]
+        whole = [density_report(c, bound=5000) for c in polys]
+        monkeypatch.setattr(density, "_BLOCK_CELLS", 300)
+        assert [density_report(c, bound=5000) for c in polys] == whole
+        assert [density_report(c, bound=5000, workers=2)
+                for c in polys] == whole
+
     def test_skip_classification_matches_scalar(self):
-        """Resultant screen = per-prime gcd test, checked to 10^4."""
+        """Batched gcd screen = per-prime scalar gcd test, checked to 10^4.
+
+        x^5+x+3 has f' = 1 mod 5 (degree drop, p = 5 is good); x^3+2 has
+        f' = 0 mod 3 (p = 3 is bad)."""
+        assert isinstance(reduce_mod_p((3, 1, 0, 0, 0, 1), 5), PolyModP)
+        assert isinstance(reduce_mod_p((2, 0, 0, 1), 3), BadReduction)
         primes = sieve_primes(10_000)
-        for coeffs in sorted(SUITE_POLYS) + [(6, 1, 0, 3), (0, 2, 0, 0, 1)]:
+        for coeffs in sorted(SUITE_POLYS) + [(6, 1, 0, 3), (0, 2, 0, 0, 1),
+                                             (3, 1, 0, 0, 0, 1), (2, 0, 0, 1),
+                                             (1, 0, 1, 0, 0, 1)]:
             report = density_report(coeffs, bound=10_000)
-            scalar_skips = sum(
-                isinstance(reduce_mod_p(coeffs, p), BadReduction)
-                for p in primes)
-            assert report.primes_skipped == scalar_skips
+            scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
+                          for p in primes]
+            batch_bad = density._bad_primes(coeffs,
+                                            np.array(primes, dtype=np.int64))
+            assert list(batch_bad) == scalar_bad, coeffs
+            assert report.primes_skipped == sum(scalar_bad)
             assert report.primes_tested + report.primes_skipped == len(primes)
+
+
+def _columns(polys, slots):
+    out = np.zeros((slots, len(polys)), dtype=np.int64)
+    for j, c in enumerate(polys):
+        out[:len(c), j] = c
+    return out
+
+
+class TestBatchedEuclid:
+    def test_matches_scalar_pgcd(self):
+        """Each column's gcd, made monic, equals the scalar _pgcd."""
+        rng = random.Random(2024)
+        cases = []
+        for p in (2, 3, 7, 101, 1_000_000_007, 2_147_483_647):
+            def poly(deg):
+                c = [rng.randrange(p) for _ in range(deg)]
+                return c + [rng.randrange(1, p)]
+            for _ in range(10):
+                cases.append((poly(rng.randrange(9)), poly(rng.randrange(9)), p))
+            cases.append((poly(5), [], p))                       # b = 0
+            cases.append(([], poly(4), p))                       # a = 0
+            cases.append(([], [], p))
+            cases.append((poly(6), poly(0), p))                  # constant b
+            cases.append((poly(4), poly(4), p))                  # equal degrees
+            h = poly(rng.randrange(1, 4))                        # common factor
+            cases.append((density._pmul(h, poly(4), p),
+                          density._pmul(h, poly(5), p), p))
+        a = _columns([c[0] for c in cases], 9)
+        b = _columns([c[1] for c in cases], 9)
+        ps = np.array([c[2] for c in cases], dtype=np.int64)
+        got = density._gcd(a, b, ps)
+        for j, (fa, fb, p) in enumerate(cases):
+            g = density._trim(got[:, j].tolist())
+            if g:
+                inv = pow(g[-1], -1, p)
+                g = [c * inv % p for c in g]
+            assert g == density._pgcd(fa, fb, p), (fa, fb, p)
 
 
 class TestReports:
@@ -184,6 +257,13 @@ class TestReports:
         assert floored.primes_skipped == 0
         assert low.primes_tested + low.primes_skipped == \
             floored.primes_tested + 4
+
+    def test_empty_window(self):
+        report = density_report((1, 0, 1), bound=10, floor=10)
+        counts = (report.primes_tested, report.primes_skipped,
+                  report.inert_count)
+        assert counts == (0, 0, 0) and {type(c) for c in counts} == {int}
+        assert report.empirical_density == 0
 
     def test_no_skips_above_discriminant_primes(self):
         for coeffs, disc_primes in SUITE_POLYS.items():
