@@ -54,9 +54,6 @@ class BlockSystem:
                 idx[x] = j
         return idx
 
-    def is_trivial(self) -> bool:
-        return self.r == 1 or self.s == 1
-
 
 def _partition_from_classes(degree: int, class_of: list[int]) -> BlockSystem:
     groups: dict[int, list[int]] = {}
@@ -228,7 +225,7 @@ def _normal_closure_order_and_gens(G: PermGroup, seeds: list[tuple[int, ...]]):
             return group.order, gens
 
 
-def derived_series(G: PermGroup, max_terms: int = 64) -> tuple[tuple[int, ...], bool]:
+def derived_series(G: PermGroup) -> tuple[tuple[int, ...], bool]:
     """Orders of the derived series, and whether it reaches the trivial group.
 
     Each term is the normal closure of the commutators of the previous
@@ -237,11 +234,7 @@ def derived_series(G: PermGroup, max_terms: int = 64) -> tuple[tuple[int, ...], 
     """
     orders = [G.order]
     current = G
-    solvable = G.order == 1
-    for _ in range(max_terms):
-        if current.order == 1:
-            solvable = True
-            break
+    while orders[-1] > 1:
         raw = [g.images for g in current.generators]
         commutators = []
         for a in raw:
@@ -251,17 +244,12 @@ def derived_series(G: PermGroup, max_terms: int = 64) -> tuple[tuple[int, ...], 
                 commutators.append(
                     _compose(_compose(ainv, binv), _compose(a, b)))
         order, gens = _normal_closure_order_and_gens(current, commutators)
-        if order == orders[-1]:
-            solvable = order == 1
-            orders.append(order)
-            break
         orders.append(order)
-        if order == 1:
-            solvable = True
+        if order in (1, orders[-2]):
             break
         current = group_from_generators(
             current.degree, [Permutation(t) for t in gens])
-    return tuple(orders), solvable
+    return tuple(orders), orders[-1] == 1
 
 
 def is_solvable(G: PermGroup) -> bool:

@@ -5,7 +5,9 @@ alternating groups, imprimitive wreath products, projective linear groups
 PGL_d(q) and their field-automorphism extensions, Singer cycles, the
 point-hyperplane duality extension of PGL_3(q), the sharp family of
 degree 2*3^k, and loading of validated generator files for the sporadic
-entries (M11, M23, PSL2(11) on 11 points).
+entries (M11, M23, PSL2(11) on 11 points).  Every projective permutation
+but the Frobenius map is a matrix over GF(q) acting on the normalized
+points of GF(q)^d; a Singer cycle is a companion matrix.
 """
 
 from __future__ import annotations
@@ -201,12 +203,17 @@ def _check_pgl_params(d: int, q: int) -> tuple[int, int]:
     return p, e
 
 
-def pgl(d: int, q: int) -> PermGroup:
-    """PGL_d(q) acting on the (q^d - 1)/(q - 1) projective points."""
+def _projective_space(d: int, q: int):
+    """GF(q), the projective points of GF(q)^d, and each point's index."""
     p, e = _check_pgl_params(d, q)
     field = make_field(p, e)
     points = projective_points(field, d)
-    index = {v: i for i, v in enumerate(points)}
+    return field, points, {v: i for i, v in enumerate(points)}
+
+
+def pgl(d: int, q: int) -> PermGroup:
+    """PGL_d(q) acting on the (q^d - 1)/(q - 1) projective points."""
+    field, points, index = _projective_space(d, q)
     gens = [_matrix_point_perm(field, mat, points, index)
             for mat in _gl_generators(field, d)]
     return group_from_generators(len(points), gens)
@@ -214,10 +221,7 @@ def pgl(d: int, q: int) -> PermGroup:
 
 def frobenius_point_perm(d: int, q: int) -> Permutation:
     """Coordinatewise p-th power map on projective points."""
-    p, e = _check_pgl_params(d, q)
-    field = make_field(p, e)
-    points = projective_points(field, d)
-    index = {v: i for i, v in enumerate(points)}
+    field, points, index = _projective_space(d, q)
     images = [index[_normalize_point(field, tuple(field.frobenius(c) for c in v))]
               for v in points]
     return Permutation(tuple(images))
@@ -233,102 +237,29 @@ def pgammal(d: int, q: int) -> PermGroup:
     return group_from_generators(base.degree, gens)
 
 
-def _gauss_inverse_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    n = len(matrix)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def singer_cycle(d: int, q: int) -> Permutation:
-    """An n-cycle of PGL_d(q) from multiplication by a generator of GF(q^d)*.
+    """An n-cycle of PGL_d(q): the companion matrix of a polynomial over GF(q).
 
-    GF(q^d) is identified with GF(q)^d through the basis 1, x, ..., x^(d-1),
-    where x is the canonical generator of the big field; multiplication by
-    x then permutes the projective points in a single cycle.
+    Multiplication by a generator x of GF(q^d)* permutes the projective
+    points in a single cycle; in the basis 1, x, ..., x^(d-1) it is the
+    companion matrix of the minimal polynomial of x, so one exists.  The
+    monic f of degree d with f_0 != 0 are tried in lexicographic order of
+    (f_0, ..., f_{d-1}), and the first whose companion matrix acts as an
+    n-cycle is returned.  The matrix is invertible, so it lies in PGL_d(q).
     """
-    p, e = _check_pgl_params(d, q)
-    if p ** (e * d) > 128:
-        raise ValueError(f"GF({q}^{d}) is larger than the supported field range")
-    big = make_field(p, e * d)
-    small = make_field(p, e)
-
-    # embed the small field: send its canonical generator to the least
-    # power of the subfield generator that satisfies the small modulus
-    if e == 1:
-        embed = list(range(p))
-    else:
-        u = big.pow_(big.x, (big.q - 1) // (small.q - 1))
-        root = None
-        cand = big.one
-        for _ in range(small.q - 1):
-            cand = big.mul(cand, u)
-            acc = big.zero
-            # evaluate the small modulus at cand, Horner from the top
-            for coeff in reversed(small.modulus):
-                acc = big.add(big.mul(acc, cand), coeff % p)
-            if acc == big.zero:
-                root = cand
-                break
-        if root is None:
-            raise AssertionError("small-field modulus has no root in the big field")
-        embed = [0] * small.q
-        root_pows = [big.one]
-        for _ in range(1, small.e):
-            root_pows.append(big.mul(root_pows[-1], root))
-        for a in range(small.q):
-            acc = big.zero
-            for c, pw in zip(small.coeffs(a), root_pows):
-                # prime-field scalars embed as themselves
-                acc = big.add(acc, big.mul(c, pw))
-            embed[a] = acc
-
-    # change of basis: columns are the GF(p)-digit vectors of y^j * x^i,
-    # y the embedded small-field generator, x the big-field generator
-    dim = e * d
-    x_pows = [big.one]
-    for _ in range(1, d):
-        x_pows.append(big.mul(x_pows[-1], big.x))
-    y_pows = [embed[small.from_coeffs(tuple(1 if t == j else 0 for t in range(e)))]
-              for j in range(e)] if e > 1 else [big.one]
-    columns = []
-    for i in range(d):
-        for j in range(e):
-            columns.append(big.coeffs(big.mul(y_pows[j], x_pows[i])))
-    basis_matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    inverse_basis = _gauss_inverse_mod_p(basis_matrix, p)
-
-    def lift(vec: tuple[int, ...]) -> int:
-        acc = big.zero
-        for i, c in enumerate(vec):
-            acc = big.add(acc, big.mul(embed[c], x_pows[i]))
-        return acc
-
-    def coords(alpha: int) -> tuple[int, ...]:
-        digits = big.coeffs(alpha)
-        solved = [sum(inverse_basis[r][c] * digits[c] for c in range(dim)) % p
-                  for r in range(dim)]
-        return tuple(small.from_coeffs(tuple(solved[i * e:(i + 1) * e]))
-                     for i in range(d))
-
-    points = projective_points(small, d)
-    index = {v: i for i, v in enumerate(points)}
-    images = []
-    for v in points:
-        w = coords(big.mul(lift(v), big.x))
-        images.append(index[_normalize_point(small, w)])
-    return Permutation(tuple(images))
+    field, points, index = _projective_space(d, q)
+    for tail in itertools.product(field.elements(), repeat=d):
+        if tail[0] == 0:
+            continue
+        # column c is the image of x^c: x^(c+1), or -f_0 - ... - f_{d-1} x^(d-1)
+        companion = [[field.one if r == c + 1 else field.zero
+                      for c in range(d - 1)] + [field.neg(tail[r])]
+                     for r in range(d)]
+        cycle = _matrix_point_perm(field, companion, points, index)
+        if cycle.is_n_cycle():
+            return cycle
+    raise AssertionError(f"no companion matrix of degree {d} over GF({q}) "
+                         "acts as an n-cycle")
 
 
 def duality_extension(d: int, q: int) -> PermGroup:
@@ -340,10 +271,7 @@ def duality_extension(d: int, q: int) -> PermGroup:
     """
     if d != 3 or q not in (2, 3):
         raise ValueError("duality extension is built for d = 3 and q in {2, 3}")
-    p, e = _check_pgl_params(d, q)
-    field = make_field(p, e)
-    points = projective_points(field, d)
-    index = {v: i for i, v in enumerate(points)}
+    field, points, index = _projective_space(d, q)
     n = len(points)
 
     hyperplane_sets = []
@@ -362,7 +290,7 @@ def duality_extension(d: int, q: int) -> PermGroup:
 
     gens = [paired(_matrix_point_perm(field, mat, points, index))
             for mat in _gl_generators(field, d)]
-    if e > 1:
+    if field.e > 1:
         gens.append(paired(frobenius_point_perm(d, q)))
     swap = Permutation(tuple((i + n) % (2 * n) for i in range(2 * n)))
     gens.append(swap)

@@ -377,6 +377,13 @@ class SweepRow:
     detail: str = ""
 
 
+def _sweep_row(name: str, group: PermGroup, cap: int) -> SweepRow:
+    report, violations = _verdict_full(group, cap=cap)
+    status = "violation" if violations else "ok"
+    return SweepRow(name, group.degree, group.order, status, report,
+                    "; ".join(violations))
+
+
 def run_sweep(instance_cap: int = 200_000,
               subgroup_count: int = 200,
               subgroup_order_cap: int = 100_000,
@@ -396,13 +403,8 @@ def run_sweep(instance_cap: int = 200_000,
         if group.order > instance_cap:
             rows.append(SweepRow(name, group.degree, group.order, "skipped",
                                  None, f"order above sweep cap {instance_cap}"))
-            continue
-        report, violations = _verdict_full(group, cap=instance_cap)
-        if violations:
-            rows.append(SweepRow(name, group.degree, group.order, "violation",
-                                 report, "; ".join(violations)))
         else:
-            rows.append(SweepRow(name, group.degree, group.order, "ok", report))
+            rows.append(_sweep_row(name, group, instance_cap))
 
     rng = random.Random(seed)
     produced = 0
@@ -413,17 +415,14 @@ def run_sweep(instance_cap: int = 200_000,
         parent_name, parent = instances[rng.randrange(len(instances))]
         g1 = random_element(parent, rng)
         g2 = random_element(parent, rng)
+        if len(_orbits(parent.degree, [g1.images, g2.images])) > 1:
+            continue   # intransitive: no chain needed to reject the pair
         H = group_from_generators(parent.degree, [g1, g2])
-        if H.order > subgroup_order_cap or not is_transitive(H):
+        if H.order > subgroup_order_cap:
             continue
         produced += 1
-        name = f"rand{produced:03d}<{parent_name}"
-        report, violations = _verdict_full(H, cap=subgroup_order_cap)
-        if violations:
-            rows.append(SweepRow(name, H.degree, H.order, "violation",
-                                 report, "; ".join(violations)))
-        else:
-            rows.append(SweepRow(name, H.degree, H.order, "ok", report))
+        rows.append(_sweep_row(f"rand{produced:03d}<{parent_name}", H,
+                               subgroup_order_cap))
     if produced < subgroup_count:
         rows.append(SweepRow("random-phase", 0, 0, "violation", None,
                              f"only {produced} random subgroups found in "

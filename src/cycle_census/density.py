@@ -312,9 +312,28 @@ def _gcd(a, b, ps):
         da = _degrees(a)
 
 
+def _residues(coeffs, ps):
+    """The integer coefficients mod each p, shape (len(coeffs), len(ps)).
+
+    np.mod takes |c| < 2^63.  A larger |c| is reduced by Horner over its
+    31-bit limbs, top first, with a % p after every step: r < p, so
+    r * 2^31 + limb < p * 2^31 + 2^31 < 2^63 for every bound that
+    density_report accepts (p < 3.04 * 10^9, reached at degree 1)."""
+    rows = []
+    for c in coeffs:
+        if abs(c) < 2 ** 63:
+            rows.append(np.mod(c, ps))
+            continue
+        r = np.zeros_like(ps)
+        for shift in range((abs(c).bit_length() - 1) // 31 * 31, -1, -31):
+            r = (r * 2 ** 31 + (abs(c) >> shift & (2 ** 31 - 1))) % ps
+        rows.append(r if c > 0 else -r % ps)
+    return np.stack(rows)
+
+
 def _bad_primes(coeffs, ps):
     """p divides lc(f), or gcd(f, f') mod p is nonconstant (also if f' = 0)."""
-    f = np.stack([np.mod(c, ps) for c in coeffs])
+    f = _residues(coeffs, ps)
     deriv = np.zeros_like(f)
     deriv[:-1] = f[1:] * np.arange(1, len(f))[:, None] % ps   # i * f_i < n * p
     return (f[-1] == 0) | (_degrees(_gcd(f, deriv, ps)) >= 1)
@@ -326,7 +345,7 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
-    f = np.stack([np.mod(c, ps) for c in coeffs])
+    f = _residues(coeffs, ps)
     if coeffs[-1] != 1:   # Fermat: lc^(p-2) inverts lc; products <= (p-1)^2
         inv = _square_and_multiply(np.ones_like(ps), ps - 2,
                                    lambda a: a * a % ps,

@@ -6,8 +6,8 @@ constant term is the lowest digit and the residue class of x is the
 element p).  For e >= 2 the modulus is the lexicographically least
 primitive monic polynomial of degree e, coefficients compared from the
 constant term up; primitivity makes x a generator of the multiplicative
-group, which is verified at construction.  For e = 1 arithmetic is plain
-integers mod p and no modulus is stored.
+group, which is verified at construction.  For e = 1 no modulus is
+stored.  Every field does its arithmetic by table lookup.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ MAX_Q = 128
 
 def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
                   modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of coefficient tuples reduced mod (modulus, p); fixed length e."""
-    e = len(modulus) - 1
+    """Product of length-e coefficient tuples mod (modulus, p); e = 1 never
+    reduces, so it reads no modulus."""
+    e = len(a)
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -77,29 +78,19 @@ class FqField:
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = None
-            self._mul = None
-        else:
-            coeffs = [self.coeffs(a) for a in range(q)]
-            enc = self.from_coeffs
-            self._add = [
-                bytes(enc(tuple((ca[i] + cb[i]) % p for i in range(e)))
-                      for cb in coeffs)
-                for ca in coeffs
-            ]
-            self._mul = [
-                bytes(enc(_poly_mul_mod(ca, cb, self.modulus, p))
-                      for cb in coeffs)
-                for ca in coeffs
-            ]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul(a, b) == 1:
-                    inv[a] = b
-                    break
-        self._inv = tuple(inv)
+        coeffs = [self.coeffs(a) for a in range(q)]
+        enc = self.from_coeffs
+        self._add = [
+            bytes(enc(tuple((ca[i] + cb[i]) % p for i in range(e)))
+                  for cb in coeffs)
+            for ca in coeffs
+        ]
+        self._mul = [
+            bytes(enc(_poly_mul_mod(ca, cb, self.modulus, p))
+                  for cb in coeffs)
+            for ca in coeffs
+        ]
+        self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
         self._frob = tuple(self.pow_(a, p) for a in range(q))
 
     # element codecs -------------------------------------------------
@@ -139,21 +130,15 @@ class FqField:
         return self.p
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
         return self.from_coeffs(tuple((-c) % self.p for c in self.coeffs(a)))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         return self._mul[a][b]
 
     def inv(self, a: int) -> int:

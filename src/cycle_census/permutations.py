@@ -353,9 +353,6 @@ def _build_chain(degree, raw_gens):
             g = _compose(g, _inverse(rep))
         return g, degree   # fully sifted: g is the identity
 
-    for i in range(degree):
-        rebuild(i)
-
     i = degree - 1
     while i >= 0:
         rebuild(i)

@@ -210,6 +210,9 @@ class TestDerivedSeries:
         assert not solvable
         assert orders[0] == orders[1] == 60
 
+    def test_stalls_after_a_drop(self):
+        assert derived_series(catalog.symmetric(5)) == ((120, 60, 60), False)
+
     def test_sharpness_groups_solvable(self):
         assert is_solvable(catalog.sharpness_group(1))
         assert is_solvable(catalog.sharpness_group(2))

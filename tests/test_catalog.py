@@ -9,6 +9,8 @@ from cycle_census.catalog import (GroupSpecError, cyclic_regular,
                                   parse_group_spec, pgammal, pgl, pgl_order,
                                   sharpness_group, singer_cycle,
                                   wreath_imprimitive, write_group_spec)
+from cycle_census.census import normalizer_order_of_cycle
+from cycle_census.gf import MAX_Q, make_field
 from cycle_census.ntheory import euler_phi, prime_power
 from cycle_census.permutations import (contains, is_transitive,
                                        iterate_elements, parse_permutation)
@@ -133,15 +135,56 @@ class TestPGL:
             assert is_transitive(pgl(d, q))
 
 
+def _is_prime_power(q):
+    try:
+        prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+# Every PGL_d(q) the library supports: q <= MAX_Q and degree <= MAX_DEGREE.
+ADMISSIBLE_PGL = [(d, q) for q in range(2, MAX_Q + 1) if _is_prime_power(q)
+                  for d in range(2, 7)
+                  if (q ** d - 1) // (q - 1) <= catalog.MAX_DEGREE]
+
+
 class TestSinger:
-    @pytest.mark.parametrize("d,q", PGL_CASES)
+    def test_admissible_cases(self):
+        assert len(ADMISSIBLE_PGL) == 35
+        assert set(PGL_CASES) < set(ADMISSIBLE_PGL)
+
+    @pytest.mark.parametrize("d,q", ADMISSIBLE_PGL)
     def test_singer_is_n_cycle_in_pgl(self, d, q):
         s = singer_cycle(d, q)
+        G = pgl(d, q)
         assert s.is_n_cycle()
-        assert contains(pgl(d, q), s)
+        assert contains(G, s)
+        # the normalizer of a Singer cycle in PGL_d(q) has order n * d
+        assert normalizer_order_of_cycle(G, s) == G.degree * d
 
     def test_singer_32_is_seven_cycle(self):
         assert singer_cycle(3, 2).cycle_type() == (7,)
+
+    def test_singer_32_images_are_pinned(self):
+        # multiplication by x in GF(2)[x]/(x^3 + x^2 + 1)
+        assert singer_cycle(3, 2).images == (4, 0, 3, 1, 6, 2, 5)
+
+    @pytest.mark.parametrize("d,q", [(2, 4), (3, 4), (6, 2), (2, 49)])
+    def test_builds_only_the_base_field(self, d, q, monkeypatch):
+        built = []
+
+        def recording(p, e):
+            built.append(p ** e)
+            return make_field(p, e)
+        monkeypatch.setattr(catalog, "make_field", recording)
+        singer_cycle(d, q)
+        assert built and set(built) == {q}
+
+    @pytest.mark.parametrize("d,q", [(2, 64), (4, 4), (7, 2), (2, 6), (1, 5)])
+    def test_inadmissible_parameters_refused(self, d, q):
+        with pytest.raises(ValueError):
+            singer_cycle(d, q)
 
     def test_singer_24_is_five_cycle(self):
         assert singer_cycle(2, 4).cycle_type() == (5,)

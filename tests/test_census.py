@@ -316,6 +316,42 @@ class TestOneIdentityCheck:
             assert row.detail.split("; ") == validate_report(row.report), row.name
 
 
+class TestSweepRandomPhase:
+    """The random phase rejects intransitive pairs from their generators'
+    orbits, before any chain is built, and keeps the same subgroups."""
+
+    KWARGS = dict(instance_cap=1, subgroup_count=15, subgroup_order_cap=2000)
+
+    def test_no_chain_for_an_intransitive_pair(self, monkeypatch):
+        from cycle_census.permutations import _orbits
+        orbit_counts = []
+        original = census.group_from_generators
+
+        def recording(degree, gens):
+            orbit_counts.append(len(_orbits(degree, [g.images for g in gens])))
+            return original(degree, gens)
+        monkeypatch.setattr(census, "group_from_generators", recording)
+        census.run_sweep(**self.KWARGS)
+        assert orbit_counts and set(orbit_counts) == {1}
+
+    def test_rows_match_building_every_pair(self):
+        rows = census.run_sweep(**self.KWARGS)
+        instances = catalog.standard_instances()
+        rng = random.Random(20240809)
+        expected = []
+        while len(expected) < 15:
+            parent_name, parent = instances[rng.randrange(len(instances))]
+            H = group_from_generators(parent.degree,
+                                      [random_element(parent, rng),
+                                       random_element(parent, rng)])
+            if H.order <= 2000 and is_transitive(H):
+                expected.append((f"rand{len(expected) + 1:03d}<{parent_name}",
+                                 H.order))
+        random_rows = [r for r in rows if r.name.startswith("rand")]
+        assert [(r.name, r.order) for r in random_rows] == expected
+        assert all(r.status == "ok" for r in random_rows)
+
+
 class TestSuborbitCensusAgainstEnumeration:
     """The census counts one coset slice per G_0-orbit; the oracle enumerates
     all of G and partitions the n-cycles by breadth-first conjugation."""

@@ -94,6 +94,20 @@ class TestDensityCommand:
         code, _ = run(["density", "--poly", "x^", "--bound", "100"])
         assert code == 1
 
+    def test_coefficient_past_int64(self):
+        """10^20 x^2 + 1 reports what the scalar route finds prime by prime."""
+        code, blob = run(["density", "--poly", "100000000000000000000x^2+1",
+                          "--bound", "100", "--format", "json"])
+        assert code == 0
+        report = DensityReport.from_json_dict(json.loads(blob))
+        reductions = [density.reduce_mod_p((1, 0, 10 ** 20), p)
+                      for p in density.sieve_primes(100)]
+        good = [r for r in reductions if isinstance(r, density.PolyModP)]
+        assert report.polynomial == (1, 0, 10 ** 20)
+        assert report.primes_skipped == len(reductions) - len(good) == 2
+        assert report.primes_tested == len(good)
+        assert report.inert_count == sum(map(density.is_irreducible_mod_p, good))
+
     def test_bound_past_int64_limit_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr(density, "sieve_primes", None)   # never reached
         code, text = run(["density", "--poly", "x^6+x^3+1",

@@ -130,6 +130,41 @@ class TestBatchAgainstScalar:
         batch = _batch_irreducible(coeffs, np.array(primes, dtype=np.int64))
         assert list(batch) == scalar and 0 < sum(scalar) < 50
 
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, 10 ** 20), (2 ** 64, 0, 1), (-(2 ** 63 + 1), 3, 0, 1),
+        (-(2 ** 63), 1, 1), (3 ** 90, -(7 ** 50), 5, 2 ** 70)])
+    def test_coefficients_past_int64(self, coeffs):
+        """|c| >= 2^63 is reduced exactly: residues, the bad-prime screen
+        and each good reduction's irreducibility match the scalar route."""
+        primes = sieve_primes(10_000)
+        ps = np.array(primes, dtype=np.int64)
+        assert density._residues(coeffs, ps).T.tolist() == \
+            [[c % p for c in coeffs] for p in primes]
+        scalar = [reduce_mod_p(coeffs, p) for p in primes]
+        assert list(density._bad_primes(coeffs, ps)) == \
+            [isinstance(r, BadReduction) for r in scalar]
+        good = [r for r in scalar if isinstance(r, PolyModP)]
+        batch = _batch_irreducible(coeffs,
+                                   np.array([r.p for r in good], dtype=np.int64))
+        assert list(batch) == [is_irreducible_mod_p(r) for r in good]
+        report = density_report(coeffs, bound=10_000)
+        assert report.primes_skipped == len(primes) - len(good)
+        assert report.inert_count == sum(is_irreducible_mod_p(r) for r in good)
+
+    def test_big_coefficient_residues_at_the_largest_primes(self):
+        """Limb reduction at the 20 largest primes of the degree-1 limit,
+        where r * 2^31 + limb comes closest to 2^63."""
+        p = 1 + math.isqrt(2 ** 63 - 1)
+        primes = []
+        while len(primes) < 20:
+            if is_prime(p):
+                primes.append(p)
+            p -= 1
+        coeffs = (-(10 ** 40 + 7), 2 ** 127 - 1, -(2 ** 63))
+        assert density._residues(coeffs, np.array(primes, dtype=np.int64)
+                                 ).T.tolist() == [[c % p for c in coeffs]
+                                                  for p in primes]
+
     def test_refuses_bound_past_int64_limit(self, monkeypatch):
         """Refused before the sieve, which would need gigabytes here."""
         monkeypatch.setattr(density, "sieve_primes", None)

@@ -21,6 +21,11 @@ def test_make_field_basics():
     assert f4.modulus == (1, 1, 1)  # the only irreducible quadratic over GF(2)
 
 
+def test_prime_field_has_no_variable_residue():
+    with pytest.raises(ValueError, match="no variable residue"):
+        make_field(5, 1).x
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_field(4, 1)
@@ -116,7 +121,8 @@ def _oracle_tables(field: FqField):
     return add, mul
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (127, 1)])
 def test_tables_match_modular_polynomial_oracle(p, e):
     field = make_field(p, e)
     add, mul = _oracle_tables(field)

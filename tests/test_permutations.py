@@ -333,3 +333,44 @@ def test_base_points_are_smallest_moved_in_increasing_order():
             moved = min(x for x in range(G.degree)
                         if any(t[x] != x for t in stabilizer))
             assert moved == b, (G, i)
+
+
+def _chain_digest(groups):
+    """sha256 of every (base, transversal items in insertion order)."""
+    import hashlib
+    chains = [(G.base, tuple(tuple(tr.items()) for tr in G.transversals))
+              for G in groups]
+    return hashlib.sha256(repr(chains).encode()).hexdigest()
+
+
+class TestChainsArePinned:
+    """Transversal representatives, and their dict order, are part of the
+    output: random_element and so the sweep's random rows read them.
+    The digests were taken from the chain builder before the up-front
+    rebuild of every level was dropped."""
+
+    def test_catalog_chains(self):
+        groups = [G for _, G in catalog.standard_instances()]
+        assert len(groups) == 221
+        assert _chain_digest(groups) == (
+            "4825db07f973db1c927b2c4de4f1b1df965fbb1c3cc0818b1f00e3faea33eb55")
+
+    def test_random_phase_chains(self):
+        """Every pair the sweep's random phase draws at its default seed,
+        built into a chain whether the sweep keeps it or not."""
+        from cycle_census.permutations import _orbits
+        instances = catalog.standard_instances()
+        rng = random.Random(20240809)
+        groups = []
+        accepted = 0
+        while accepted < 200:
+            _, parent = instances[rng.randrange(len(instances))]
+            g1 = random_element(parent, rng)
+            g2 = random_element(parent, rng)
+            H = group_from_generators(parent.degree, [g1, g2])
+            groups.append(H)
+            accepted += (H.order <= 100_000
+                         and len(_orbits(H.degree, H.raw_generators())) == 1)
+        assert len(groups) == 320
+        assert _chain_digest(groups) == (
+            "0acf387f7f03933880e281f5bcfff0b19faaa8b489af2ce5abe23e81ac917a0a")
