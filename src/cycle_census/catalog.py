@@ -5,9 +5,9 @@ alternating groups, imprimitive wreath products, projective linear groups
 PGL_d(q) and their field-automorphism extensions, Singer cycles, the
 point-hyperplane duality extension of PGL_3(q), the sharp family of
 degree 2*3^k, and loading of validated generator files for the sporadic
-entries (M11, M23, PSL2(11) on 11 points).  Every projective permutation
-but the Frobenius map is a matrix over GF(q) acting on the normalized
-points of GF(q)^d; a Singer cycle is a companion matrix.
+entries (M11, M23, PSL2(11) on 11 points).  Every permutation of the
+projective points but the Frobenius map is a matrix over GF(q) acting on
+the normalized points of GF(q)^d; a Singer cycle is a companion matrix.
 """
 
 from __future__ import annotations

@@ -315,15 +315,12 @@ def _gcd(a, b, ps):
 def _residues(coeffs, ps):
     """The integer coefficients mod each p, shape (len(coeffs), len(ps)).
 
-    np.mod takes |c| < 2^63.  A larger |c| is reduced by Horner over its
-    31-bit limbs, top first, with a % p after every step: r < p, so
+    |c| of any size is reduced by Horner over its 31-bit limbs, top first,
+    with a % p after every step (c = 0 has no limbs): r < p, so
     r * 2^31 + limb < p * 2^31 + 2^31 < 2^63 for every bound that
     density_report accepts (p < 3.04 * 10^9, reached at degree 1)."""
     rows = []
     for c in coeffs:
-        if abs(c) < 2 ** 63:
-            rows.append(np.mod(c, ps))
-            continue
         r = np.zeros_like(ps)
         for shift in range((abs(c).bit_length() - 1) // 31 * 31, -1, -31):
             r = (r * 2 ** 31 + (abs(c) >> shift & (2 ** 31 - 1))) % ps
