@@ -14,6 +14,16 @@ constant on each G_0-orbit, and the slice of elements sending 0 to b has
 then follows from the class-size identity |class| = |G|/n, since the
 centralizer of an n-cycle sigma in the full symmetric group is <sigma>.
 
+A slice is never walked element by element.  Its elements are products
+t_0[b] o t_1[.] o ... o t_k[.] of transversal representatives (Seress,
+Permutation Group Algorithms, 2003, section 4.1); permutations._slice_blocks
+tables the deepest factors into one array, walks the upper ones as
+prefixes, and lists the slice in blocks of at most _SLICE_CELLS cells, each
+a numpy gather of stacked prefixes through the table.  _full_cycle_mask
+then follows 0 through every row of a block at once.  One block is alive
+at a time, so for any group the count holds at most the table, one block
+(each at most 128 KiB) and a few index vectors of one entry per row.
+
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
 for any one such relabeling x0.  Class representatives are found with
@@ -28,7 +38,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from . import catalog
 from .blocks import (all_minimal_block_systems, block_action,
@@ -36,8 +45,8 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _compose, _contains_raw, _is_full_cycle,
-                           _iter_raw, _orbits, _stabilizer_gens,
+                           _compose, _contains_raw, _full_cycle_mask,
+                           _orbits, _slice_blocks, _stabilizer_gens,
                            group_from_generators, is_transitive,
                            random_element)
 
@@ -125,24 +134,23 @@ def _suborbits(G: PermGroup) -> list[tuple[int, int]]:
     return [(orbit[0], len(orbit)) for orbit in orbits[1:]]
 
 
-def _slice_n_cycles(G: PermGroup, b: int) -> Iterator[tuple[int, ...]]:
-    """The n-cycles sending 0 to b, streamed from one coset of |G|/n elements."""
-    return filter(_is_full_cycle, _iter_raw(G, [b]))
-
-
 def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Exact n-cycle count, summed over one coset slice per G_0-orbit.
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
     orbit O of G_0 (conjugation by G_0 moves the image of 0 along O), so
     the count is the sum of |O| * N(0, min O).  Refused when |G| exceeds
-    the cap.  Every census entry point is a view over this pass.
+    the cap or the degree exceeds 64.  Every census entry point is a view
+    over this pass.
     """
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
-    return sum(size * sum(1 for _ in _slice_n_cycles(G, b))
+    catalog._check_degree(G.degree)   # the slice kernel's rows are int8
+    # map drops each block before the next is built: one block is live.
+    return sum(size * sum(int(mask.sum()) for mask
+                          in map(_full_cycle_mask, _slice_blocks(G, b)))
                for b, size in _suborbits(G))
 
 
@@ -198,12 +206,16 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
     increasing order, each sorted, and a candidate not conjugate to an
     earlier one opens a new class.
     """
+    import numpy as np   # at call time, as in the slice kernel
     class_count = theorem_verdict(G, cap, with_structure=False).class_count
     reps: list[tuple[int, ...]] = []
     for b, _ in _suborbits(G):
         if len(reps) == class_count:
             break
-        for t in sorted(_slice_n_cycles(G, b)):
+        cycles = np.concatenate([block[_full_cycle_mask(block)]
+                                 for block in _slice_blocks(G, b)])
+        cycles = cycles[np.lexsort(cycles.T[::-1])]
+        for t in map(tuple, cycles.tolist()):
             if not any(_are_conjugate_raw(G, r, t) for r in reps):
                 reps.append(t)
                 if len(reps) == class_count:
@@ -395,7 +407,14 @@ def run_sweep(instance_cap: int = 200_000,
     sampled.  The random phase draws 2-generator subgroups of the
     catalog instances, keeping the transitive ones of order at most
     subgroup_order_cap, until subgroup_count of them have been censused.
+    Refuses (ValueError) a negative subgroup_count and caps below 1, which
+    would otherwise skip every instance or report a failed random phase.
     """
+    for name, value, least in (("subgroup_count", subgroup_count, 0),
+                               ("instance_cap", instance_cap, 1),
+                               ("subgroup_order_cap", subgroup_order_cap, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rows: list[SweepRow] = []
     instances = catalog.standard_instances(include_m23=include_m23)
 

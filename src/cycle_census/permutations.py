@@ -14,10 +14,19 @@ threads or worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Iterator, Sequence
 
 DEFAULT_ELEMENT_CAP = 20_000_000
+
+# The slice kernel lists a coset slice in blocks of at most _SLICE_CELLS int8
+# cells (rows * degree) gathered through a table of at most _SLICE_CELLS
+# bytes, which bounds its working set whatever |G|.  It imports numpy where
+# it runs: imported here, numpy would load before the rest of the package
+# is compiled, and when modules compile from source (no bytecode cache)
+# that alone raises a census's peak RSS by about 0.9 MiB.
+_SLICE_CELLS = 1 << 17
 
 
 class CycleParseError(ValueError):
@@ -176,6 +185,24 @@ def _is_full_cycle(t: tuple[int, ...]) -> bool:
         x = t[x]
         steps += 1
     return steps == len(t)
+
+
+def _full_cycle_mask(block: np.ndarray) -> np.ndarray:
+    """Row-wise _is_full_cycle of an int8 (rows, n) block of image rows.
+
+    Follows 0 for n - 1 steps with flat gathers; a row is an n-cycle
+    exactly when 0 does not come back before the n-th step.
+    """
+    import numpy as np   # at call time: see _SLICE_CELLS
+    rows, n = block.shape
+    flat = block.ravel()
+    offsets = np.arange(0, rows * n, n)
+    x = np.zeros(rows, dtype=np.intp)
+    alive = np.ones(rows, dtype=bool)
+    for _ in range(n - 1):
+        x = flat[offsets + x]
+        alive &= x != 0
+    return alive
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -436,6 +463,49 @@ def _iter_raw(G: PermGroup, top_points: Sequence[int] | None = None) -> Iterator
             yield from rec(level + 1, _compose(tr[beta], suffix))
 
     yield from rec(0, identity)
+
+
+def _slice_blocks(G: PermGroup, b: int) -> Iterator[np.ndarray]:
+    """The coset slice _iter_raw(G, [b]) as int8 blocks of shape (rows, n).
+
+    The deepest levels are tabled into one array, level by level upward
+    while the next table stays within _SLICE_CELLS bytes: row (beta, r) of
+    T_j[:, table] is t_j[beta] applied after row r, the order _iter_raw
+    nests them in.  The table is intp because it is the index of every
+    gather, and numpy converts an index of any other dtype to intp on each
+    call: an int8 table would cost eight times its size per block.  The
+    upper levels are walked as prefix tuples p = t_0[b] o t_1[.] o ...,
+    and each block is p[table] for as many prefixes as fit in _SLICE_CELLS
+    int8 cells (at least one).  Concatenated, the blocks are the slice's
+    elements in _iter_raw order.  Rows are int8, so the degree must be at
+    most 128.
+    """
+    import numpy as np   # at call time: see _SLICE_CELLS
+    n = G.degree
+    if not G.base:
+        yield np.arange(n, dtype=np.int8)[None]
+        return
+    levels = [[G.transversals[0][b]]]
+    levels += [[tr[beta] for beta in sorted(tr)] for tr in G.transversals[1:]]
+    top = len(levels) - 1
+    table = np.array(levels[top], dtype=np.intp)
+    while top > 0 and len(levels[top - 1]) * table.nbytes <= _SLICE_CELLS:
+        top -= 1
+        table = np.take(np.array(levels[top], dtype=np.intp), table,
+                        axis=1).reshape(-1, n)
+    per_block = max(1, _SLICE_CELLS // table.size)
+
+    def prefixes(level: int, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if level == top:
+            yield p
+            return
+        for rep in levels[level]:
+            yield from prefixes(level + 1, _compose(rep, p))
+
+    walk = prefixes(0, tuple(range(n)))
+    while batch := list(islice(walk, per_block)):
+        yield np.take(np.array(batch, dtype=np.int8), table,
+                      axis=1).reshape(-1, n)
 
 
 def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[Permutation]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycle_census import catalog, census
+from cycle_census import catalog, census, permutations
 from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  count_n_cycles, cyclic_transitive_count,
                                  euler_phi, extremal_structure_check,
@@ -293,6 +293,29 @@ class TestWorkerValidation:
             density_report((1, 0, 1), bound=100, workers=workers)
 
 
+class TestSweepArguments:
+    """Arguments that would skip every instance, or fail the random phase
+    as if the theorem were violated, are refused before any census."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(subgroup_count=-3), dict(subgroup_count=-1),
+        dict(instance_cap=0), dict(instance_cap=-1),
+        dict(subgroup_order_cap=0), dict(subgroup_order_cap=-5)])
+    def test_refused(self, kwargs, monkeypatch):
+        def no_catalog(**_):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(catalog, "standard_instances", no_catalog)
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be at least"):
+            census.run_sweep(**kwargs)
+
+    def test_smallest_accepted(self):
+        rows = census.run_sweep(instance_cap=1, subgroup_count=0,
+                                subgroup_order_cap=1)
+        assert {r.status for r in rows} == {"ok", "skipped"}
+        assert not any(r.name.startswith("rand") for r in rows)
+
+
 class TestOneIdentityCheck:
     """With a count that is off by one, every failed identity is reported
     once, by validate_report, in the verdict and in the sweep."""
@@ -354,7 +377,9 @@ class TestSweepRandomPhase:
 
 class TestSuborbitCensusAgainstEnumeration:
     """The census counts one coset slice per G_0-orbit; the oracle enumerates
-    all of G and partitions the n-cycles by breadth-first conjugation."""
+    all of G and partitions the n-cycles by breadth-first conjugation.  The
+    count is also taken with the slice kernel's block budget at 64 cells,
+    where most blocks hold a single prefix."""
 
     @staticmethod
     def _mismatch(G):
@@ -366,12 +391,16 @@ class TestSuborbitCensusAgainstEnumeration:
         count, phi = len(cycles), euler_phi(G.degree)
         class_count, reps = n_cycle_classes(G)
         report = theorem_verdict(G, with_structure=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permutations, "_SLICE_CELLS", 64)
+            small_blocks = count_n_cycles(G)
         have = (report.n_cycle_count, report.class_count,
                 report.cyclic_transitive_count, class_count,
-                [r.images for r in reps])
+                [r.images for r in reps], small_blocks)
         want = (count, len(classes), count // phi, len(classes),
-                [rep for rep, _ in classes])
-        return None if have == want else f"census {have[:3]} != oracle {want[:3]}"
+                [rep for rep, _ in classes], count)
+        return None if have == want else (
+            f"census {have[:3]} ({small_blocks} at 64 cells) != oracle {want[:3]}")
 
     def test_catalog_instances(self):
         checked = 0

@@ -171,6 +171,22 @@ class TestVerifyCommand:
         code, _ = run(["verify", "--suite", "nope"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--random-subgroups", "2", "--instance-cap", "100",
+         "--subgroup-order-cap", "0"],
+        ["--random-subgroups", "-3"],
+        ["--instance-cap", "-1"]])
+    def test_invalid_sweep_flags_are_errors(self, flags, capsys):
+        code, text = run(["verify", *flags])
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert "must be at least" in err and "VIOLATION" not in err
+
+    def test_no_random_subgroups_is_valid(self):
+        code, text = run(["verify", "--random-subgroups", "0",
+                          "--instance-cap", "100"])
+        assert code == 0 and "violations 0" in text
+
     def test_cap_is_refused(self, capsys):
         # verify bounds its work with --instance-cap; --cap selected nothing
         code, text = run(["verify", "--cap", "1", "--random-subgroups", "2",
