@@ -436,9 +436,11 @@ def run_sweep(instance_cap: int = 200_000,
         g2 = random_element(parent, rng)
         if len(_orbits(parent.degree, [g1.images, g2.images])) > 1:
             continue   # intransitive: no chain needed to reject the pair
-        H = group_from_generators(parent.degree, [g1, g2])
-        if H.order > subgroup_order_cap:
-            continue
+        try:
+            H = group_from_generators(parent.degree, [g1, g2],
+                                      order_cap=subgroup_order_cap)
+        except CapExceeded:
+            continue   # refused as soon as its partial chain passed the cap
         produced += 1
         rows.append(_sweep_row(f"rand{produced:03d}<{parent_name}", H,
                                subgroup_order_cap))

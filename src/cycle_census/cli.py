@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an acceptance suite")
     p.add_argument("--suite", default="feit-jones")
-    p.add_argument("--instance-cap", type=int, default=200_000)
+    p.add_argument("--instance-cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--random-subgroups", type=int, default=200)
     p.add_argument("--subgroup-order-cap", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20240809)
@@ -285,3 +285,7 @@ def main(argv=None, out=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -48,12 +48,21 @@ class NotTransitiveError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration refused outright: the group exceeds the element cap."""
+    """Refused outright: the group's order exceeds a cap.
 
-    def __init__(self, order: int, cap: int):
-        super().__init__(f"group order {order} exceeds the enumeration cap {cap}")
+    order is |G| when exact, else a lower bound on |G| that already
+    exceeds the cap (a chain build given an order cap stops there).
+    """
+
+    def __init__(self, order: int, cap: int, exact: bool = True):
+        if exact:
+            message = f"group order {order} exceeds the enumeration cap {cap}"
+        else:
+            message = f"group order is at least {order}, above the order cap {cap}"
+        super().__init__(message)
         self.order = order
         self.cap = cap
+        self.exact = exact
 
 
 # Hot loops work on raw image tuples; Permutation is the public wrapper.
@@ -311,12 +320,15 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def group_from_generators(degree: int, generators: Sequence[Permutation]) -> PermGroup:
+def group_from_generators(degree: int, generators: Sequence[Permutation], *,
+                          order_cap: int | None = None) -> PermGroup:
     """Build the group with a deterministic stabilizer chain.
 
     Base points are chosen as the smallest point moved by the current
     stabilizer, in increasing order, so that enumeration order and
-    reports are reproducible.
+    reports are reproducible.  With an order_cap, a group of larger order
+    is refused (CapExceeded, exact=False) as soon as the partial chain
+    proves it, without completing the chain.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -327,7 +339,10 @@ def group_from_generators(degree: int, generators: Sequence[Permutation]) -> Per
         if g.degree != degree:
             raise DegreeMismatchError(
                 f"generator of degree {g.degree} in a degree {degree} group")
-    base, transversals = _build_chain(degree, [g.images for g in gens])
+    if order_cap is not None and order_cap < 1:
+        raise ValueError(f"order_cap must be at least 1, got {order_cap}")
+    base, transversals = _build_chain(degree, [g.images for g in gens],
+                                      order_cap)
     order = 1
     for tr in transversals:
         order *= len(tr)
@@ -335,7 +350,7 @@ def group_from_generators(degree: int, generators: Sequence[Permutation]) -> Per
                      transversals=transversals, order=order)
 
 
-def _build_chain(degree, raw_gens):
+def _build_chain(degree, raw_gens, order_cap=None):
     """Deterministic Schreier-Sims; returns (base, transversals).
 
     The working base is the full point sequence 0..n-1; levels whose
@@ -343,68 +358,91 @@ def _build_chain(degree, raw_gens):
     the increasing sequence of smallest-moved points of the successive
     stabilizers (a skipped point is fixed by the whole stabilizer above
     it, so removing its level keeps the chain valid).
+
+    Each strong generator is kept with its inverse and the smallest point
+    it moves (a residue that sifts to level j moves j first), so the
+    generators of level i are those whose first moved point is >= i.
+    Each level keeps the inverses of its representatives beside them.
+
+    Level i's transversal is always an orbit of a subgroup of the i-th
+    stabilizer, so the product of the transversal sizes is a lower bound
+    on |G|; with an order_cap, the build stops with CapExceeded as soon as
+    that bound passes it.
     """
     identity = tuple(range(degree))
-    strong = [g for g in dict.fromkeys(raw_gens) if not _is_identity(g)]
+    strong = []   # (generator, its inverse, the smallest point it moves)
+    for g in dict.fromkeys(raw_gens):
+        if g != identity:
+            first = next(x for x, y in enumerate(g) if x != y)
+            strong.append((g, _inverse(g), first))
     if not strong:
         return (), ()
     transversals: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
+    inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
+    bound = 1   # the product of the transversal sizes
 
     def gens_at(i):
-        return [g for g in strong if all(g[b] == b for b in range(i))]
+        return [(s, s_inv) for s, s_inv, first in strong if first >= i]
 
     def rebuild(i):
+        nonlocal bound
         gens_i = gens_at(i)
         tr = {i: identity}
+        inv = {i: identity}
         frontier = [i]
         while frontier:
             nxt = []
             for gamma in frontier:
                 rep = tr[gamma]
-                for s in gens_i:
+                rep_inv = inv[gamma]
+                for s, s_inv in gens_i:
                     delta = s[gamma]
                     if delta not in tr:
                         tr[delta] = _compose(rep, s)
+                        inv[delta] = _compose(s_inv, rep_inv)
                         nxt.append(delta)
             frontier = nxt
+        bound = bound // (len(transversals[i]) or 1) * len(tr)
         transversals[i] = tr
+        inverses[i] = inv
+        if order_cap is not None and bound > order_cap:
+            raise CapExceeded(bound, order_cap, exact=False)
 
     def sift(g, start):
         for i in range(start, degree):
             beta = g[i]
             if beta == i:
                 continue   # the representative would be the identity
-            rep = transversals[i].get(beta)
-            if rep is None:
+            rep_inv = inverses[i].get(beta)
+            if rep_inv is None:
                 return g, i
-            g = _compose(g, _inverse(rep))
+            g = _compose(g, rep_inv)
         return g, degree   # fully sifted: g is the identity
 
     i = degree - 1
     while i >= 0:
         rebuild(i)
+        tr, inv = transversals[i], inverses[i]
+        gens_i = gens_at(i)
         jump = None
-        for gamma in sorted(transversals[i]):
-            rep = transversals[i][gamma]
-            for s in gens_at(i):
-                sgen = _compose(_compose(rep, s),
-                                _inverse(transversals[i][s[gamma]]))
-                if _is_identity(sgen):
-                    continue
-                residue, j = sift(sgen, i + 1)
+        for gamma in sorted(tr):
+            rep = tr[gamma]
+            for s, _ in gens_i:
+                delta = s[gamma]
+                rep_s = _compose(rep, s)
+                if rep_s == tr[delta]:
+                    continue   # the Schreier generator is the identity
+                residue, j = sift(_compose(rep_s, inv[delta]), i + 1)
                 if j == degree:
                     continue
-                strong.append(residue)
+                strong.append((residue, _inverse(residue), j))
                 for k in range(i + 1, j + 1):
                     rebuild(k)
                 jump = j
                 break
             if jump is not None:
                 break
-        if jump is None:
-            i -= 1
-        else:
-            i = jump
+        i = i - 1 if jump is None else jump
 
     kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept),

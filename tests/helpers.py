@@ -17,6 +17,17 @@ def compose(p, q):
     return tuple(q[i] for i in p)
 
 
+def inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def is_identity(p):
+    return all(i == j for i, j in enumerate(p))
+
+
 def naive_closure(degree, gens):
     """All products of the generators, by breadth-first closure."""
     identity = tuple(range(degree))
@@ -145,6 +156,18 @@ def collect_n_cycles(G):
     return [t for t in _iter_raw(G) if _is_full_cycle(t)]
 
 
+def wreath_n_cycle_count(inner, outer):
+    """n-cycles of the imprimitive wreath product inner wr outer, in closed
+    form: #k-cycles(outer) * |inner|^(k-1) * #m-cycles(inner), where m and
+    k are the degrees of inner and outer and n = mk.  An element is an
+    n-cycle exactly when its block permutation is a k-cycle and the product
+    of its k block components, taken along that cycle, is an m-cycle; k - 1
+    of the components are free and the last is then fixed.  The two factor
+    counts come from full enumeration of the (small) factors."""
+    return (len(collect_n_cycles(outer)) * inner.order ** (outer.degree - 1)
+            * len(collect_n_cycles(inner)))
+
+
 def conjugacy_orbits(G, cycles):
     """Partition n-cycles into G-classes by breadth-first conjugation.
 
@@ -178,3 +201,81 @@ def conjugacy_orbits(G, cycles):
         remaining -= orbit
         classes.append((min(orbit), len(orbit)))
     return classes
+
+
+# the stabilizer chain, as the library built it before its order cap ------
+
+def build_chain(degree, raw_gens):
+    """Deterministic Schreier-Sims; returns (base, transversals).
+
+    The library's chain builder as it stood before it gained an order cap,
+    first-moved-point generator filter and cached inverse representatives:
+    generators of level i are found by testing every point below i, and
+    each representative is inverted where it is used.  The library's chains,
+    dict insertion order included, must equal these.
+    """
+    identity = tuple(range(degree))
+    strong = [g for g in dict.fromkeys(raw_gens) if not is_identity(g)]
+    if not strong:
+        return (), ()
+    transversals = [{} for _ in range(degree)]
+
+    def gens_at(i):
+        return [g for g in strong if all(g[b] == b for b in range(i))]
+
+    def rebuild(i):
+        gens_i = gens_at(i)
+        tr = {i: identity}
+        frontier = [i]
+        while frontier:
+            nxt = []
+            for gamma in frontier:
+                rep = tr[gamma]
+                for s in gens_i:
+                    delta = s[gamma]
+                    if delta not in tr:
+                        tr[delta] = compose(rep, s)
+                        nxt.append(delta)
+            frontier = nxt
+        transversals[i] = tr
+
+    def sift(g, start):
+        for i in range(start, degree):
+            beta = g[i]
+            if beta == i:
+                continue   # the representative would be the identity
+            rep = transversals[i].get(beta)
+            if rep is None:
+                return g, i
+            g = compose(g, inverse(rep))
+        return g, degree   # fully sifted: g is the identity
+
+    i = degree - 1
+    while i >= 0:
+        rebuild(i)
+        jump = None
+        for gamma in sorted(transversals[i]):
+            rep = transversals[i][gamma]
+            for s in gens_at(i):
+                sgen = compose(compose(rep, s),
+                               inverse(transversals[i][s[gamma]]))
+                if is_identity(sgen):
+                    continue
+                residue, j = sift(sgen, i + 1)
+                if j == degree:
+                    continue
+                strong.append(residue)
+                for k in range(i + 1, j + 1):
+                    rebuild(k)
+                jump = j
+                break
+            if jump is not None:
+                break
+        if jump is None:
+            i -= 1
+        else:
+            i = jump
+
+    kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
+    return (tuple(b for b, _ in kept),
+            tuple(tr for _, tr in kept))

@@ -11,12 +11,14 @@ from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  euler_phi, extremal_structure_check,
                                  n_cycle_classes, normalizer_order_of_cycle,
                                  theorem_verdict, validate_report)
-from cycle_census.permutations import (CapExceeded, NotTransitiveError,
+from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
+                                       NotTransitiveError,
                                        Permutation, group_from_generators,
                                        is_transitive, iterate_elements,
                                        parse_permutation, random_element)
 
-from helpers import collect_n_cycles, conjugacy_orbits, naive_closure
+from helpers import (collect_n_cycles, conjugacy_orbits, naive_closure,
+                     wreath_n_cycle_count)
 
 
 class TestEulerPhi:
@@ -350,9 +352,9 @@ class TestSweepRandomPhase:
         orbit_counts = []
         original = census.group_from_generators
 
-        def recording(degree, gens):
+        def recording(degree, gens, **kwargs):
             orbit_counts.append(len(_orbits(degree, [g.images for g in gens])))
-            return original(degree, gens)
+            return original(degree, gens, **kwargs)
         monkeypatch.setattr(census, "group_from_generators", recording)
         census.run_sweep(**self.KWARGS)
         assert orbit_counts and set(orbit_counts) == {1}
@@ -438,6 +440,41 @@ class TestSuborbitCensusAgainstEnumeration:
         assert report.class_count == 2
         assert report.cyclic_transitive_count == 40_320
         assert report.bound == 443_520 and not report.equality
+
+
+class TestSweepAtTheCensusCap:
+    """verify's default instance cap is the census cap, 2*10^7.  The sweep
+    then censuses 210 of the 221 catalog instances; the 31 above the old
+    default of 2*10^5 are all imprimitive wreath products, and every wreath
+    row is checked against the closed form, which enumerates no wreath
+    product."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return census.run_sweep(instance_cap=DEFAULT_ELEMENT_CAP,
+                                subgroup_count=0)
+
+    def test_coverage(self, rows):
+        censused = [r for r in rows if r.status == "ok"]
+        assert len(censused) == 210
+        assert [r for r in rows if r.status == "violation"] == []
+        wider = [r.name for r in censused if r.order > 200_000]
+        assert len(wider) == 31
+        assert all("_wr_" in name for name in wider)
+
+    def test_wreath_rows_match_the_closed_form(self, rows):
+        wreaths = [r for r in rows if "_wr_" in r.name and r.status == "ok"]
+        factors = {code: catalog.family_instance(code)
+                   for r in wreaths for code in r.name.split("_wr_")}
+        counts = {}
+        for r in wreaths:
+            inner, outer = r.name.split("_wr_")
+            counts[r.name] = wreath_n_cycle_count(factors[inner],
+                                                  factors[outer])
+            assert r.report.n_cycle_count == counts[r.name], r.name
+        assert len(counts) == 137   # of 148; the 11 skipped rows are wreaths too
+        assert counts["c2_wr_s8"] == 645_120
+        assert counts["s5_wr_c3"] == 691_200
 
 
 class TestRandomSubgroupInvariants:

@@ -1,0 +1,147 @@
+"""The chain builder against the oracle it replaced, and its order cap.
+
+The builder filters generators by their first moved point, reads cached
+inverse representatives and can stop at an order cap; none of that may
+change a chain.  Transversal representatives, and their dict order, are
+part of the output (random_element and so the sweep's random rows read
+them), so chains are compared item by item in insertion order.
+"""
+
+import random
+
+import pytest
+
+from cycle_census import catalog
+from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
+                                       _orbits, group_from_generators,
+                                       iterate_elements, random_element)
+
+from helpers import build_chain
+
+
+def _items(chain):
+    base, transversals = chain
+    return base, [list(tr.items()) for tr in transversals]
+
+
+def _order(chain):
+    order = 1
+    for tr in chain[1]:
+        order *= len(tr)
+    return order
+
+
+def _catalog_cases():
+    return [(name, G.degree, G.raw_generators())
+            for name, G in catalog.standard_instances()]
+
+
+def _random_phase_cases():
+    """Every pair the sweep's random phase draws at its default seed, kept
+    or not, until it has kept 200."""
+    instances = catalog.standard_instances()
+    rng = random.Random(20240809)
+    cases = []
+    kept = 0
+    while kept < 200:
+        name, parent = instances[rng.randrange(len(instances))]
+        pair = [random_element(parent, rng).images,
+                random_element(parent, rng).images]
+        cases.append((f"pair{len(cases)}<{name}", parent.degree, pair))
+        kept += (len(_orbits(parent.degree, pair)) == 1
+                 and _order(build_chain(parent.degree, pair)) <= 100_000)
+    return cases
+
+
+def _seeded_subgroup_cases():
+    """The first 60 pairs drawn by test_census's random-subgroup invariant
+    test (seed 99), kept or not."""
+    rng = random.Random(99)
+    parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
+               catalog.wreath_imprimitive(catalog.symmetric(3),
+                                          catalog.symmetric(4))]
+    cases = []
+    for k in range(60):
+        parent = parents[rng.randrange(len(parents))]
+        pair = [random_element(parent, rng).images,
+                random_element(parent, rng).images]
+        cases.append((f"seeded{k}", parent.degree, pair))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(label, degree, raw generators, oracle chain) for every case."""
+    out = {"catalog": _catalog_cases(), "random_phase": _random_phase_cases(),
+           "seeded": _seeded_subgroup_cases()}
+    return {kind: [(label, degree, gens, build_chain(degree, gens))
+                   for label, degree, gens in found]
+            for kind, found in out.items()}
+
+
+def test_case_counts(cases):
+    assert len(cases["catalog"]) == 221
+    assert len(cases["random_phase"]) == 320
+    assert len(cases["seeded"]) == 60
+
+
+@pytest.mark.parametrize("kind", ["catalog", "random_phase", "seeded"])
+def test_chains_equal_the_oracle(cases, kind):
+    for label, degree, gens, want in cases[kind]:
+        assert _items(_build_chain(degree, gens)) == _items(want), label
+
+
+@pytest.mark.parametrize("kind", ["catalog", "random_phase"])
+def test_a_cap_at_the_order_changes_nothing(cases, kind):
+    for label, degree, gens, want in cases[kind]:
+        chain = _build_chain(degree, gens, order_cap=_order(want))
+        assert _items(chain) == _items(want), label
+
+
+@pytest.mark.parametrize("kind", ["catalog", "random_phase"])
+def test_a_cap_below_the_order_refuses(cases, kind):
+    refused = 0
+    for label, degree, gens, want in cases[kind]:
+        order = _order(want)
+        if order == 1:
+            continue   # no cap below 1 is accepted
+        with pytest.raises(CapExceeded) as info:
+            _build_chain(degree, gens, order_cap=order - 1)
+        exc = info.value
+        assert not exc.exact and exc.cap == order - 1, label
+        assert order - 1 < exc.order <= order, label   # a lower bound on |G|
+        refused += 1
+    assert refused > 200
+
+
+class TestOrderCap:
+    def test_stops_before_the_chain_is_complete(self):
+        """a8 wr c2 has order 812 851 200; a cap of 10^5 is passed by a
+        partial chain, whose bound is what the refusal reports."""
+        G = dict(catalog.standard_instances())["a8_wr_c2"]
+        with pytest.raises(CapExceeded) as info:
+            group_from_generators(G.degree, G.generators, order_cap=10 ** 5)
+        exc = info.value
+        assert 10 ** 5 < exc.order < G.order
+        assert str(exc) == (f"group order is at least {exc.order}, "
+                            "above the order cap 100000")
+
+    def test_exact_refusals_keep_their_message(self, m11):
+        with pytest.raises(CapExceeded) as info:
+            iterate_elements(m11, cap=100)
+        assert info.value.exact
+        assert str(info.value) == (
+            "group order 7920 exceeds the enumeration cap 100")
+
+    def test_group_within_the_cap(self, m11):
+        G = group_from_generators(11, m11.generators, order_cap=m11.order)
+        assert (G.order, G.base) == (m11.order, m11.base)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(ValueError, match="order_cap must be at least 1"):
+            group_from_generators(3, [Permutation((1, 2, 0))], order_cap=cap)
+
+    def test_trivial_group_within_any_cap(self):
+        G = group_from_generators(4, [Permutation.identity(4)], order_cap=1)
+        assert (G.order, G.base) == (1, ())

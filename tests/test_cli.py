@@ -1,11 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cycle_census
 
 from cycle_census import cli, density
 from cycle_census.census import CensusReport
 from cycle_census.density import DensityReport
+from cycle_census.permutations import DEFAULT_ELEMENT_CAP
 
 
 def run(argv):
@@ -182,6 +189,10 @@ class TestVerifyCommand:
         assert code == 1 and text == ""
         assert "must be at least" in err and "VIOLATION" not in err
 
+    def test_default_instance_cap_is_the_census_cap(self):
+        args = cli.build_parser().parse_args(["verify"])
+        assert args.instance_cap == DEFAULT_ELEMENT_CAP == 20_000_000
+
     def test_no_random_subgroups_is_valid(self):
         code, text = run(["verify", "--random-subgroups", "0",
                           "--instance-cap", "100"])
@@ -193,3 +204,34 @@ class TestVerifyCommand:
                           "--instance-cap", "500"])
         assert code == 1 and text == ""
         assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+class TestModuleEntryPoints:
+    """`python -m cycle_census` and `python -m cycle_census.cli` run the same
+    CLI as cli.main, exit codes included."""
+
+    @staticmethod
+    def run_module(module, argv):
+        src = str(Path(cycle_census.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    @pytest.mark.parametrize("module", ["cycle_census", "cycle_census.cli"])
+    def test_bad_suite_exits_1(self, module):
+        done = self.run_module(module, ["verify", "--suite", "nope"])
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "unknown suite 'nope'" in done.stderr
+
+    @pytest.mark.parametrize("module", ["cycle_census", "cycle_census.cli"])
+    def test_census_prints_what_main_prints(self, module):
+        argv = ["census", "--family", "cyclic", "--n", "6"]
+        done = self.run_module(module, argv)
+        code, text = run(argv)
+        assert code == 0
+        assert (done.returncode, done.stdout) == (code, text)
+        assert json.loads(text)["n_cycle_count"] == 2
