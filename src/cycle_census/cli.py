@@ -167,6 +167,9 @@ def cmd_density(args, out) -> int:
     predicted = None
     if args.predict:
         group = catalog.family_instance(args.predict)
+        if group.degree != len(coeffs) - 1:
+            raise ValueError(f"--predict {args.predict} has degree {group.degree}"
+                             f", the polynomial degree {len(coeffs) - 1}")
         predicted = density.predicted_density(group, cap=args.cap)
     report = density.density_report(coeffs, bound=args.bound, floor=args.floor,
                                     predicted=predicted, workers=args.workers)

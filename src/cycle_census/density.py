@@ -12,14 +12,16 @@ group-predicted density.
 Irreducibility over GF(p) uses the distinct-degree criterion: f of degree
 n is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1
 for every prime l dividing n.  The per-prime reference implementation is
-scalar; density reports run it in numpy over all primes at once: X^p by
-square-and-multiply, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix of
-rows X^(ip) mod f, and a batched division-free Euclid for the survivors'
-gcds and the bad-prime screen.  The tests cross-check the two routes.
+scalar.  Density reports skip the primes dividing the integer Res(f, f')
+and test the rest in numpy, all at once: X^p with one reduction mod f a
+bit, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix of rows X^(ip) mod
+f, and one division-free Euclid of f and the product of the X^(p^(n/l)) -
+X.  The tests cross-check the two routes.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,40 +247,26 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 _BLOCK_CELLS = 1 << 18
 
 
-def _square_and_multiply(one, exponents, square, times_base):
-    """base^e per column, scanning the bits of the exponents from the top."""
-    out = one
-    for k in range(int(exponents.max()).bit_length() - 1, -1, -1):
-        out = square(out)
-        out = np.where((exponents >> k) % 2 == 1, times_base(out), out)
-    return out
-
-
-def _reduce(acc, f, ps):
-    """acc mod the monic f (its low n coefficients), one % p a slot, top
-    first.  A slot starts as a sum of at most n products of residues and
-    loses at most n - 1 more before its % p: within +-n(p-1)^2."""
+def _reduce(acc, f, support, ps):
+    """acc mod the monic X^n + f, one % p a slot, top first, subtracting only
+    in the support: the runs of slots where the integer f is nonzero (other
+    slots are 0 mod every p).  A slot starts as a sum of at most n products
+    of residues and takes at most n more before its % p: within +-n(p-1)^2."""
     n = len(f)
     for k in range(len(acc) - 1, n - 1, -1):
         acc[k] %= ps
-        acc[k - n:k] -= acc[k] * f
+        for run in support:
+            acc[k - n:k][run] -= acc[k] * f[run]
     return acc[:n] % ps
 
 
-def _mulmod(a, b, f, ps):
-    """a * b mod the monic f; slot k sums at most n products before _reduce."""
+def _mulmod(a, b, f, support, ps):
+    """a * b mod the monic X^n + f; slot k sums at most n products."""
     n = len(a)
     acc = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
-    if a is b:
-        # the n(n+1)/2 distinct products: cross terms once, then doubled
-        for i in range(n - 1):
-            acc[2 * i + 1:i + n] += a[i] * a[i + 1:]
-        acc *= 2
-        acc[::2] += a * a
-    else:
-        for i in range(n):
-            acc[i:i + n] += a[i] * b
-    return _reduce(acc, f, ps)
+    for i in range(n):
+        acc[i:i + n] += a[i] * b
+    return _reduce(acc, f, support, ps)
 
 
 def _degrees(a):
@@ -328,12 +316,31 @@ def _residues(coeffs, ps):
     return np.stack(rows)
 
 
-def _bad_primes(coeffs, ps):
-    """p divides lc(f), or gcd(f, f') mod p is nonconstant (also if f' = 0)."""
-    f = _residues(coeffs, ps)
-    deriv = np.zeros_like(f)
-    deriv[:-1] = f[1:] * np.arange(1, len(f))[:, None] % ps   # i * f_i < n * p
-    return (f[-1] == 0) | (_degrees(_gcd(f, deriv, ps)) >= 1)
+def _separability_resultant(coeffs) -> int:
+    """|Res(f, f')|, the Sylvester determinant, by fraction-free (Bareiss)
+    elimination in Python ints.  Res(f, f') = +-lc(f) disc(f), so p divides
+    it exactly when p | lc(f) or f mod p has a repeated factor (f' = 0 mod p
+    included): these are the primes of bad reduction."""
+    n = len(coeffs) - 1
+    deriv = [i * c for i, c in enumerate(coeffs)][:0:-1]
+    m = ([[0] * i + [*coeffs[::-1]] + [0] * (n - 2 - i) for i in range(n - 1)]
+         + [[0] * i + deriv + [0] * (n - 1 - i) for i in range(n)])
+    prev = 1
+    for k in range(len(m) - 1):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]   # a row swap only flips the sign
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return abs(m[-1][-1])
+
+
+def _bad_primes(resultant, ps):
+    """The primes of bad reduction in ps: those dividing Res(f, f')."""
+    return _residues((resultant,), ps)[0] == 0
 
 
 def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
@@ -342,47 +349,60 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
+    bits = range(int(ps.max()).bit_length() - 1, -1, -1)
     f = _residues(coeffs, ps)
     if coeffs[-1] != 1:   # Fermat: lc^(p-2) inverts lc; products <= (p-1)^2
-        inv = _square_and_multiply(np.ones_like(ps), ps - 2,
-                                   lambda a: a * a % ps,
-                                   lambda a: a * f[-1] % ps)
+        inv = np.ones_like(ps)
+        for k in bits:
+            inv = inv * inv % ps
+            inv = np.where(ps - 2 >> k & 1 == 1, inv * f[-1] % ps, inv)
         f = f * inv % ps
     f = f[:-1]
+    support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
+               re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
     one = np.zeros((n, len(ps)), dtype=np.int64)
     one[0] = 1
     x = np.roll(one, 1, axis=0)
-    xp = _square_and_multiply(  # X * a is the shifted a, then _reduce
-        one, ps, lambda a: _mulmod(a, a, f, ps),
-        lambda a: _reduce(np.concatenate((np.zeros_like(a[:1]), a)), f, ps))
+    # X^p, one _reduce a bit: the square (cross terms once, doubled) summed one
+    # slot up gives X times it in slots 0..2n-1 and itself in slots 1..2n
+    xp = one
+    for k in bits:
+        acc = np.zeros((2 * n + 1, len(ps)), dtype=np.int64)
+        for i in range(n - 1):
+            acc[2 * i + 2:i + n + 1] += xp[i] * xp[i + 1:]
+        acc *= 2
+        acc[1::2] += xp * xp
+        xp = _reduce(np.where(ps >> k & 1 == 1, acc[:-1], acc[1:]),
+                     f, support, ps)
 
     # Frobenius matrix Q[i] = X^(ip) mod f.  Since h^p = h(X^p) over GF(p),
     # X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)): n products per slot.
     Q = [one, xp]
     while len(Q) < n:
-        Q.append(_mulmod(Q[-1], xp, f, ps))
+        Q.append(_mulmod(Q[-1], xp, f, support, ps))
     Q = np.stack(Q)
     powers = {1: xp}
     for k in range(2, n + 1):
         powers[k] = np.einsum("ir,ijr->jr", powers[k - 1], Q) % ps
 
-    subs = sorted({n // ell for ell in prime_divisors(n)})
-    # X^(p^m) = X gives gcd = f; the rest need gcd(X^(p^m) - X, f) = 1
+    # X^(p^m) = X gives gcd f; the rest need gcd(X^(p^m) - X, f) = 1 for each
+    # m = n/l: one gcd of their product mod f, as f's factors are prime
+    subs = [n // ell for ell in prime_divisors(n)]
     irreducible = (powers[n] == x).all(axis=0) & ~np.any(
         [(powers[m] == x).all(axis=0) for m in subs], axis=0)
-    for m in subs:
-        cols = np.nonzero(irreducible)[0]
-        pc = ps[cols]
-        g = np.vstack([powers[m][:, cols], np.zeros_like(pc)])
-        g[1] = (g[1] - 1) % pc
-        gcd = _gcd(g, np.vstack([f[:, cols], np.ones_like(pc)]), pc)
-        irreducible[cols] = _degrees(gcd) == 0
+    cols = np.nonzero(irreducible)[0]
+    pc, fc = ps[cols], f[:, cols]
+    g = functools.reduce(lambda a, b: _mulmod(a, b, fc, support, pc),
+                         [(powers[m] - x)[:, cols] % pc for m in subs])
+    gcd = _gcd(np.vstack([g, np.zeros_like(pc)]),
+               np.vstack([fc, np.ones_like(pc)]), pc)
+    irreducible[cols] = _degrees(gcd) == 0
     return irreducible
 
 
 def _classify_block(args):
-    coeffs, ps = args
-    good = ps[~_bad_primes(coeffs, ps)]
+    coeffs, resultant, ps = args
+    good = ps[~_bad_primes(resultant, ps)]
     inert = int(_batch_irreducible(coeffs, good).sum())
     return len(ps) - len(good), len(good), inert
 
@@ -420,8 +440,10 @@ def density_report(coeffs, bound: int, floor: int = 0,
     primes = np.array(sieve_primes(bound), dtype=np.int64)
     primes = primes[np.searchsorted(primes, floor, side="right"):]
 
+    resultant = _separability_resultant(coeffs)
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
-    blocks = [(coeffs, primes[i:i + step]) for i in range(0, len(primes), step)]
+    blocks = [(coeffs, resultant, primes[i:i + step])
+              for i in range(0, len(primes), step)]
     if workers == 1 or len(blocks) <= 1:
         results = [_classify_block(b) for b in blocks]
     else:

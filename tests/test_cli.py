@@ -115,6 +115,16 @@ class TestDensityCommand:
         assert report.primes_tested == len(good)
         assert report.inert_count == sum(map(density.is_irreducible_mod_p, good))
 
+    def test_predict_group_of_another_degree_is_an_error(self, capsys,
+                                                         monkeypatch):
+        """c5 on a sextic would print predicted 4/5, above the 1/3 ceiling;
+        it is refused before any prime is classified."""
+        monkeypatch.setattr(density, "density_report", None)   # never reached
+        code, text = run(["density", "--poly", "x^6+x^3+1", "--bound", "1000",
+                          "--predict", "c5"])
+        assert code == 1 and text == ""
+        assert "degree 5" in capsys.readouterr().err
+
     def test_bound_past_int64_limit_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr(density, "sieve_primes", None)   # never reached
         code, text = run(["density", "--poly", "x^6+x^3+1",

@@ -117,8 +117,8 @@ class TestBatchAgainstScalar:
 
     def test_batch_equals_scalar_just_below_int64_limit(self):
         """The 50 largest primes that density_report admits for a sextic:
-        6 * (p - 1)^2 <= 2^63 - 1."""
-        coeffs = (1, 0, 0, 1, 0, 0, 1)
+        6 * (p - 1)^2 <= 2^63 - 1.  3x^6 + 2x^5 + 7 is sparse and not monic;
+        its x^5 term reaches the top slot of the fused X^p step."""
         p = 1 + math.isqrt((2 ** 63 - 1) // 6)
         assert 6 * (p - 1) ** 2 <= 2 ** 63 - 1 < 6 * p ** 2
         primes = []
@@ -126,9 +126,11 @@ class TestBatchAgainstScalar:
             if is_prime(p):
                 primes.append(p)
             p -= 1
-        scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p)) for p in primes]
-        batch = _batch_irreducible(coeffs, np.array(primes, dtype=np.int64))
-        assert list(batch) == scalar and 0 < sum(scalar) < 50
+        for coeffs in [(1, 0, 0, 1, 0, 0, 1), (7, 0, 0, 0, 0, 2, 3)]:
+            scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p))
+                      for p in primes]
+            batch = _batch_irreducible(coeffs, np.array(primes, dtype=np.int64))
+            assert list(batch) == scalar and 0 < sum(scalar) < 50
 
     @pytest.mark.parametrize("coeffs", [
         (1, 0, 10 ** 20), (2 ** 64, 0, 1), (-(2 ** 63 + 1), 3, 0, 1),
@@ -141,7 +143,8 @@ class TestBatchAgainstScalar:
         assert density._residues(coeffs, ps).T.tolist() == \
             [[c % p for c in coeffs] for p in primes]
         scalar = [reduce_mod_p(coeffs, p) for p in primes]
-        assert list(density._bad_primes(coeffs, ps)) == \
+        resultant = density._separability_resultant(coeffs)
+        assert list(density._bad_primes(resultant, ps)) == \
             [isinstance(r, BadReduction) for r in scalar]
         good = [r for r in scalar if isinstance(r, PolyModP)]
         batch = _batch_irreducible(coeffs,
@@ -213,11 +216,128 @@ class TestBatchAgainstScalar:
             report = density_report(coeffs, bound=10_000)
             scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
                           for p in primes]
-            batch_bad = density._bad_primes(coeffs,
-                                            np.array(primes, dtype=np.int64))
+            batch_bad = density._bad_primes(
+                density._separability_resultant(coeffs),
+                np.array(primes, dtype=np.int64))
             assert list(batch_bad) == scalar_bad, coeffs
             assert report.primes_skipped == sum(scalar_bad)
             assert report.primes_tested + report.primes_skipped == len(primes)
+
+
+def _sparse_polys():
+    """Per degree 2..12: x^n + a, b x^n + a and a trinomial (monic at even n,
+    not at odd n), seeded; then x^7 + 2x and 3x^5 - x, without a constant
+    term, so the reduction never subtracts at slot 0."""
+    rng = random.Random(2026)
+
+    def coefficient():
+        return rng.choice([-1, 1]) * rng.randrange(1, 30)
+    polys = []
+    for n in range(2, 13):
+        trinomial = [coefficient()] + [0] * (n - 1) + [1 if n % 2 == 0 else
+                                                      -rng.randrange(2, 9)]
+        trinomial[rng.randrange(1, n)] = coefficient()
+        polys += [(coefficient(),) + (0,) * (n - 1) + (1,),
+                  (coefficient(),) + (0,) * (n - 1) + (rng.randrange(2, 9),),
+                  tuple(trinomial)]
+    return polys + [(0, 2, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 3)]
+
+
+class TestSparseReduction:
+    """_reduce subtracts only where the integer f is nonzero; binomials,
+    trinomials and sparse non-monic f check that against the scalar route
+    over the good primes <= 3000."""
+
+    @pytest.mark.parametrize("coeffs", _sparse_polys())
+    def test_batch_equals_scalar(self, coeffs):
+        reductions = [reduce_mod_p(coeffs, p) for p in sieve_primes(3000)]
+        good = [r for r in reductions if isinstance(r, PolyModP)]
+        batch = _batch_irreducible(coeffs, np.array([r.p for r in good],
+                                                    dtype=np.int64))
+        assert list(batch) == [is_irreducible_mod_p(r) for r in good]
+
+
+class TestSurvivorProduct:
+    @pytest.mark.parametrize("degrees", [(2, 2, 6, 10, 10), (5, 10, 15),
+                                         (3, 6, 6, 15)])
+    def test_every_factor_counts(self, degrees):
+        """Degree 30 = 2 * 3 * 5 mod 7: f is a product of distinct monic
+        irreducible factors of these degrees, so X^(p^30) = X while no
+        X^(p^m) = X for m = 15, 10, 6, and each pattern escapes one of the
+        three gcd(X^(p^m) - X, f) taken alone."""
+        p, rng = 7, random.Random(sum(degrees))
+        f, factors = [1], set()
+        for d in degrees:
+            while True:
+                g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+                if g not in factors and is_irreducible_mod_p(PolyModP(p, g)):
+                    break
+            factors.add(g)
+            f = density._pmul(f, list(g), p)
+        assert not is_irreducible_mod_p(PolyModP(p, tuple(f)))
+        assert not _batch_irreducible(tuple(f), np.array([p]))[0]
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _screen_polys():
+    """Seeded random f of degree 1..12, monic and not; f with a planted
+    square factor; x^5+x+3 (p = 5 divides n), x^3+2 (f' = 0 mod 3), 3x+5
+    and 10^20 x^2 + 1."""
+    rng = random.Random(1729)
+    polys = [(3, 1, 0, 0, 0, 1), (2, 0, 0, 1), (5, 3), (1, 0, 10 ** 20)]
+    for degree in range(1, 13):
+        for lead in (1, rng.choice([2, 3, -4, 6, 10, -12])):
+            polys.append(tuple(rng.randrange(-99, 100) for _ in range(degree))
+                         + (lead,))
+    for _ in range(3):
+        g = (rng.randrange(-9, 10), rng.randrange(1, 4))
+        h = [rng.randrange(-9, 10) for _ in range(3)] + [rng.randrange(1, 6)]
+        polys.append(_int_mul(_int_mul(g, g), h))
+    return polys
+
+
+class TestSeparabilityScreen:
+    @pytest.mark.parametrize("coeffs", _screen_polys())
+    def test_divides_resultant_iff_bad_reduction(self, coeffs):
+        """For every p <= 10^4: p | Res(f, f') iff reduce_mod_p(f, p) is a
+        BadReduction; _bad_primes marks the same primes."""
+        primes = sieve_primes(10_000)
+        resultant = density._separability_resultant(coeffs)
+        scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
+                      for p in primes]
+        assert [resultant % p == 0 for p in primes] == scalar_bad
+        assert list(density._bad_primes(
+            resultant, np.array(primes, dtype=np.int64))) == scalar_bad
+
+    def test_square_factor_gives_zero(self):
+        squares = _screen_polys()[-3:]
+        assert [density._separability_resultant(c) for c in squares] == [0] * 3
+
+    def test_suite_resultants(self):
+        """|Res(f, f')| = |lc(f) disc(f)|: 4, 256 and 3^9 = 19683."""
+        assert {c: density._separability_resultant(c) for c in SUITE_POLYS} == {
+            (1, 0, 1): 4, (1, 0, 0, 0, 1): 256, (1, 0, 0, 1, 0, 0, 1): 19683}
+
+    def test_closed_forms_in_degree_1_to_3(self):
+        """Res(bx + a, b) = b; Res(f, f') = -c disc(f) for the quadratic
+        cx^2 + bx + a and = -d disc(f) for the cubic dx^3 + cx^2 + bx + a."""
+        rng = random.Random(31)
+        for _ in range(50):
+            a, b, c, d = (rng.randrange(-10 ** 6, 10 ** 6) for _ in range(4))
+            c, d = c or 1, d or 1
+            assert density._separability_resultant((a, b or 1)) == abs(b or 1)
+            assert density._separability_resultant((a, b, c)) == \
+                abs(c * (b * b - 4 * a * c))
+            disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                    - 27 * a * a * d * d + 18 * a * b * c * d)
+            assert density._separability_resultant((a, b, c, d)) == abs(d * disc)
 
 
 def _columns(polys, slots):
