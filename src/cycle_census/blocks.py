@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .permutations import (NotTransitiveError, PermGroup, Permutation,
                            _compose, _conjugate, _contains_raw, _inverse,
-                           _is_identity, _stabilizer_gens,
+                           _stabilizer_gens,
                            group_from_generators, is_transitive)
 
 
@@ -200,29 +200,32 @@ def block_constituent(G: PermGroup, system: BlockSystem,
         len(block), [Permutation(t) for t in sorted(projections)])
 
 
-def _normal_closure_order_and_gens(G: PermGroup, seeds: list[tuple[int, ...]]):
-    """Smallest normal subgroup of <G.generators> containing the seeds."""
+def _normal_closure(G: PermGroup, seeds) -> PermGroup:
+    """The smallest normal subgroup of G containing the seeds.
+
+    A seed, or a conjugate of a generator by a generator of G, joins the
+    generators only when it lies outside the group they generate, which is
+    then rebuilt.  Each addition at least doubles the order, so the
+    closure has at most log2 of its order generators.  Once every
+    generator's conjugates lie inside, the group is normal in G.
+    """
     degree = G.degree
-    identity = tuple(range(degree))
-    gens = []
+    group = group_from_generators(degree, [Permutation.identity(degree)])
+    gens: list[Permutation] = []
+
+    def join(x: tuple[int, ...]) -> None:
+        nonlocal group
+        if not _contains_raw(group, x):
+            gens.append(Permutation(x))
+            group = group_from_generators(degree, gens)
+
     for s in seeds:
-        if not _is_identity(s) and s not in gens:
-            gens.append(s)
-    if not gens:
-        return 1, [identity]
-    raw_outer = [(g.images, _inverse(g.images)) for g in G.generators]
-    while True:
-        group = group_from_generators(
-            degree, [Permutation(t) for t in gens])
-        added = False
-        for x in list(gens):
-            for g, ginv in raw_outer:
-                y = _conjugate(x, g, ginv)
-                if not _contains_raw(group, y):
-                    gens.append(y)
-                    added = True
-        if not added:
-            return group.order, gens
+        join(s)
+    outer = [(g, _inverse(g)) for g in G.raw_generators()]
+    for x in gens:   # grows while it is walked: new generators are conjugated too
+        for g, ginv in outer:
+            join(_conjugate(x.images, g, ginv))
+    return group
 
 
 def derived_series(G: PermGroup) -> tuple[tuple[int, ...], bool]:
@@ -235,20 +238,15 @@ def derived_series(G: PermGroup) -> tuple[tuple[int, ...], bool]:
     orders = [G.order]
     current = G
     while orders[-1] > 1:
-        raw = [g.images for g in current.generators]
-        commutators = []
-        for a in raw:
-            ainv = _inverse(a)
-            for b in raw:
-                binv = _inverse(b)
-                commutators.append(
-                    _compose(_compose(ainv, binv), _compose(a, b)))
-        order, gens = _normal_closure_order_and_gens(current, commutators)
-        orders.append(order)
-        if order in (1, orders[-2]):
+        raw = current.raw_generators()
+        inverses = [_inverse(a) for a in raw]
+        commutators = [_compose(_compose(ainv, binv), _compose(a, b))
+                       for a, ainv in zip(raw, inverses)
+                       for b, binv in zip(raw, inverses)]
+        current = _normal_closure(current, commutators)
+        orders.append(current.order)
+        if current.order == orders[-2]:
             break
-        current = group_from_generators(
-            current.degree, [Permutation(t) for t in gens])
     return tuple(orders), orders[-1] == 1
 
 

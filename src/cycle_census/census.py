@@ -18,11 +18,12 @@ A slice is never walked element by element.  Its elements are products
 t_0[b] o t_1[.] o ... o t_k[.] of transversal representatives (Seress,
 Permutation Group Algorithms, 2003, section 4.1); permutations._slice_blocks
 tables the deepest factors into one array, walks the upper ones as
-prefixes, and lists the slice in blocks of at most _SLICE_CELLS cells, each
-a numpy gather of stacked prefixes through the table.  _full_cycle_mask
-then follows 0 through every row of a block at once.  One block is alive
-at a time, so for any group the count holds at most the table, one block
-(each at most 128 KiB) and a few index vectors of one entry per row.
+prefixes, and lists the slices of all orbit minima as one stream of blocks
+of at most _SLICE_CELLS cells, each a numpy gather of stacked prefixes
+through the table.  _full_cycle_mask then follows 0 through every row of a
+block at once.  One block is alive at a time, so for any group the count
+holds at most the table, one block (each at most 128 KiB) and a few index
+vectors of one entry per row.
 
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
@@ -139,19 +140,29 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
     orbit O of G_0 (conjugation by G_0 moves the image of 0 along O), so
-    the count is the sum of |O| * N(0, min O).  Refused when |G| exceeds
-    the cap or the degree exceeds 64.  Every census entry point is a view
-    over this pass.
+    the count is the sum of |O| * N(0, min O).  The slices of all orbit
+    minima come in one block stream, slice after slice, and each holds
+    |G|/n elements, so row k of the stream lies in slice k // (|G|/n).
+    Refused when |G| exceeds the cap or the degree exceeds 64.  Every
+    census entry point is a view over this pass.
     """
+    import numpy as np   # at call time, as in the slice kernel
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
     catalog._check_degree(G.degree)   # the slice kernel's rows are int8
+    suborbits = _suborbits(G)
+    per_slice = G.order // G.degree
+    found = np.zeros(len(suborbits), dtype=np.int64)
+    start = 0
     # map drops each block before the next is built: one block is live.
-    return sum(size * sum(int(mask.sum()) for mask
-                          in map(_full_cycle_mask, _slice_blocks(G, b)))
-               for b, size in _suborbits(G))
+    for mask in map(_full_cycle_mask,
+                    _slice_blocks(G, [b for b, _ in suborbits])):
+        rows = start + np.flatnonzero(mask)
+        found += np.bincount(rows // per_slice, minlength=len(suborbits))
+        start += len(mask)
+    return sum(size * int(k) for (_, size), k in zip(suborbits, found))
 
 
 # conjugacy ---------------------------------------------------------------
@@ -213,7 +224,7 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
         if len(reps) == class_count:
             break
         cycles = np.concatenate([block[_full_cycle_mask(block)]
-                                 for block in _slice_blocks(G, b)])
+                                 for block in _slice_blocks(G, [b])])
         cycles = cycles[np.lexsort(cycles.T[::-1])]
         for t in map(tuple, cycles.tolist()):
             if not any(_are_conjugate_raw(G, r, t) for r in reps):

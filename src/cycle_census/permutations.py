@@ -364,6 +364,16 @@ def _build_chain(degree, raw_gens, order_cap=None):
     generators of level i are those whose first moved point is >= i.
     Each level keeps the inverses of its representatives beside them.
 
+    No proven work is redone.  When the descent reaches level i, every
+    level below it (i + 1 ..) has been passed since the last change, so
+    they form a complete chain for the group S_{i+1} of their generators.
+    A Schreier generator that level i sifted before lies in S_{i+1}: it
+    sifted to the identity, or its residue joined the generators of a
+    level below i.  Sifting it again would give the identity, so each
+    level skips the elements it has sifted.  A level is rebuilt on a visit
+    only if it gained a generator since its last rebuild; otherwise the
+    rebuild would give the same orbit, in the same order.
+
     Level i's transversal is always an orbit of a subgroup of the i-th
     stabilizer, so the product of the transversal sizes is a lower bound
     on |G|; with an order_cap, the build stops with CapExceeded as soon as
@@ -379,6 +389,10 @@ def _build_chain(degree, raw_gens, order_cap=None):
         return (), ()
     transversals: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
     inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
+    fresh = [False] * degree   # level i holds the orbit of all its generators
+    # the Schreier generators sifted at level i so far (the identity needs no
+    # sift): each lies in the group of the generators of level i + 1
+    sifted = [{identity} for _ in range(degree)]
     bound = 1   # the product of the transversal sizes
 
     def gens_at(i):
@@ -405,6 +419,7 @@ def _build_chain(degree, raw_gens, order_cap=None):
         bound = bound // (len(transversals[i]) or 1) * len(tr)
         transversals[i] = tr
         inverses[i] = inv
+        fresh[i] = True
         if order_cap is not None and bound > order_cap:
             raise CapExceeded(bound, order_cap, exact=False)
 
@@ -421,21 +436,25 @@ def _build_chain(degree, raw_gens, order_cap=None):
 
     i = degree - 1
     while i >= 0:
-        rebuild(i)
+        if not fresh[i]:
+            rebuild(i)
         tr, inv = transversals[i], inverses[i]
         gens_i = gens_at(i)
+        seen = sifted[i]
         jump = None
         for gamma in sorted(tr):
             rep = tr[gamma]
             for s, _ in gens_i:
-                delta = s[gamma]
-                rep_s = _compose(rep, s)
-                if rep_s == tr[delta]:
-                    continue   # the Schreier generator is the identity
-                residue, j = sift(_compose(rep_s, inv[delta]), i + 1)
+                schreier = tuple(map(inv[s[gamma]].__getitem__,
+                                     map(s.__getitem__, rep)))
+                if schreier in seen:
+                    continue
+                seen.add(schreier)
+                residue, j = sift(schreier, i + 1)
                 if j == degree:
                     continue
                 strong.append((residue, _inverse(residue), j))
+                fresh[:j + 1] = [False] * (j + 1)
                 for k in range(i + 1, j + 1):
                     rebuild(k)
                 jump = j
@@ -503,8 +522,8 @@ def _iter_raw(G: PermGroup, top_points: Sequence[int] | None = None) -> Iterator
     yield from rec(0, identity)
 
 
-def _slice_blocks(G: PermGroup, b: int) -> Iterator[np.ndarray]:
-    """The coset slice _iter_raw(G, [b]) as int8 blocks of shape (rows, n).
+def _slice_blocks(G: PermGroup, tops: Sequence[int]) -> Iterator[np.ndarray]:
+    """The coset slices _iter_raw(G, tops) as int8 blocks of shape (rows, n).
 
     The deepest levels are tabled into one array, level by level upward
     while the next table stays within _SLICE_CELLS bytes: row (beta, r) of
@@ -513,17 +532,18 @@ def _slice_blocks(G: PermGroup, b: int) -> Iterator[np.ndarray]:
     gather, and numpy converts an index of any other dtype to intp on each
     call: an int8 table would cost eight times its size per block.  The
     upper levels are walked as prefix tuples p = t_0[b] o t_1[.] o ...,
-    and each block is p[table] for as many prefixes as fit in _SLICE_CELLS
-    int8 cells (at least one).  Concatenated, the blocks are the slice's
-    elements in _iter_raw order.  Rows are int8, so the degree must be at
-    most 128.
+    b in tops, and each block is p[table] for as many prefixes as fit in
+    _SLICE_CELLS int8 cells (at least one).  Concatenated, the blocks are
+    the slices' elements in _iter_raw order: slice after slice, each of
+    |G| / |orbit of base[0]| rows.  Rows are int8, so the degree must be
+    at most 128.
     """
     import numpy as np   # at call time: see _SLICE_CELLS
     n = G.degree
     if not G.base:
         yield np.arange(n, dtype=np.int8)[None]
         return
-    levels = [[G.transversals[0][b]]]
+    levels = [[G.transversals[0][b] for b in tops]]
     levels += [[tr[beta] for beta in sorted(tr)] for tr in G.transversals[1:]]
     top = len(levels) - 1
     table = np.array(levels[top], dtype=np.intp)

@@ -3,14 +3,17 @@
 Everything here is deliberately naive (breadth-first closures, exhaustive
 partition search, trial division of polynomials, full enumeration) and
 shares no code with the paths it checks, apart from the element stream
-that the census oracle walks in full.
+that the census oracle walks in full and the chain builder under the
+normal-closure oracle (the builder is checked against build_chain here).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cycle_census.permutations import _is_full_cycle, _iter_raw
+from cycle_census.permutations import (Permutation, _contains_raw,
+                                       _is_full_cycle, _iter_raw,
+                                       group_from_generators)
 
 
 def compose(p, q):
@@ -135,6 +138,26 @@ def naive_irreducible(coeffs, p):
             if not r:
                 return False
     return True
+
+
+def sylvester_resultant(coeffs):
+    """|Res(f, f')| as the determinant of the (2n - 1)-square Sylvester
+    matrix of f and f', by fraction-free (Bareiss) elimination."""
+    n = len(coeffs) - 1
+    deriv = [i * c for i, c in enumerate(coeffs)][:0:-1]
+    m = ([[0] * i + [*coeffs[::-1]] + [0] * (n - 2 - i) for i in range(n - 1)]
+         + [[0] * i + deriv + [0] * (n - 1 - i) for i in range(n)])
+    prev = 1
+    for k in range(len(m) - 1):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]   # a row swap only flips the sign
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return abs(m[-1][-1])
 
 
 # block constituents by full enumeration -----------------------------------
@@ -279,3 +302,53 @@ def build_chain(degree, raw_gens):
     kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept),
             tuple(tr for _, tr in kept))
+
+
+# the derived series, as the library computed it before its normal closures
+# kept their generators irredundant ------------------------------------------
+
+def normal_closure_order_and_gens(G, seeds):
+    """Smallest normal subgroup of <G.generators> containing the seeds.
+
+    Every distinct nontrivial seed is a generator, and each round adds the
+    conjugates that lie outside the group the round started from, so the
+    generating set may be far from irredundant."""
+    degree = G.degree
+    identity = tuple(range(degree))
+    gens = []
+    for s in seeds:
+        if not is_identity(s) and s not in gens:
+            gens.append(s)
+    if not gens:
+        return 1, [identity]
+    raw_outer = [(g.images, inverse(g.images)) for g in G.generators]
+    while True:
+        group = group_from_generators(
+            degree, [Permutation(t) for t in gens])
+        added = False
+        for x in list(gens):
+            for g, ginv in raw_outer:
+                y = compose(compose(ginv, x), g)
+                if not _contains_raw(group, y):
+                    gens.append(y)
+                    added = True
+        if not added:
+            return group.order, gens
+
+
+def derived_series(G):
+    """Orders of the derived series and solvability, each term the normal
+    closure of the commutators of the previous term's generator pairs."""
+    orders = [G.order]
+    current = G
+    while orders[-1] > 1:
+        raw = [g.images for g in current.generators]
+        commutators = [compose(compose(inverse(a), inverse(b)), compose(a, b))
+                       for a in raw for b in raw]
+        order, gens = normal_closure_order_and_gens(current, commutators)
+        orders.append(order)
+        if order in (1, orders[-2]):
+            break
+        current = group_from_generators(
+            current.degree, [Permutation(t) for t in gens])
+    return tuple(orders), orders[-1] == 1

@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
-from cycle_census import catalog
+from cycle_census import blocks, catalog
 from cycle_census.blocks import (BlockSystem, InvalidBlockSystemError,
                                  all_minimal_block_systems, block_action,
                                  block_constituent, derived_series,
                                  is_primitive, is_solvable,
                                  minimal_block_containing)
-from cycle_census.permutations import (NotTransitiveError, Permutation,
+from cycle_census.permutations import (CapExceeded, NotTransitiveError,
+                                       Permutation, _contains_raw, _orbits,
                                        group_from_generators,
-                                       iterate_elements, parse_permutation)
+                                       iterate_elements, parse_permutation,
+                                       random_element)
 
+import helpers
 from helpers import constituent_elements, minimal_invariant_partitions
 
 
@@ -232,6 +237,75 @@ class TestDerivedSeries:
 
     def test_pgammal28_not_solvable(self):
         assert not is_solvable(catalog.pgammal(2, 8))
+
+
+def _random_phase_subgroups():
+    """The 200 subgroups the sweep's random phase censuses at its default
+    seed: transitive pairs of order at most 10^5."""
+    instances = catalog.standard_instances()
+    rng = random.Random(20240809)
+    out = []
+    while len(out) < 200:
+        name, parent = instances[rng.randrange(len(instances))]
+        pair = [random_element(parent, rng), random_element(parent, rng)]
+        if len(_orbits(parent.degree, [g.images for g in pair])) > 1:
+            continue
+        try:
+            H = group_from_generators(parent.degree, pair, order_cap=100_000)
+        except CapExceeded:
+            continue
+        out.append((f"rand{len(out) + 1:03d}<{name}", H))
+    return out
+
+
+class TestNormalClosureAgainstTheOracle:
+    """derived_series keeps each normal closure's generators irredundant and
+    takes the closure's own group as the next term; the oracle adds every
+    nontrivial commutator and whole rounds of conjugates, then rebuilds."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        found = [(name, G) for name, G in catalog.standard_instances()
+                 if G.order <= 200_000]
+        assert len(found) == 179
+        random_phase = _random_phase_subgroups()
+        assert len(random_phase) == 200
+        return found + random_phase
+
+    def test_orders_and_solvability(self, groups):
+        for name, G in groups:
+            assert derived_series(G) == helpers.derived_series(G), name
+
+    def test_each_generator_is_outside_its_predecessors(self, groups,
+                                                        monkeypatch):
+        closures = []
+        original = blocks._normal_closure
+
+        def recording(G, seeds):
+            N = original(G, seeds)
+            closures.append((G, N))
+            return N
+        monkeypatch.setattr(blocks, "_normal_closure", recording)
+        for name, G in groups:
+            closures.clear()
+            derived_series(G)
+            assert bool(closures) == (G.order > 1), name
+            for H, N in closures:
+                if N.order == 1:   # generated by the identity alone
+                    assert N.generators == (Permutation.identity(G.degree),)
+                    continue
+                gens = [g.images for g in N.generators]
+                assert len(gens) <= N.order.bit_length() - 1, name   # log2|N|
+                for k, x in enumerate(gens):
+                    before = group_from_generators(
+                        G.degree,
+                        [Permutation.identity(G.degree), *N.generators[:k]])
+                    assert not _contains_raw(before, x), (name, k)
+                # normal in the term it closes in: conjugates stay inside
+                for g in H.raw_generators():
+                    ginv = helpers.inverse(g)
+                    assert all(_contains_raw(N, helpers.compose(
+                        helpers.compose(ginv, x), g)) for x in gens), name
 
 
 def test_constituent_transitive_when_group_has_full_cycle():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -442,6 +443,29 @@ class TestSuborbitCensusAgainstEnumeration:
         assert report.bound == 443_520 and not report.equality
 
 
+def _rows_digest(rows):
+    """sha256 of every sweep row: name, degree, order, status, detail and
+    the report as JSON, one line per row in sweep order."""
+    lines = [json.dumps([r.name, r.degree, r.order, r.status, r.detail,
+                         r.report.to_json_dict() if r.report else None])
+             for r in rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestSweepRowsArePinned:
+    """Every row of run_sweep() at its defaults, random rows included.  The
+    digest was taken before the chain builder skipped Schreier generators
+    it had sifted, before normal closures kept their generators
+    irredundant and before the count read one block stream per census;
+    none of these may change a row."""
+
+    def test_rows_at_the_defaults(self):
+        rows = census.run_sweep()
+        assert len(rows) == 421
+        assert _rows_digest(rows) == (
+            "65f3b83fdad5ffcb15116daa5c9476f584426bf4d9a0cd03eb3acfa8dd9ebfbc")
+
+
 class TestSweepAtTheCensusCap:
     """verify's default instance cap is the census cap, 2*10^7.  The sweep
     then censuses 210 of the 221 catalog instances; the 31 above the old
@@ -475,6 +499,12 @@ class TestSweepAtTheCensusCap:
         assert len(counts) == 137   # of 148; the 11 skipped rows are wreaths too
         assert counts["c2_wr_s8"] == 645_120
         assert counts["s5_wr_c3"] == 691_200
+
+    def test_rows_are_pinned(self, rows):
+        """Pinned as TestSweepRowsArePinned pins the default sweep."""
+        assert len(rows) == 221
+        assert _rows_digest(rows) == (
+            "0ef5941716660c0b38c81536d259f25259c0605bc47ed6c3f1f28780c6617308")
 
 
 class TestRandomSubgroupInvariants:

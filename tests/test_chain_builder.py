@@ -7,6 +7,7 @@ part of the output (random_element and so the sweep's random rows read
 them), so chains are compared item by item in insertion order.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -112,6 +113,25 @@ def test_a_cap_below_the_order_refuses(cases, kind):
         assert order - 1 < exc.order <= order, label   # a lower bound on |G|
         refused += 1
     assert refused > 200
+
+
+def test_random_phase_refusals_are_pinned(cases):
+    """The lower bound each refusal reports, for every transitive pair of
+    the random phase that the sweep's order cap of 10^5 refuses.  The
+    digest was taken before the builder skipped Schreier generators it had
+    sifted and levels that gained no generator: neither may move the
+    moment the bound passes the cap."""
+    refused = []
+    for label, degree, gens, _ in cases["random_phase"]:
+        if len(_orbits(degree, gens)) > 1:
+            continue   # the sweep builds no chain for an intransitive pair
+        try:
+            _build_chain(degree, gens, order_cap=100_000)
+        except CapExceeded as exc:
+            refused.append((label, exc.order))
+    assert len(refused) == 41
+    assert hashlib.sha256(repr(refused).encode()).hexdigest() == (
+        "a185072492af8ea8bbf2177a698e651a43ea2ffc8ee15fdfdad94fa9ecdf7e49")
 
 
 class TestOrderCap:

@@ -14,7 +14,7 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   reduce_mod_p, sieve_primes)
 from cycle_census.ntheory import is_prime
 
-from helpers import naive_irreducible
+from helpers import naive_irreducible, sylvester_resultant
 
 # discriminant prime factors of the suite polynomials, precomputed: the
 # only primes that may ever be skipped for good reduction reasons
@@ -324,6 +324,27 @@ class TestSeparabilityScreen:
         """|Res(f, f')| = |lc(f) disc(f)|: 4, 256 and 3^9 = 19683."""
         assert {c: density._separability_resultant(c) for c in SUITE_POLYS} == {
             (1, 0, 1): 4, (1, 0, 0, 0, 1): 256, (1, 0, 0, 1, 0, 0, 1): 19683}
+
+    def test_equals_the_sylvester_determinant(self):
+        """The Bezout determinant divided by |lc(f)| is |Res(f, f')| as the
+        Sylvester determinant gives it, on 200 seeded f of degree 1 to 12,
+        monic and not, some with f(0) = 0 or a repeated factor, and on four
+        of degree 20 with 40-bit coefficients."""
+        rng = random.Random(47)
+        polys = []
+        for k in range(200):
+            n = rng.randrange(1, 13)
+            c = [rng.randrange(-50, 51) for _ in range(n)]
+            c.append(1 if k % 2 else rng.choice([-7, -2, 3, 12]))
+            if k % 5 == 0:
+                c[0] = 0
+            polys.append(tuple(c))
+        polys += _screen_polys()[-3:]
+        polys += [tuple(rng.randrange(-2 ** 40, 2 ** 40) for _ in range(20))
+                  + (rng.choice([1, 5]),) for _ in range(4)]
+        found = [density._separability_resultant(c) for c in polys]
+        assert found == [sylvester_resultant(c) for c in polys]
+        assert found.count(0) >= 3 and min(found[-4:]) > 0
 
     def test_closed_forms_in_degree_1_to_3(self):
         """Res(bx + a, b) = b; Res(f, f') = -c disc(f) for the quadratic

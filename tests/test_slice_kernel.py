@@ -1,6 +1,6 @@
 """The numpy slice kernel against the tuple walk it replaces.
 
-_slice_blocks must list a coset slice in _iter_raw order, _full_cycle_mask
+_slice_blocks must list coset slices in _iter_raw order, _full_cycle_mask
 must agree with _is_full_cycle row by row, and the census built on them
 must equal full enumeration.  The small-group checks run at the default
 block budget and at 64 cells, where most blocks hold one prefix and the
@@ -43,25 +43,32 @@ def _top_points(G):
 class TestBlocks:
     def test_blocks_follow_iter_raw(self, cells):
         """Every slice of every catalog instance of order <= 10^4 and of the
-        degree 1, 2 and 64 groups: the concatenated rows are the slice in
-        _iter_raw order, and the mask is _is_full_cycle of each row."""
+        degree 1, 2 and 64 groups, and the stream of all G_0-orbit minima
+        that count_n_cycles reads: the concatenated rows are the slices in
+        _iter_raw order, |G|/n rows each, and the mask is _is_full_cycle of
+        each row."""
         groups = [(name, G) for name, G in catalog.standard_instances()
                   if G.order <= 10 ** 4]
         assert len(groups) == 145
         groups += list(EDGE_DEGREES.items())
+        multi = 0
         for name, G in groups:
             n = G.degree
-            for b in _top_points(G):
-                blocks = list(_slice_blocks(G, b))
+            minima = [b for b, _ in _suborbits(G)]
+            multi += len(minima) > 1
+            for tops in [[b] for b in _top_points(G)] + [minima]:
+                blocks = list(_slice_blocks(G, tops))
                 assert all(block.dtype == np.int8 and block.shape[1] == n
                            and block.size <= max(cells, n * n)
-                           for block in blocks), (name, b)
+                           for block in blocks), (name, tops)
                 rows = np.concatenate(blocks)
-                slice_ = list(_iter_raw(G, [b]))
-                assert rows.tolist() == [list(t) for t in slice_], (name, b)
+                slice_ = list(_iter_raw(G, tops))
+                assert len(slice_) == len(tops) * G.order // n
+                assert rows.tolist() == [list(t) for t in slice_], (name, tops)
                 mask = np.concatenate([_full_cycle_mask(x) for x in blocks])
                 assert mask.tolist() == list(map(_is_full_cycle, slice_)), (
-                    name, b)
+                    name, tops)
+        assert multi > 100
 
     def test_m23_slice(self):
         """The one M23 slice (M23 is 4-transitive, so G_0 has one orbit on
@@ -73,7 +80,7 @@ class TestBlocks:
         elements = _iter_raw(G, [1])
         blocks = 0
         n_cycles = 0
-        for block in _slice_blocks(G, 1):
+        for block in _slice_blocks(G, [1]):
             assert block.size <= permutations._SLICE_CELLS
             expected = list(islice(elements, len(block)))
             assert block.tolist() == [list(t) for t in expected]
@@ -88,7 +95,7 @@ class TestBlocks:
 
     def test_listing_a_slice_stays_within_the_budget(self):
         """Listing any slice of the catalog instances of order <= 2·10^5,
-        or the M23 slice, holds at most the table, the block being built and
+        the stream of all their orbit-minimum slices, or the M23 slice, holds at most the table, the block being built and
         the block before it: under 3 * _SLICE_CELLS bytes of traced memory.
         An int8 table, which numpy turns into an intp index on every
         gather, needed about 7.5 * _SLICE_CELLS here."""
@@ -97,15 +104,16 @@ class TestBlocks:
         groups.append(("m23", catalog.load_named("m23")))
         budget = 3 * permutations._SLICE_CELLS
         for name, G in groups:
-            for b, _ in _suborbits(G):
+            tops = [b for b, _ in _suborbits(G)]
+            for stream in [[b] for b in tops] + [tops]:
                 tracemalloc.start()
                 try:
-                    for _ in _slice_blocks(G, b):
+                    for _ in _slice_blocks(G, stream):
                         pass
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < budget, (name, b, peak)
+                assert peak < budget, (name, stream, peak)
 
 
 class TestCountsAgainstEnumeration:
