@@ -20,11 +20,9 @@ from pathlib import Path
 from .gf import FqField, make_field
 from .ntheory import (prime_power, smallest_primitive_root,
                       unit_group_generators)
-from .permutations import (CycleParseError, PermGroup, Permutation,
-                           format_cycles, group_from_generators,
-                           parse_permutation)
-
-MAX_DEGREE = 64
+from .permutations import (MAX_DEGREE, CycleParseError, PermGroup,
+                           Permutation, _check_degree, format_cycles,
+                           group_from_generators, parse_permutation)
 
 DATA_ENV_VAR = "CYCLE_CENSUS_DATA"
 
@@ -38,11 +36,6 @@ def data_dir() -> Path:
     if override:
         return Path(override)
     return Path(__file__).parent / "data"
-
-
-def _check_degree(n: int) -> None:
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
 
 
 # elementary families ---------------------------------------------------
@@ -356,9 +349,10 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
     """Parse the group-spec format.
 
     Grammar: optional comment lines starting with '#'; one line
-    "degree N"; one line "gen <cycles>" per generator; blank lines are
-    ignored.  A comment of the exact form "# expected_order N" declares
-    the order the constructed group must have.
+    "degree N"; one line "gen <cycles>" per generator, the space optional;
+    blank lines are ignored.  A keyword is a whole word: "degrees 3" is an
+    unrecognized line.  A comment of the exact form "# expected_order N"
+    declares the order the constructed group must have.
     """
     degree = None
     expected = None
@@ -376,7 +370,8 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
                         f"{name}:{lineno}: malformed expected_order annotation")
                 expected = int(parts[1])
             continue
-        if line.startswith("degree"):
+        keyword = "gen" if line.startswith("gen(") else line.split()[0]
+        if keyword == "degree":
             if degree is not None:
                 raise GroupSpecError(f"{name}:{lineno}: duplicate degree line")
             parts = line.split()
@@ -388,7 +383,7 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
             except ValueError as exc:
                 raise GroupSpecError(f"{name}:{lineno}: {exc}") from None
             continue
-        if line.startswith("gen"):
+        if keyword == "gen":
             if degree is None:
                 raise GroupSpecError(f"{name}:{lineno}: generator before degree line")
             gens.append(line[3:].strip())

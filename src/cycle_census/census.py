@@ -46,10 +46,10 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _compose, _contains_raw, _full_cycle_mask,
-                           _orbits, _slice_blocks, _stabilizer_gens,
-                           group_from_generators, is_transitive,
-                           random_element)
+                           _check_degree, _compose, _contains_raw,
+                           _full_cycle_mask, _orbits, _slice_blocks,
+                           _stabilizer_gens, group_from_generators,
+                           is_transitive, random_element)
 
 __all__ = [
     "CensusReport", "CensusInvariantError", "euler_phi", "count_n_cycles",
@@ -151,7 +151,7 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
-    catalog._check_degree(G.degree)   # the slice kernel's rows are int8
+    _check_degree(G.degree)
     suborbits = _suborbits(G)
     per_slice = G.order // G.degree
     found = np.zeros(len(suborbits), dtype=np.int64)
@@ -251,7 +251,7 @@ def normalizer_order_of_cycle(G: PermGroup, sigma: Permutation) -> int:
     """
     if not sigma.is_n_cycle():
         raise ValueError("normalizer_order_of_cycle needs a full cycle")
-    if not contains_safe(G, sigma):
+    if sigma.degree != G.degree or not _contains_raw(G, sigma.images):
         raise ValueError("the cycle does not lie in the group")
     n = G.degree
     if n == 1:
@@ -268,10 +268,6 @@ def normalizer_order_of_cycle(G: PermGroup, sigma: Permutation) -> int:
             if _contains_raw(G, tuple(images)):
                 count += 1
     return count
-
-
-def contains_safe(G: PermGroup, p: Permutation) -> bool:
-    return p.degree == G.degree and _contains_raw(G, p.images)
 
 
 # verdicts ----------------------------------------------------------------
@@ -321,14 +317,13 @@ def extremal_structure_check(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
     """Certify the block structure of a group attaining the bound.
 
     Only meaningful when the cyclic-transitive-subgroup count equals
-    |G|/n; raises ValueError otherwise.  Returns (passed, tower).
+    |G|/n; raises ValueError otherwise.  Returns (passed, tower), read off
+    the census report: passed is its structure verdict.
     """
-    report = theorem_verdict(G, cap=cap, with_structure=False)
+    report = theorem_verdict(G, cap)
     if not report.equality:
         raise ValueError("extremal structure check requires the bound to be attained")
-    _, solvable = derived_series(G)
-    passed, tower = _structure_tower(G)
-    return (passed and solvable), tower
+    return report.structure_verdict == "pass", report.tower
 
 
 def _verdict_full(G: PermGroup, cap: int, with_structure: bool = True):

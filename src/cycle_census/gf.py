@@ -135,9 +135,6 @@ class FqField:
     def neg(self, a: int) -> int:
         return self.from_coeffs(tuple((-c) % self.p for c in self.coeffs(a)))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 

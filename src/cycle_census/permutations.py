@@ -20,6 +20,9 @@ from typing import Iterator, Sequence
 
 DEFAULT_ELEMENT_CAP = 20_000_000
 
+# The slice kernel's rows are int8: every entry point refuses a larger degree.
+MAX_DEGREE = 64
+
 # The slice kernel lists a coset slice in blocks of at most _SLICE_CELLS int8
 # cells (rows * degree) gathered through a table of at most _SLICE_CELLS
 # bytes, which bounds its working set whatever |G|.  It imports numpy where
@@ -27,6 +30,11 @@ DEFAULT_ELEMENT_CAP = 20_000_000
 # is compiled, and when modules compile from source (no bytecode cache)
 # that alone raises a census's peak RSS by about 0.9 MiB.
 _SLICE_CELLS = 1 << 17
+
+
+def _check_degree(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
 
 
 class CycleParseError(ValueError):
@@ -492,51 +500,25 @@ def contains(G: PermGroup, p: Permutation) -> bool:
     return _contains_raw(G, p.images)
 
 
-def _iter_raw(G: PermGroup, top_points: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """Stream every element exactly once, as raw image tuples.
-
-    The walk is a mixed-radix sweep over transversal products, deepest
-    stabilizer innermost, orbit points in increasing order.  Restricting
-    top_points to a subset of the first orbit yields a deterministic
-    partition of the element stream; the census walks one such coset
-    slice per orbit of the point stabilizer.
-    """
-    identity = tuple(range(G.degree))
-    if not G.base:
-        yield identity
-        return
-    point_lists = [sorted(tr) for tr in G.transversals]
-    if top_points is not None:
-        point_lists[0] = list(top_points)
-    transversals = G.transversals
-    depth = len(point_lists)
-
-    def rec(level: int, suffix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if level == depth:
-            yield suffix
-            return
-        tr = transversals[level]
-        for beta in point_lists[level]:
-            yield from rec(level + 1, _compose(tr[beta], suffix))
-
-    yield from rec(0, identity)
-
-
 def _slice_blocks(G: PermGroup, tops: Sequence[int]) -> Iterator[np.ndarray]:
-    """The coset slices _iter_raw(G, tops) as int8 blocks of shape (rows, n).
+    """The coset slices of tops as int8 blocks of shape (rows, n).
 
-    The deepest levels are tabled into one array, level by level upward
-    while the next table stays within _SLICE_CELLS bytes: row (beta, r) of
-    T_j[:, table] is t_j[beta] applied after row r, the order _iter_raw
-    nests them in.  The table is intp because it is the index of every
-    gather, and numpy converts an index of any other dtype to intp on each
-    call: an int8 table would cost eight times its size per block.  The
-    upper levels are walked as prefix tuples p = t_0[b] o t_1[.] o ...,
-    b in tops, and each block is p[table] for as many prefixes as fit in
-    _SLICE_CELLS int8 cells (at least one).  Concatenated, the blocks are
-    the slices' elements in _iter_raw order: slice after slice, each of
-    |G| / |orbit of base[0]| rows.  Rows are int8, so the degree must be
-    at most 128.
+    The rows are the products t_0[b] o t_1[.] o ... of transversal
+    representatives in nested order: level 0 over tops in the given order,
+    each deeper level over its sorted orbit points, the deepest level
+    innermost.  Concatenated, the blocks are the slices of tops, slice
+    after slice, each of |G| / |orbit of base[0]| rows; with tops the
+    sorted first orbit they are G.  A group with no base yields its
+    identity.  The deepest levels are tabled into one array, level by level
+    upward while the next table stays within _SLICE_CELLS bytes: row
+    (beta, r) of T_j[:, table] is t_j[beta] applied after row r, so each
+    level stays outside those below it.  The table is intp because it is
+    the index of every gather, and numpy converts an index of any other
+    dtype to intp on each call: an int8 table would cost eight times its
+    size per block.  The upper levels are walked as prefix tuples
+    p = t_0[b] o t_1[.] o ..., b in tops, and each block is p[table] for
+    as many prefixes as fit in _SLICE_CELLS int8 cells (at least one).
+    Rows are int8, so callers refuse a degree above MAX_DEGREE.
     """
     import numpy as np   # at call time: see _SLICE_CELLS
     n = G.degree
@@ -567,14 +549,18 @@ def _slice_blocks(G: PermGroup, tops: Sequence[int]) -> Iterator[np.ndarray]:
 
 
 def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[Permutation]:
-    """All elements of G, each exactly once, in a deterministic order.
+    """All elements of G, each exactly once, in the slice kernel's order.
 
     Refuses to start (raises CapExceeded) if order(G) > cap, so callers
-    can never silently sample a partial census.
+    can never silently sample a partial census, and (ValueError) if the
+    degree exceeds MAX_DEGREE.
     """
     if G.order > cap:
         raise CapExceeded(G.order, cap)
-    return (Permutation(t) for t in _iter_raw(G))
+    _check_degree(G.degree)
+    tops = sorted(G.transversals[0]) if G.base else []
+    return (Permutation(tuple(row)) for block in _slice_blocks(G, tops)
+            for row in block.tolist())
 
 
 def _stabilizer_gens(G: PermGroup) -> list[tuple[int, ...]]:

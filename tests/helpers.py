@@ -1,19 +1,29 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive (breadth-first closures, exhaustive
-partition search, trial division of polynomials, full enumeration) and
-shares no code with the paths it checks, apart from the element stream
-that the census oracle walks in full and the chain builder under the
-normal-closure oracle (the builder is checked against build_chain here).
+partition search, trial division of polynomials, full enumeration by the
+tuple walk _iter_raw) and shares no code with the paths it checks, apart
+from the chain builder under the normal-closure oracle (the builder is
+checked against build_chain here).  catalog_instances builds the standard
+catalog once for the tests that only read it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+from cycle_census.catalog import standard_instances
 from cycle_census.permutations import (Permutation, _contains_raw,
-                                       _is_full_cycle, _iter_raw,
-                                       group_from_generators)
+                                       _is_full_cycle, group_from_generators)
+
+
+@functools.cache
+def catalog_instances():
+    """catalog.standard_instances(), built once, as a tuple.  The function
+    is bound here at import, so a test that monkeypatches
+    catalog.standard_instances cannot leave its fake in the cache."""
+    return tuple(standard_instances())
 
 
 def compose(p, q):
@@ -158,6 +168,38 @@ def sylvester_resultant(coeffs):
                            for x, y in zip(row[k + 1:], m[k][k + 1:])]
         prev = m[k][k]
     return abs(m[-1][-1])
+
+
+# full enumeration, the slice kernel's reference ----------------------------
+
+def _iter_raw(G, top_points=None):
+    """Stream every element exactly once, as raw image tuples.
+
+    The walk is a mixed-radix sweep over transversal products, deepest
+    stabilizer innermost, orbit points in increasing order.  Restricting
+    top_points to a subset of the first orbit yields a deterministic
+    partition of the element stream: the coset slices the census counts,
+    one per orbit of the point stabilizer.
+    """
+    identity = tuple(range(G.degree))
+    if not G.base:
+        yield identity
+        return
+    point_lists = [sorted(tr) for tr in G.transversals]
+    if top_points is not None:
+        point_lists[0] = list(top_points)
+    transversals = G.transversals
+    depth = len(point_lists)
+
+    def rec(level, suffix):
+        if level == depth:
+            yield suffix
+            return
+        tr = transversals[level]
+        for beta in point_lists[level]:
+            yield from rec(level + 1, compose(tr[beta], suffix))
+
+    yield from rec(0, identity)
 
 
 # block constituents by full enumeration -----------------------------------

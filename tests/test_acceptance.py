@@ -18,7 +18,8 @@ from cycle_census.density import density_report, parse_polynomial, predicted_den
 from cycle_census.ntheory import euler_phi
 from cycle_census.permutations import iterate_elements
 
-from helpers import minimal_invariant_partitions, naive_closure, naive_irreducible
+from helpers import (catalog_instances, minimal_invariant_partitions,
+                     naive_closure, naive_irreducible)
 
 
 def report_pass(label, detail=""):
@@ -211,7 +212,7 @@ def test_criterion_9_oracle_equivalences(m11, psl2_11):
 
     mismatches = 0
     checked_orders = 0
-    for name, G in catalog.standard_instances():
+    for name, G in catalog_instances():
         if G.order > 10 ** 4:
             continue
         checked_orders += 1
@@ -241,7 +242,7 @@ def test_criterion_9_oracle_equivalences(m11, psl2_11):
 
     from cycle_census.blocks import all_minimal_block_systems
     checked_blocks = 0
-    for name, G in catalog.standard_instances():
+    for name, G in catalog_instances():
         if G.degree > 9 or G.order > 10 ** 4:
             continue
         checked_blocks += 1

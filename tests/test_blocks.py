@@ -15,7 +15,8 @@ from cycle_census.permutations import (CapExceeded, NotTransitiveError,
                                        random_element)
 
 import helpers
-from helpers import constituent_elements, minimal_invariant_partitions
+from helpers import (catalog_instances, constituent_elements,
+                     minimal_invariant_partitions)
 
 
 class TestMinimalBlockContaining:
@@ -191,7 +192,7 @@ class TestBlockConstituent:
         order <= 1e4: the chain-built constituent has the oracle's order
         and its generators lie in the oracle's element set."""
         checked = 0
-        for name, G in catalog.standard_instances():
+        for name, G in catalog_instances():
             if G.order > 10 ** 4:
                 continue
             for system in all_minimal_block_systems(G):
@@ -242,7 +243,7 @@ class TestDerivedSeries:
 def _random_phase_subgroups():
     """The 200 subgroups the sweep's random phase censuses at its default
     seed: transitive pairs of order at most 10^5."""
-    instances = catalog.standard_instances()
+    instances = catalog_instances()
     rng = random.Random(20240809)
     out = []
     while len(out) < 200:
@@ -265,7 +266,7 @@ class TestNormalClosureAgainstTheOracle:
 
     @pytest.fixture(scope="class")
     def groups(self):
-        found = [(name, G) for name, G in catalog.standard_instances()
+        found = [(name, G) for name, G in catalog_instances()
                  if G.order <= 200_000]
         assert len(found) == 179
         random_phase = _random_phase_subgroups()
@@ -328,7 +329,7 @@ def test_image_times_kernel_equals_group_order_across_catalog():
     system of every catalog group of order <= 1e4, the block-action image
     order times the kernel size (by membership filtering) equals |G|."""
     checked = 0
-    for name, G in catalog.standard_instances():
+    for name, G in catalog_instances():
         if G.order > 10 ** 4:
             continue
         for system in all_minimal_block_systems(G):

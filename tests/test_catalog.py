@@ -269,6 +269,13 @@ class TestGroupSpecFiles:
     def test_unknown_line(self):
         with pytest.raises(GroupSpecError):
             parse_group_spec("degree 3\nfoo bar\n")
+        # a keyword is a whole word, not a prefix
+        for text, lineno in (("degrees 3\ngen (1,2,3)\n", 1),
+                             ("degree 3\ngenerator (1,2,3)\n", 2)):
+            with pytest.raises(GroupSpecError,
+                               match=f"^<string>:{lineno}: unrecognized line"):
+                parse_group_spec(text)
+        assert parse_group_spec("degree 3\ngen(1,2,3)\n").build().order == 3
 
     def test_degree_above_64(self):
         with pytest.raises(GroupSpecError, match="degree 65 exceeds"):

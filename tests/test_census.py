@@ -18,8 +18,8 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        is_transitive, iterate_elements,
                                        parse_permutation, random_element)
 
-from helpers import (collect_n_cycles, conjugacy_orbits, naive_closure,
-                     wreath_n_cycle_count)
+from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
+                     conjugacy_orbits, naive_closure, wreath_n_cycle_count)
 
 
 class TestEulerPhi:
@@ -362,7 +362,7 @@ class TestSweepRandomPhase:
 
     def test_rows_match_building_every_pair(self):
         rows = census.run_sweep(**self.KWARGS)
-        instances = catalog.standard_instances()
+        instances = catalog_instances()
         rng = random.Random(20240809)
         expected = []
         while len(expected) < 15:
@@ -407,7 +407,7 @@ class TestSuborbitCensusAgainstEnumeration:
 
     def test_catalog_instances(self):
         checked = 0
-        for name, G in catalog.standard_instances():
+        for name, G in catalog_instances():
             if G.order > 200_000:
                 continue
             checked += 1
@@ -416,7 +416,7 @@ class TestSuborbitCensusAgainstEnumeration:
 
     def test_random_subgroups(self):
         rng = random.Random(20240809)
-        parents = [G for _, G in catalog.standard_instances()]
+        parents = [G for _, G in catalog_instances()]
         checked = 0
         while checked < 40:
             parent = parents[rng.randrange(len(parents))]
@@ -537,7 +537,6 @@ class TestConstituentChoice:
 
     @staticmethod
     def _kernel_constituent(G, system, idx):
-        from cycle_census.permutations import _iter_raw, Permutation
         block_of = system.block_index()
         block = system.blocks[idx]
         position = {x: i for i, x in enumerate(block)}
@@ -552,7 +551,7 @@ class TestConstituentChoice:
     def _tower(G, constituent_fn, has_cycle=None):
         from cycle_census.blocks import all_minimal_block_systems, block_action
         from cycle_census.ntheory import is_prime
-        from cycle_census.permutations import _iter_raw, _is_full_cycle
+        from cycle_census.permutations import _is_full_cycle
 
         if has_cycle is None:
             def has_cycle(H):
@@ -584,7 +583,7 @@ class TestConstituentChoice:
     def test_kernel_vs_stabilizer_constituent_same_verdict(self):
         from cycle_census.blocks import block_constituent
         checked = 0
-        for name, G in catalog.standard_instances():
+        for name, G in catalog_instances():
             if G.order > 4000:
                 continue
             report = theorem_verdict(G, with_structure=False)
@@ -612,7 +611,7 @@ class TestConstituentChoice:
             return found
 
         checked = 0
-        for name, G in catalog.standard_instances():
+        for name, G in catalog_instances():
             if G.order > 200_000:
                 continue
             report = theorem_verdict(G)

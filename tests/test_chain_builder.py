@@ -17,7 +17,7 @@ from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
                                        _orbits, group_from_generators,
                                        iterate_elements, random_element)
 
-from helpers import build_chain
+from helpers import build_chain, catalog_instances
 
 
 def _items(chain):
@@ -40,7 +40,7 @@ def _catalog_cases():
 def _random_phase_cases():
     """Every pair the sweep's random phase draws at its default seed, kept
     or not, until it has kept 200."""
-    instances = catalog.standard_instances()
+    instances = catalog_instances()
     rng = random.Random(20240809)
     cases = []
     kept = 0
@@ -138,7 +138,7 @@ class TestOrderCap:
     def test_stops_before_the_chain_is_complete(self):
         """a8 wr c2 has order 812 851 200; a cap of 10^5 is passed by a
         partial chain, whose bound is what the refusal reports."""
-        G = dict(catalog.standard_instances())["a8_wr_c2"]
+        G = dict(catalog_instances())["a8_wr_c2"]
         with pytest.raises(CapExceeded) as info:
             group_from_generators(G.degree, G.generators, order_cap=10 ** 5)
         exc = info.value

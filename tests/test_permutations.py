@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from cycle_census.permutations import (CapExceeded, CycleParseError,
                                        iterate_elements, orbit_partition,
                                        parse_permutation, random_element)
 
-from helpers import naive_closure
+from helpers import _iter_raw, catalog_instances, naive_closure
 
 
 def perm(text, degree):
@@ -284,7 +285,7 @@ class TestRandomElements:
 
 def test_ncycle_centralizer_identity():
     """For an n-cycle s in transitive G, exactly n elements commute with s."""
-    from cycle_census.permutations import _conjugate, _inverse, _iter_raw
+    from cycle_census.permutations import _conjugate, _inverse
     cases = [catalog.cyclic_regular(8), catalog.symmetric(5),
              catalog.holomorph_cyclic(9), catalog.sharpness_group(1),
              catalog.pgl(3, 2)]
@@ -300,25 +301,30 @@ def test_ncycle_centralizer_identity():
 
 def test_iteration_dedup_across_catalog():
     """Every catalog instance below 1e5 yields exactly order(G) distinct
-    elements."""
-    from cycle_census import catalog
+    elements, the same as the tuple walk in helpers and in its order; so
+    does the trivial group, which has no base."""
     checked = 0
-    for name, G in catalog.standard_instances():
+    for name, G in catalog_instances():
         if G.order > 10 ** 5:
             continue
         seen = set()
-        for p in iterate_elements(G, 10 ** 5):
+        for p, t in zip_longest(iterate_elements(G, 10 ** 5), _iter_raw(G)):
+            assert p is not None and p.images == t, name
             seen.add(p.images)
         assert len(seen) == G.order, name
+        assert type(p.images[0]) is int, name   # not a numpy integer
         checked += 1
     assert checked > 150
+    trivial = group_from_generators(4, [Permutation.identity(4)])
+    assert list(iterate_elements(trivial)) == [
+        Permutation(t) for t in _iter_raw(trivial)] == [
+        Permutation.identity(4)]
 
 
 def test_base_points_are_smallest_moved_in_increasing_order():
     """Each base point is the least point moved by the stabilizer of the
     previous ones, so bases are strictly increasing."""
     from cycle_census import catalog
-    from cycle_census.permutations import _iter_raw
     cases = [catalog.symmetric(5), catalog.pgl(3, 2),
              catalog.sharpness_group(1), catalog.holomorph_cyclic(9),
              # generators that avoid the smallest point of a deeper orbit

@@ -1,8 +1,9 @@
-"""The numpy slice kernel against the tuple walk it replaces.
+"""The numpy slice kernel against the tuple walk it replaced.
 
-_slice_blocks must list coset slices in _iter_raw order, _full_cycle_mask
-must agree with _is_full_cycle row by row, and the census built on them
-must equal full enumeration.  The small-group checks run at the default
+_slice_blocks must list coset slices in the order of helpers._iter_raw,
+the tuple walk kept as the reference, _full_cycle_mask must agree with
+_is_full_cycle row by row, and the census built on them must equal full
+enumeration.  The small-group checks run at the default
 block budget and at 64 cells, where most blocks hold one prefix and the
 chain splits into table and prefix levels near its bottom.
 """
@@ -16,10 +17,11 @@ import pytest
 from cycle_census import catalog, permutations
 from cycle_census.census import _suborbits, count_n_cycles
 from cycle_census.permutations import (Permutation, _full_cycle_mask,
-                                       _is_full_cycle, _iter_raw,
-                                       _slice_blocks, group_from_generators)
+                                       _is_full_cycle, _slice_blocks,
+                                       group_from_generators,
+                                       iterate_elements)
 
-from helpers import collect_n_cycles
+from helpers import _iter_raw, catalog_instances, collect_n_cycles
 
 EDGE_DEGREES = {
     "c1": catalog.cyclic_regular(1),
@@ -47,7 +49,7 @@ class TestBlocks:
         that count_n_cycles reads: the concatenated rows are the slices in
         _iter_raw order, |G|/n rows each, and the mask is _is_full_cycle of
         each row."""
-        groups = [(name, G) for name, G in catalog.standard_instances()
+        groups = [(name, G) for name, G in catalog_instances()
                   if G.order <= 10 ** 4]
         assert len(groups) == 145
         groups += list(EDGE_DEGREES.items())
@@ -99,7 +101,7 @@ class TestBlocks:
         the block before it: under 3 * _SLICE_CELLS bytes of traced memory.
         An int8 table, which numpy turns into an intp index on every
         gather, needed about 7.5 * _SLICE_CELLS here."""
-        groups = [(name, G) for name, G in catalog.standard_instances()
+        groups = [(name, G) for name, G in catalog_instances()
                   if G.order <= 200_000]
         groups.append(("m23", catalog.load_named("m23")))
         budget = 3 * permutations._SLICE_CELLS
@@ -128,9 +130,11 @@ class TestCountsAgainstEnumeration:
 
     def test_degree_above_64_is_refused(self):
         """Rows are int8, which would wrap points past 127 into negative
-        indices; the census refuses any degree above the documented 64."""
+        indices; the census and element listing refuse any degree above the
+        documented 64, before listing anything."""
         shift = Permutation(tuple(range(1, 65)) + (0,))
         G = group_from_generators(65, [shift])
-        with pytest.raises(ValueError, match="degree 65 exceeds"):
-            count_n_cycles(G)
+        for listing in (count_n_cycles, iterate_elements):
+            with pytest.raises(ValueError, match="degree 65 exceeds"):
+                listing(G)
 
