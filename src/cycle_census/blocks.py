@@ -2,11 +2,11 @@
 
 Block systems are G-invariant partitions of the points into r blocks of
 equal size s.  Minimal systems are found by the classic union-find
-closure of a point pair, swept over all partners of the first base
-point; block constituents are read off the stabilizer chain, so no
-function here enumerates the group; the derived series closes
-commutators of generator pairs under conjugation until the order
-stabilizes.
+closure of a point pair, once per orbit of the point stabilizer G_0,
+pairing 0 with the least point of the orbit; block constituents are read
+off the stabilizer chain, so no function here enumerates the group; the
+derived series closes commutators of generator pairs under conjugation
+until the order stabilizes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .permutations import (NotTransitiveError, PermGroup, Permutation,
                            _compose, _conjugate, _contains_raw, _inverse,
-                           _stabilizer_gens,
+                           _stabilizer_gens, _suborbits,
                            group_from_generators, is_transitive)
 
 
@@ -55,15 +55,6 @@ class BlockSystem:
         return idx
 
 
-def _partition_from_classes(degree: int, class_of: list[int]) -> BlockSystem:
-    groups: dict[int, list[int]] = {}
-    for x in range(degree):
-        groups.setdefault(class_of[x], []).append(x)
-    blocks = tuple(sorted((tuple(sorted(b)) for b in groups.values()),
-                          key=lambda b: b[0]))
-    return BlockSystem(degree=degree, blocks=blocks)
-
-
 def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None:
     """The finest G-invariant partition with a and b in one block.
 
@@ -72,9 +63,11 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
     """
     if not is_transitive(G):
         raise NotTransitiveError("block systems are defined for transitive groups")
+    n = G.degree
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"points must lie in 0..{n - 1}, got {a} and {b}")
     if a == b:
         raise ValueError("points must be distinct")
-    n = G.degree
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -87,10 +80,10 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
         rx, ry = find(x), find(y)
         if rx == ry:
             return False
-        parent[max(rx, ry)] = min(rx, ry)
+        parent[max(rx, ry)] = min(rx, ry)   # a root is its class's least point
         return True
 
-    raw = [g.images for g in G.generators]
+    raw = G.raw_generators()
     queue = [(a, b)]
     union(a, b)
     while queue:
@@ -99,10 +92,14 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
             x, y = g[u], g[v]
             if union(x, y):
                 queue.append((x, y))
-    class_of = [find(x) for x in range(n)]
-    if len(set(class_of)) == 1:
+    # points in increasing order: each block comes sorted, and the blocks
+    # come in order of their least points, their roots
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    if len(blocks) == 1:
         return None
-    return _partition_from_classes(n, class_of)
+    return BlockSystem(degree=n, blocks=tuple(map(tuple, blocks.values())))
 
 
 def _refines(finer: BlockSystem, coarser: BlockSystem) -> bool:
@@ -111,24 +108,23 @@ def _refines(finer: BlockSystem, coarser: BlockSystem) -> bool:
 
 
 def all_minimal_block_systems(G: PermGroup) -> tuple[BlockSystem, ...]:
-    """Every minimal nontrivial G-invariant partition; empty iff primitive."""
+    """Every minimal nontrivial G-invariant partition; empty iff primitive.
+
+    A minimal system is the finest one joining 0 to some other point b of
+    its block.  That system is the same for b and g(b), for g in G_0: g
+    fixes 0 and maps every G-invariant partition to itself.  So one
+    closure of {0, min O} per G_0-orbit O finds every candidate.
+    """
     if not is_transitive(G):
         raise NotTransitiveError("block systems are defined for transitive groups")
-    a = G.base[0] if G.base else 0
-    candidates: dict[tuple, BlockSystem] = {}
-    for b in range(G.degree):
-        if b == a:
-            continue
-        system = minimal_block_containing(G, a, b)
-        if system is not None:
-            candidates[system.blocks] = system
-    minimal = []
-    for system in candidates.values():
-        if not any(_refines(other, system) and other.blocks != system.blocks
-                   for other in candidates.values()):
-            minimal.append(system)
-    minimal.sort(key=lambda s: (s.s, s.blocks))
-    return tuple(minimal)
+    # b is 0 only at degree 1, which has no other point
+    closures = (minimal_block_containing(G, 0, b) for b, _ in _suborbits(G) if b)
+    candidates = {system.blocks: system for system in closures if system}
+    # a system refined by another of the same block size is that system
+    minimal = [system for system in candidates.values()
+               if not any(other.s < system.s and _refines(other, system)
+                          for other in candidates.values())]
+    return tuple(sorted(minimal, key=lambda s: (s.s, s.blocks)))
 
 
 def is_primitive(G: PermGroup) -> bool:

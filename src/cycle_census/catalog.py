@@ -362,9 +362,8 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("expected_order"):
-                parts = body.split()
+            parts = line[1:].split()
+            if parts[:1] == ["expected_order"]:
                 if len(parts) != 2 or not parts[1].isdigit():
                     raise GroupSpecError(
                         f"{name}:{lineno}: malformed expected_order annotation")

@@ -48,7 +48,7 @@ from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
                            _check_degree, _compose, _contains_raw,
                            _full_cycle_mask, _orbits, _slice_blocks,
-                           _stabilizer_gens, group_from_generators,
+                           _suborbits, group_from_generators,
                            is_transitive, random_element)
 
 __all__ = [
@@ -123,17 +123,6 @@ class CensusReport:
 
 
 # counting ----------------------------------------------------------------
-
-def _suborbits(G: PermGroup) -> list[tuple[int, int]]:
-    """(min O, |O|) for every orbit O of the point stabilizer G_0 on 1..n-1.
-
-    Degree 1 has no such orbit; its one slice, the identity, is the 1-cycle.
-    """
-    if G.degree == 1:
-        return [(0, 1)]
-    orbits = _orbits(G.degree, _stabilizer_gens(G))
-    return [(orbit[0], len(orbit)) for orbit in orbits[1:]]
-
 
 def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Exact n-cycle count, summed over one coset slice per G_0-orbit.

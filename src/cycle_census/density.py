@@ -507,6 +507,8 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
         sign = -1 if m.group("sign") == "-" else 1
         num = m.group("num")
         den = m.group("den")
+        if den is not None and int(den) == 0:
+            raise PolynomialParseError(f"denominator {den} is zero", m.start("den"))
         coeff = Fraction(int(num), int(den or 1)) if num is not None else Fraction(1)
         if m.group("var") is not None:
             exp = int(m.group("exp") or 1)

@@ -570,6 +570,18 @@ def _stabilizer_gens(G: PermGroup) -> list[tuple[int, ...]]:
     return [rep for tr in G.transversals[1:] for rep in tr.values()]
 
 
+def _suborbits(G: PermGroup) -> list[tuple[int, int]]:
+    """(min O, |O|) for every orbit O of the point stabilizer G_0 on 1..n-1,
+    for transitive G, by minimum.
+
+    Degree 1 lists (0, 1): its one slice, the identity, is the 1-cycle.
+    """
+    if G.degree == 1:
+        return [(0, 1)]
+    orbits = _orbits(G.degree, _stabilizer_gens(G))
+    return [(orbit[0], len(orbit)) for orbit in orbits[1:]]
+
+
 def _orbits(degree: int, raw_gens) -> list[tuple[int, ...]]:
     """Orbits of the raw generators on points, each sorted, by minimum."""
     seen = [False] * degree
@@ -601,7 +613,9 @@ def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 
 def is_transitive(G: PermGroup) -> bool:
-    return orbit_partition(G)[1]
+    # Level 0 is the orbit of base[0].  When G fixes 0, base[0] > 0 and its
+    # orbit misses 0, so it is short of the degree.
+    return len(G.transversals[0]) == G.degree if G.base else G.degree == 1
 
 
 def random_element(G: PermGroup, rng) -> Permutation:

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive (breadth-first closures, exhaustive
-partition search, trial division of polynomials, full enumeration by the
-tuple walk _iter_raw) and shares no code with the paths it checks, apart
+partition search, block closures of 0 with every other point, trial
+division of polynomials, full enumeration by the tuple walk _iter_raw)
+and shares no code with the paths it checks, apart
 from the chain builder under the normal-closure oracle (the builder is
 checked against build_chain here).  catalog_instances builds the standard
 catalog once for the tests that only read it.
@@ -102,6 +103,44 @@ def minimal_invariant_partitions(degree, raw_gens):
 
     return [p for p in all_parts
             if not any(refines(q, p) for q in all_parts)]
+
+
+def finest_partition_joining(degree, raw_gens, a, b):
+    """The finest invariant partition with a and b in one block, as sorted
+    blocks by least point: classes are merged until every generator maps
+    each class into one class."""
+    label = list(range(degree))
+    label[b] = a
+    changed = True
+    while changed:
+        changed = False
+        for g in raw_gens:
+            first = {}
+            for x in range(degree):
+                r = first.setdefault(label[x], x)
+                keep, drop = label[g[r]], label[g[x]]
+                if keep != drop:
+                    label = [keep if c == drop else c for c in label]
+                    changed = True
+    blocks = {}
+    for x in range(degree):
+        blocks.setdefault(label[x], []).append(x)
+    return tuple(sorted(map(tuple, blocks.values())))
+
+
+def all_partners_minimal_systems(degree, raw_gens):
+    """The minimal block systems of a transitive group, as block tuples in
+    order of (block size, blocks): the finest invariant partition joining
+    0 and b for every other point b, kept when no other one refines it."""
+    systems = {finest_partition_joining(degree, raw_gens, 0, b)
+               for b in range(1, degree)}
+    systems.discard((tuple(range(degree)),))
+
+    def refines(p, q):
+        return p != q and all(any(set(x) <= set(y) for y in q) for x in p)
+
+    minimal = [p for p in systems if not any(refines(q, p) for q in systems)]
+    return sorted(minimal, key=lambda p: (len(p[0]), p))
 
 
 # polynomials over GF(p), ascending coefficient lists -----------------------

@@ -2,21 +2,22 @@ import random
 
 import pytest
 
-from cycle_census import blocks, catalog
+from cycle_census import blocks, catalog, census
 from cycle_census.blocks import (BlockSystem, InvalidBlockSystemError,
                                  all_minimal_block_systems, block_action,
                                  block_constituent, derived_series,
                                  is_primitive, is_solvable,
                                  minimal_block_containing)
-from cycle_census.permutations import (CapExceeded, NotTransitiveError,
+from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
+                                       NotTransitiveError,
                                        Permutation, _contains_raw, _orbits,
                                        group_from_generators,
                                        iterate_elements, parse_permutation,
                                        random_element)
 
 import helpers
-from helpers import (catalog_instances, constituent_elements,
-                     minimal_invariant_partitions)
+from helpers import (all_partners_minimal_systems, catalog_instances,
+                     constituent_elements, minimal_invariant_partitions)
 
 
 class TestMinimalBlockContaining:
@@ -42,6 +43,15 @@ class TestMinimalBlockContaining:
         G = group_from_generators(4, [parse_permutation("(1,2)", 4)])
         with pytest.raises(NotTransitiveError):
             minimal_block_containing(G, 0, 1)
+
+    @pytest.mark.parametrize("b", [-3, 6])
+    def test_refuses_points_out_of_range(self, b):
+        """-3 would be read as point 3 and 6 would index past the end."""
+        C6 = catalog.cyclic_regular(6)
+        with pytest.raises(ValueError, match=r"0\.\.5"):
+            minimal_block_containing(C6, 0, b)
+        with pytest.raises(ValueError, match=r"0\.\.5"):
+            minimal_block_containing(C6, b, 0)
 
     def test_invariance_of_returned_systems(self):
         for G in (catalog.cyclic_regular(12), catalog.holomorph_cyclic(9),
@@ -93,6 +103,41 @@ class TestAllMinimalSystems:
         expected = set(minimal_invariant_partitions(
             G.degree, [g.images for g in G.generators]))
         assert got == expected
+
+
+class TestOneClosurePerSuborbit:
+    """all_minimal_block_systems closes {0, min O} once per G_0-orbit O; the
+    oracle closes {0, b} for every other point b with its own merging
+    closure."""
+
+    @staticmethod
+    def oracle(G):
+        return all_partners_minimal_systems(G.degree, G.raw_generators())
+
+    def test_catalog(self):
+        for name, G in catalog_instances():
+            got = [s.blocks for s in all_minimal_block_systems(G)]
+            assert got == self.oracle(G), name
+
+    def test_groups_the_towers_visit(self, monkeypatch):
+        """Every group the structure towers of the sweep at the census cap
+        ask for minimal systems: catalog groups that attain the bound, and
+        the block-action images below them."""
+        visited = []
+        original = census.all_minimal_block_systems
+
+        def recording(H):
+            systems = original(H)
+            visited.append((H, systems))
+            return systems
+        monkeypatch.setattr(census, "all_minimal_block_systems", recording)
+        census.run_sweep(instance_cap=DEFAULT_ELEMENT_CAP)
+        assert len(visited) == 209
+        for H, systems in visited:
+            assert [s.blocks for s in systems] == self.oracle(H), H.generators
+
+    def test_degree_one(self):
+        assert all_minimal_block_systems(catalog.cyclic_regular(1)) == ()
 
 
 class TestPrimitivity:

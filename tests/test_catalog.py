@@ -262,6 +262,17 @@ class TestGroupSpecFiles:
         with pytest.raises(GroupSpecError, match="expected_order"):
             parse_group_spec(text).build()
 
+    def test_order_annotation_is_the_exact_word(self):
+        """Only "# expected_order N" declares an order; any other comment,
+        even one that starts with that word, is a plain comment."""
+        for comment in ("# expected_orders 5", "# expected_order_is_unknown",
+                        "#expected_orderly"):
+            spec = parse_group_spec(f"{comment}\ndegree 3\ngen (1,2,3)\n")
+            assert spec.expected_order is None
+            assert spec.build().order == 3
+        spec = parse_group_spec("#expected_order 3\ndegree 3\ngen (1,2,3)\n")
+        assert spec.expected_order == 3
+
     def test_missing_degree(self):
         with pytest.raises(GroupSpecError):
             parse_group_spec("gen (1,2)\n")

@@ -237,6 +237,18 @@ class TestModuleEntryPoints:
         assert done.stdout == ""
         assert "unknown suite 'nope'" in done.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--poly", "1/0x+1", "--bound", "100"],
+        ["census", "--family", "cyclic", "--n", "0"],
+    ])
+    def test_bad_input_is_one_error_line(self, argv):
+        done = self.run_module("cycle_census", argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("module", ["cycle_census", "cycle_census.cli"])
     def test_census_prints_what_main_prints(self, module):
         argv = ["census", "--family", "cyclic", "--n", "6"]

@@ -523,3 +523,11 @@ class TestPolynomialParsing:
     def test_rejects_zero(self):
         with pytest.raises(PolynomialParseError):
             parse_polynomial("x - x")
+
+    @pytest.mark.parametrize("text, position", [("1/0x+1", 2),
+                                                ("x^2 + 3/00", 8)])
+    def test_rejects_a_zero_denominator(self, text, position):
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text)
+        assert info.value.position == position
+        assert "is zero" in str(info.value)

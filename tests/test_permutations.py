@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_census import catalog
+from cycle_census.blocks import (all_minimal_block_systems, block_action,
+                                 block_constituent)
 from cycle_census.permutations import (CapExceeded, CycleParseError,
                                        DegreeMismatchError, Permutation,
-                                       contains, format_cycles,
-                                       group_from_generators,
+                                       _orbits, contains, format_cycles,
+                                       group_from_generators, is_transitive,
                                        iterate_elements, orbit_partition,
                                        parse_permutation, random_element)
 
@@ -269,6 +271,59 @@ class TestOrbits:
 
     def test_sym5(self):
         assert orbit_partition(catalog.symmetric(5))[1]
+
+
+class TestTransitivityFromTheChain:
+    """is_transitive reads the size of the chain's first level; the
+    reference is the orbit search over the generators."""
+
+    @staticmethod
+    def agrees(G):
+        orbits = _orbits(G.degree, G.raw_generators())
+        return is_transitive(G) == (len(orbits) == 1)
+
+    def test_catalog_and_m23(self):
+        groups = [G for _, G in catalog_instances()]
+        groups.append(catalog.load_named("m23"))
+        assert all(is_transitive(G) and self.agrees(G) for G in groups)
+
+    def test_groups_that_fix_0(self):
+        """base[0] > 0, and its orbit misses 0, however large it is."""
+        for text, degree in (("(2,3,4,5,6)", 6), ("(2,3)(4,5)", 5),
+                             ("(2,3)", 3), ("", 1), ("", 4)):
+            G = group_from_generators(degree, [perm(text, degree)])
+            assert self.agrees(G) and is_transitive(G) == (degree == 1)
+
+    def test_block_actions_and_constituents(self):
+        checked = 0
+        for name, G in catalog_instances():
+            for system in all_minimal_block_systems(G):
+                image, _ = block_action(G, system)
+                constituents = [block_constituent(G, system, j)
+                                for j in range(system.r)]
+                assert all(map(self.agrees, [image, *constituents])), name
+                checked += 1 + system.r
+        assert checked == 1246
+
+    def test_random_pairs_without_the_orbit_filter(self):
+        """2-generator subgroups of the catalog instances, intransitive
+        pairs kept: the sweep's random phase rejects those before any
+        chain is built."""
+        rng = random.Random(20240809)
+        instances = catalog_instances()
+        built = intransitive = 0
+        while built < 500:
+            _, parent = instances[rng.randrange(len(instances))]
+            pair = [random_element(parent, rng), random_element(parent, rng)]
+            try:
+                H = group_from_generators(parent.degree, pair,
+                                          order_cap=100_000)
+            except CapExceeded:
+                continue
+            built += 1
+            intransitive += not is_transitive(H)
+            assert self.agrees(H), H.generators
+        assert intransitive == 136
 
 
 class TestRandomElements:
