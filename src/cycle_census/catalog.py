@@ -364,7 +364,7 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["expected_order"]:
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise GroupSpecError(
                         f"{name}:{lineno}: malformed expected_order annotation")
                 expected = int(parts[1])
@@ -374,7 +374,7 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
             if degree is not None:
                 raise GroupSpecError(f"{name}:{lineno}: duplicate degree line")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise GroupSpecError(f"{name}:{lineno}: malformed degree line")
             degree = int(parts[1])
             try:
@@ -429,7 +429,7 @@ def family_instance(code: str) -> PermGroup:
     for prefix, builder in (("hol", holomorph_cyclic), ("sharp", sharpness_group),
                             ("c", cyclic_regular), ("s", symmetric),
                             ("a", alternating)):
-        if code.startswith(prefix) and code[len(prefix):].isdigit():
+        if code.startswith(prefix) and code[len(prefix):].isdecimal():
             return builder(int(code[len(prefix):]))
     raise ValueError(f"unknown family code {code!r} "
                      "(expected c<N>, s<N>, a<N>, hol<N>, or sharp<K>)")

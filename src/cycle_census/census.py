@@ -36,7 +36,7 @@ conjugation-orbit partition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -63,8 +63,29 @@ class CensusInvariantError(RuntimeError):
     """An exact identity the census relies on failed; treat as a build break."""
 
 
+class _JsonReport:
+    """JSON form of a report dataclass: its fields in declaration order, a
+    Fraction as {"num", "den"} and a tuple as a list.  Reading back takes
+    exactly those fields and ignores any other key."""
+
+    def to_json_dict(self) -> dict:
+        def encode(v):
+            if isinstance(v, Fraction):
+                return {"num": v.numerator, "den": v.denominator}
+            return list(v) if isinstance(v, tuple) else v
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        def decode(v):
+            if isinstance(v, dict):
+                return Fraction(v["num"], v["den"])
+            return tuple(v) if isinstance(v, list) else v
+        return cls(**{f.name: decode(d[f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_JsonReport):
     """All census quantities for one transitive group.
 
     bound is the exact rational |G|/n; equality means the cyclic
@@ -87,39 +108,6 @@ class CensusReport:
     structure_verdict: str
     count_divides_order: bool | None
     tower: tuple[int, ...] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": self.order,
-            "n_cycle_count": self.n_cycle_count,
-            "class_count": self.class_count,
-            "cyclic_transitive_count": self.cyclic_transitive_count,
-            "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
-            "phi_n": self.phi_n,
-            "equality": self.equality,
-            "solvable": self.solvable,
-            "structure_verdict": self.structure_verdict,
-            "count_divides_order": self.count_divides_order,
-            "tower": list(self.tower) if self.tower is not None else None,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "CensusReport":
-        return CensusReport(
-            degree=d["degree"],
-            order=d["order"],
-            n_cycle_count=d["n_cycle_count"],
-            class_count=d["class_count"],
-            cyclic_transitive_count=d["cyclic_transitive_count"],
-            bound=Fraction(d["bound"]["num"], d["bound"]["den"]),
-            phi_n=d["phi_n"],
-            equality=d["equality"],
-            solvable=d["solvable"],
-            structure_verdict=d["structure_verdict"],
-            count_divides_order=d["count_divides_order"],
-            tower=tuple(d["tower"]) if d["tower"] is not None else None,
-        )
 
 
 # counting ----------------------------------------------------------------

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage or data errors (including a refused
 enumeration), 2 a violated census identity, which would mean either a
 bug or a counterexample and is treated as a build-breaking event.
+
+FAMILIES is the one list of group families: each entry names the builder,
+its flags and the catalog listing's text.  The text reports print the
+fields of a report's JSON dict in declaration order.
 """
 
 from __future__ import annotations
@@ -20,53 +24,48 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
-FAMILIES = ("cyclic", "holomorph", "sym", "alt", "wreath", "pgl", "pgammal",
-            "duality", "sharpness", "spec")
+
+def _wreath(inner: str, outer: str):
+    return catalog.wreath_imprimitive(catalog.family_instance(inner),
+                                      catalog.family_instance(outer))
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--family {args.family} requires --{name.replace('_', '-')}")
+# name -> (builder, flags in argument order, usage, description); --family's
+# choices, build_group and the catalog listing all read it, in this order.
+FAMILIES = {
+    "cyclic": (catalog.cyclic_regular, ("n",), "--n N",
+               "regular cyclic group on N points"),
+    "holomorph": (catalog.holomorph_cyclic, ("m",), "--m M",
+                  "all maps i -> u*i + t on Z/M"),
+    "sym": (catalog.symmetric, ("n",), "--n N", "symmetric group"),
+    "alt": (catalog.alternating, ("n",), "--n N", "alternating group, N >= 3"),
+    "wreath": (_wreath, ("inner", "outer"), "--inner C --outer C",
+               "imprimitive wreath product; codes c<N>, s<N>, a<N>, hol<N>, "
+               "sharp<K>"),
+    "pgl": (catalog.pgl, ("d", "q"), "--d D --q Q",
+            "projective linear group on (Q^D-1)/(Q-1) points"),
+    "pgammal": (catalog.pgammal, ("d", "q"), "--d D --q Q",
+                "pgl extended by field automorphisms"),
+    "duality": (catalog.duality_extension, ("d", "q"), "--d 3 --q 2|3",
+                "pgl(3,q) extended by point-hyperplane duality"),
+    "sharpness": (catalog.sharpness_group, ("k",), "--k K",
+                  "degree 2*3^K group attaining the subgroup bound"),
+    "spec": (catalog.load_group_spec, ("spec_file",), "--spec-file F",
+             "group loaded from a .grp file"),
+}
 
 
 def build_group(args):
     """Resolve the group source flags into (name, PermGroup)."""
-    family = args.family
-    if family == "cyclic":
-        _require(args, ["n"])
-        return f"cyclic({args.n})", catalog.cyclic_regular(args.n)
-    if family == "holomorph":
-        _require(args, ["m"])
-        return f"holomorph({args.m})", catalog.holomorph_cyclic(args.m)
-    if family == "sym":
-        _require(args, ["n"])
-        return f"sym({args.n})", catalog.symmetric(args.n)
-    if family == "alt":
-        _require(args, ["n"])
-        return f"alt({args.n})", catalog.alternating(args.n)
-    if family == "wreath":
-        _require(args, ["inner", "outer"])
-        inner = catalog.family_instance(args.inner)
-        outer = catalog.family_instance(args.outer)
-        return (f"wreath({args.inner},{args.outer})",
-                catalog.wreath_imprimitive(inner, outer))
-    if family == "pgl":
-        _require(args, ["d", "q"])
-        return f"pgl({args.d},{args.q})", catalog.pgl(args.d, args.q)
-    if family == "pgammal":
-        _require(args, ["d", "q"])
-        return f"pgammal({args.d},{args.q})", catalog.pgammal(args.d, args.q)
-    if family == "duality":
-        _require(args, ["d", "q"])
-        return f"duality({args.d},{args.q})", catalog.duality_extension(args.d, args.q)
-    if family == "sharpness":
-        _require(args, ["k"])
-        return f"sharpness({args.k})", catalog.sharpness_group(args.k)
-    if family == "spec":
-        _require(args, ["spec_file"])
-        return args.spec_file, catalog.load_group_spec(args.spec_file)
-    raise ValueError(f"unknown family {family!r}")
+    builder, flags, _, _ = FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise ValueError(f"--family {args.family} requires "
+                             f"--{flag.replace('_', '-')}")
+    name = (args.spec_file if args.family == "spec"
+            else f"{args.family}({','.join(map(str, values))})")
+    return name, builder(*values)
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -79,10 +78,8 @@ def _print_report_text(name: str, report, out):
     d["bound"] = _fmt_fraction(report.bound)
     d["tower"] = ("none" if report.tower is None
                   else "*".join(str(p) for p in report.tower))
-    for key in ("degree", "order", "n_cycle_count", "class_count",
-                "cyclic_transitive_count", "bound", "phi_n", "equality",
-                "solvable", "structure_verdict", "count_divides_order", "tower"):
-        print(f"  {key}: {d[key]}", file=out)
+    for key, value in d.items():
+        print(f"  {key}: {value}", file=out)
 
 
 def cmd_census(args, out) -> int:
@@ -98,20 +95,8 @@ def cmd_census(args, out) -> int:
 
 def cmd_catalog(args, out) -> int:
     print("constructible families (flags in parentheses):", file=out)
-    lines = [
-        "cyclic     (--n N)           regular cyclic group on N points",
-        "holomorph  (--m M)           all maps i -> u*i + t on Z/M",
-        "sym        (--n N)           symmetric group",
-        "alt        (--n N)           alternating group, N >= 3",
-        "wreath     (--inner C --outer C)  imprimitive wreath product; codes c<N>, s<N>, a<N>, hol<N>, sharp<K>",
-        "pgl        (--d D --q Q)     projective linear group on (Q^D-1)/(Q-1) points",
-        "pgammal    (--d D --q Q)     pgl extended by field automorphisms",
-        "duality    (--d 3 --q 2|3)   pgl(3,q) extended by point-hyperplane duality",
-        "sharpness  (--k K)           degree 2*3^K group attaining the subgroup bound",
-        "spec       (--spec-file F)   group loaded from a .grp file",
-    ]
-    for line in lines:
-        print("  " + line, file=out)
+    for family, (_, _, usage, about) in FAMILIES.items():
+        print(f"  {family:<9}  {'(' + usage + ')':<16}  {about}", file=out)
     data = catalog.data_dir()
     print(f"data directory: {data}", file=out)
     for path in sorted(data.glob("*.grp")) if data.is_dir() else []:
@@ -173,20 +158,18 @@ def cmd_density(args, out) -> int:
         predicted = density.predicted_density(group, cap=args.cap)
     report = density.density_report(coeffs, bound=args.bound, floor=args.floor,
                                     predicted=predicted, workers=args.workers)
+    d = report.to_json_dict()
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2), file=out)
+        print(json.dumps(d, indent=2), file=out)
     else:
-        d = report.to_json_dict()
         d["empirical_density"] = (_fmt_fraction(report.empirical_density)
                                   + f" ~ {float(report.empirical_density):.6f}")
         d["ceiling"] = (_fmt_fraction(report.ceiling)
                         + f" ~ {float(report.ceiling):.6f}")
         if report.predicted is not None:
             d["predicted"] = _fmt_fraction(report.predicted)
-        for key in ("polynomial", "degree", "bound", "floor", "primes_tested",
-                    "primes_skipped", "inert_count", "empirical_density",
-                    "ceiling", "predicted"):
-            print(f"  {key}: {d[key]}", file=out)
+        for key, value in d.items():
+            print(f"  {key}: {value}", file=out)
     return EXIT_OK
 
 

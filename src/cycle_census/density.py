@@ -30,9 +30,10 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .census import count_n_cycles
+from .census import _JsonReport, count_n_cycles
 from .ntheory import euler_phi, prime_divisors
-from .permutations import DEFAULT_ELEMENT_CAP, PermGroup
+from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, PermGroup,
+                           _check_degree)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class BadReduction:
 
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(_JsonReport):
     polynomial: tuple[int, ...]
     degree: int
     bound: int
@@ -72,39 +73,6 @@ class DensityReport:
     empirical_density: Fraction
     ceiling: Fraction
     predicted: Fraction | None
-
-    def to_json_dict(self) -> dict:
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
-        return {
-            "polynomial": list(self.polynomial),
-            "degree": self.degree,
-            "bound": self.bound,
-            "floor": self.floor,
-            "primes_tested": self.primes_tested,
-            "primes_skipped": self.primes_skipped,
-            "inert_count": self.inert_count,
-            "empirical_density": frac(self.empirical_density),
-            "ceiling": frac(self.ceiling),
-            "predicted": frac(self.predicted) if self.predicted is not None else None,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "DensityReport":
-        def frac(x):
-            return Fraction(x["num"], x["den"])
-        return DensityReport(
-            polynomial=tuple(d["polynomial"]),
-            degree=d["degree"],
-            bound=d["bound"],
-            floor=d["floor"],
-            primes_tested=d["primes_tested"],
-            primes_skipped=d["primes_skipped"],
-            inert_count=d["inert_count"],
-            empirical_density=frac(d["empirical_density"]),
-            ceiling=frac(d["ceiling"]),
-            predicted=frac(d["predicted"]) if d["predicted"] is not None else None,
-        )
 
 
 # primes -------------------------------------------------------------------
@@ -435,6 +403,7 @@ def density_report(coeffs, bound: int, floor: int = 0,
 
     Callers are responsible for f being irreducible over the rationals;
     the report is purely an exact count of what happens mod each prime.
+    A degree above 64 is refused, as the census refuses one.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -442,6 +411,7 @@ def density_report(coeffs, bound: int, floor: int = 0,
     if len(coeffs) < 2:
         raise ValueError("the polynomial must have degree at least 1")
     n = len(coeffs) - 1
+    _check_degree(n)
     if n * (bound - 1) ** 2 > _INT64_MAX:
         limit = 1 + isqrt(_INT64_MAX // n)
         raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
@@ -514,6 +484,9 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
             exp = int(m.group("exp") or 1)
         else:
             exp = 0
+        if exp > MAX_DEGREE:
+            raise PolynomialParseError(f"exponent {exp} exceeds supported "
+                                       f"maximum {MAX_DEGREE}", m.start("exp"))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
         pos = m.end()
         first = False

@@ -263,7 +263,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             continue
         while True:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if i == start:
                 raise CycleParseError("expected a point number", start)

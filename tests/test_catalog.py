@@ -292,6 +292,18 @@ class TestGroupSpecFiles:
         with pytest.raises(GroupSpecError, match="degree 65 exceeds"):
             parse_group_spec("degree 65\ngen (1,2)\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("degree ³\ngen (1,2)\n", "^<string>:1: malformed degree line$"),
+        ("# expected_order ²\ndegree 3\ngen (1,2,3)\n",
+         "^<string>:1: malformed expected_order annotation$"),
+        ("degree 3\ngen (1,²)\n",
+         "expected a point number \\(at character 3\\)$")])
+    def test_non_ascii_digits_are_malformed(self, text, message):
+        """Superscripts pass str.isdigit but not int(); each is refused as
+        a GroupSpecError, never a bare ValueError."""
+        with pytest.raises(GroupSpecError, match=message):
+            parse_group_spec(text).build()
+
     def test_write_then_load_roundtrip(self, tmp_path):
         G = catalog.pgl(3, 2)
         path = tmp_path / "pgl32.grp"
@@ -318,6 +330,8 @@ class TestFamilyCodes:
     def test_bad_code(self):
         with pytest.raises(ValueError):
             family_instance("q7")
+        with pytest.raises(ValueError, match="unknown family code"):
+            family_instance("c²")
 
 
 def test_every_listed_family_instance_contains_an_n_cycle(m11, psl2_11, pgl32):

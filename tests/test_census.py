@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -286,6 +287,24 @@ class TestSerialization:
         report = theorem_verdict(sharp1)
         blob = json.dumps(report.to_json_dict())
         assert CensusReport.from_json_dict(json.loads(blob)) == report
+
+    def test_roundtrip_every_sweep_report(self):
+        reports = [r.report for r in census.run_sweep(instance_cap=5000,
+                                                      subgroup_count=5)
+                   if r.report is not None]
+        assert len(reports) > 100
+        for report in reports:
+            blob = json.dumps(report.to_json_dict())
+            assert CensusReport.from_json_dict(json.loads(blob)) == report
+
+    def test_extra_keys_ignored_missing_field_refused(self, sharp1):
+        d = theorem_verdict(sharp1).to_json_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(CensusReport)]
+        named = {"name": "sharpness(1)", **d}
+        assert CensusReport.from_json_dict(named) == theorem_verdict(sharp1)
+        del d["tower"]
+        with pytest.raises(KeyError, match="tower"):
+            CensusReport.from_json_dict(d)
 
 
 class TestWorkerValidation:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import cycle_census
 
-from cycle_census import cli, density
+from cycle_census import catalog, cli, density
 from cycle_census.census import CensusReport
 from cycle_census.density import DensityReport
 from cycle_census.permutations import DEFAULT_ELEMENT_CAP
@@ -240,6 +241,8 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("argv", [
         ["density", "--poly", "1/0x+1", "--bound", "100"],
         ["census", "--family", "cyclic", "--n", "0"],
+        ["density", "--poly", "x^65+1", "--bound", "100"],
+        ["census", "--family", "pgl", "--d", "3"],
     ])
     def test_bad_input_is_one_error_line(self, argv):
         done = self.run_module("cycle_census", argv)
@@ -257,3 +260,70 @@ class TestModuleEntryPoints:
         assert code == 0
         assert (done.returncode, done.stdout) == (code, text)
         assert json.loads(text)["n_cycle_count"] == 2
+
+
+class TestOutputsArePinned:
+    """Every subcommand's bytes, exit code and stderr, pinned as one digest.
+
+    The list covers census text and json for every family, spec included,
+    the missing-flag errors, verify and density in both formats, export-spec
+    and catalog.  Paths that differ between checkouts (the spec file, the
+    data directory) are replaced by placeholders before hashing.
+    """
+
+    ARGVS = [
+        ["census", "--family", "cyclic", "--n", "6"],
+        ["census", "--family", "cyclic", "--n", "6", "--format", "text"],
+        ["census", "--family", "holomorph", "--m", "9", "--format", "text"],
+        ["census", "--family", "holomorph", "--m", "9", "--format", "json"],
+        ["census", "--family", "sym", "--n", "5", "--format", "text"],
+        ["census", "--family", "sym", "--n", "5"],
+        ["census", "--family", "alt", "--n", "5", "--format", "text"],
+        ["census", "--family", "alt", "--n", "5"],
+        ["census", "--family", "wreath", "--inner", "c3", "--outer", "c2",
+         "--format", "text"],
+        ["census", "--family", "wreath", "--inner", "hol5", "--outer", "c2"],
+        ["census", "--family", "pgl", "--d", "3", "--q", "2", "--format", "text"],
+        ["census", "--family", "pgl", "--d", "2", "--q", "4"],
+        ["census", "--family", "pgammal", "--d", "2", "--q", "4", "--format", "text"],
+        ["census", "--family", "pgammal", "--d", "2", "--q", "4"],
+        ["census", "--family", "duality", "--d", "3", "--q", "2", "--format", "text"],
+        ["census", "--family", "duality", "--d", "3", "--q", "2"],
+        ["census", "--family", "sharpness", "--k", "1", "--format", "text"],
+        ["census", "--family", "sharpness", "--k", "1"],
+        ["census", "--family", "spec", "--spec-file", "<tmp>/c4.grp",
+         "--format", "text"],
+        ["census", "--family", "spec", "--spec-file", "<tmp>/c4.grp"],
+        ["census", "--family", "cyclic"],
+        ["census", "--family", "wreath", "--inner", "c3"],
+        ["census", "--family", "wreath", "--inner", "c3", "--outer", "z2"],
+        ["census", "--family", "pgl", "--d", "3"],
+        ["census", "--family", "spec"],
+        ["census", "--family", "sym", "--n", "8", "--cap", "1000"],
+        ["verify", "--random-subgroups", "5", "--instance-cap", "5000"],
+        ["verify", "--random-subgroups", "5", "--instance-cap", "5000",
+         "--format", "json"],
+        ["density", "--poly", "x^2+1", "--bound", "5000", "--predict", "c2"],
+        ["density", "--poly", "x^2+1", "--bound", "5000", "--predict", "c2",
+         "--format", "json"],
+        ["density", "--poly", "x^6+x^3+1", "--bound", "1000", "--format", "text"],
+        ["density", "--poly", "2x^5-3x+7", "--bound", "1000", "--format", "json"],
+        ["export-spec", "--family", "holomorph", "--m", "5"],
+        ["export-spec", "--family", "pgl", "--d", "2", "--q", "3"],
+        ["catalog"],
+    ]
+    DIGEST = "ff14ef3bfbad3dc9fbc9d82c820bd6b12618771bda2edfd60fef1bdcee2df367"
+
+    def test_outputs_match_the_pinned_digest(self, tmp_path, capsys):
+        (tmp_path / "c4.grp").write_text(
+            "# expected_order 4\ndegree 4\ngen (1,2,3,4)\n")
+        places = [(str(tmp_path), "<tmp>"),
+                  (str(catalog.data_dir()), "<data>")]
+        h = hashlib.sha256()
+        for argv in self.ARGVS:
+            code, text = run([a.replace("<tmp>", str(tmp_path)) for a in argv])
+            err = capsys.readouterr().err
+            for path, mark in places:
+                text, err = text.replace(path, mark), err.replace(path, mark)
+            h.update(repr((argv, code, text, err)).encode())
+        assert h.hexdigest() == self.DIGEST

@@ -168,6 +168,12 @@ class TestBatchAgainstScalar:
                                  ).T.tolist() == [[c % p for c in coeffs]
                                                   for p in primes]
 
+    def test_refuses_degree_above_64(self, monkeypatch):
+        """Refused before the resultant, whose cost grows steeply with n."""
+        monkeypatch.setattr(density, "_separability_resultant", None)
+        with pytest.raises(ValueError, match="degree 65 exceeds supported maximum 64"):
+            density_report((1,) + (0,) * 64 + (1,), bound=100)
+
     def test_refuses_bound_past_int64_limit(self, monkeypatch):
         """Refused before the sieve, which would need gigabytes here."""
         monkeypatch.setattr(density, "sieve_primes", None)
@@ -460,11 +466,16 @@ class TestReports:
         assert one == two
 
     def test_json_roundtrip(self):
-        report = density_report((1, 0, 1), bound=5000,
-                                predicted=Fraction(1, 2))
         import json
-        blob = json.dumps(report.to_json_dict())
-        assert DensityReport.from_json_dict(json.loads(blob)) == report
+        for predicted in (None, Fraction(1, 2)):
+            report = density_report((1, 0, 1), bound=5000, predicted=predicted)
+            blob = json.dumps(report.to_json_dict())
+            assert DensityReport.from_json_dict(json.loads(blob)) == report
+            d = {**report.to_json_dict(), "name": "x^2+1"}
+            assert DensityReport.from_json_dict(d) == report
+            del d["predicted"]
+            with pytest.raises(KeyError, match="predicted"):
+                DensityReport.from_json_dict(d)
 
 
 class TestPredictedDensity:
@@ -523,6 +534,15 @@ class TestPolynomialParsing:
     def test_rejects_zero(self):
         with pytest.raises(PolynomialParseError):
             parse_polynomial("x - x")
+
+    @pytest.mark.parametrize("text, position", [("x^65+1", 2),
+                                                ("1 + 2x^3000000", 7)])
+    def test_rejects_an_exponent_above_64(self, text, position):
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text)
+        assert info.value.position == position
+        assert "exceeds supported maximum 64" in str(info.value)
+        assert parse_polynomial("x^64+1") == (1,) + (0,) * 63 + (1,)
 
     @pytest.mark.parametrize("text, position", [("1/0x+1", 2),
                                                 ("x^2 + 3/00", 8)])

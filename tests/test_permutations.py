@@ -52,6 +52,10 @@ class TestParsing:
             perm("1,2)", 5)
         with pytest.raises(CycleParseError):
             perm("(1 2)", 5)
+        # a superscript is a digit to str.isdigit but not to int()
+        with pytest.raises(CycleParseError, match="expected a point number") as exc:
+            perm("(1,²)", 3)
+        assert exc.value.position == 3
 
     def test_roundtrip(self):
         rng = random.Random(7)
