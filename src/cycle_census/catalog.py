@@ -21,7 +21,7 @@ from .gf import FqField, make_field
 from .ntheory import (prime_power, smallest_primitive_root,
                       unit_group_generators)
 from .permutations import (MAX_DEGREE, CycleParseError, PermGroup,
-                           Permutation, _check_degree, format_cycles,
+                           Permutation, _check_degree, _decimal, format_cycles,
                            group_from_generators, parse_permutation)
 
 DATA_ENV_VAR = "CYCLE_CENSUS_DATA"
@@ -357,6 +357,10 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
     degree = None
     expected = None
     gens: list[str] = []
+
+    def error(message) -> GroupSpecError:   # at the line being read
+        return GroupSpecError(f"{name}:{lineno}: {message}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -365,29 +369,29 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
             parts = line[1:].split()
             if parts[:1] == ["expected_order"]:
                 if len(parts) != 2 or not parts[1].isdecimal():
-                    raise GroupSpecError(
-                        f"{name}:{lineno}: malformed expected_order annotation")
-                expected = int(parts[1])
+                    raise error("malformed expected_order annotation")
+                expected = _decimal(parts[1], error)
             continue
         keyword = "gen" if line.startswith("gen(") else line.split()[0]
         if keyword == "degree":
             if degree is not None:
-                raise GroupSpecError(f"{name}:{lineno}: duplicate degree line")
+                raise error("duplicate degree line")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
-                raise GroupSpecError(f"{name}:{lineno}: malformed degree line")
+            if (len(parts) != 2 or not parts[1].isdecimal()
+                    or _decimal(parts[1], error) < 1):
+                raise error("malformed degree line")
             degree = int(parts[1])
             try:
                 _check_degree(degree)
             except ValueError as exc:
-                raise GroupSpecError(f"{name}:{lineno}: {exc}") from None
+                raise error(exc) from None
             continue
         if keyword == "gen":
             if degree is None:
-                raise GroupSpecError(f"{name}:{lineno}: generator before degree line")
+                raise error("generator before degree line")
             gens.append(line[3:].strip())
             continue
-        raise GroupSpecError(f"{name}:{lineno}: unrecognized line {line!r}")
+        raise error(f"unrecognized line {line!r}")
     if degree is None:
         raise GroupSpecError(f"{name}: missing degree line")
     if not gens:
@@ -430,7 +434,8 @@ def family_instance(code: str) -> PermGroup:
                             ("c", cyclic_regular), ("s", symmetric),
                             ("a", alternating)):
         if code.startswith(prefix) and code[len(prefix):].isdecimal():
-            return builder(int(code[len(prefix):]))
+            return builder(_decimal(code[len(prefix):], lambda m: ValueError(
+                f"family code {prefix}<N>: {m}")))
     raise ValueError(f"unknown family code {code!r} "
                      "(expected c<N>, s<N>, a<N>, hol<N>, or sharp<K>)")
 

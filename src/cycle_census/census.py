@@ -28,9 +28,11 @@ vectors of one entry per row.
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
 for any one such relabeling x0.  Class representatives are found with
-that test inside the orbit-minimum slices.  The test suite checks counts,
-classes and representatives against full enumeration with a
-conjugation-orbit partition.
+that test inside the orbit-minimum slices, and the normalizer follows from
+it by an exact identity, |N_G(<sigma>)| = n * #{u prime to n : sigma^u
+conjugate to sigma in G}.  Every view (counts, classes, verdicts) reads the
+one full report theorem_verdict(G, cap).  The test suite checks counts,
+classes, representatives and normalizers against full enumeration.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _check_degree, _compose, _contains_raw,
+                           _check_degree, _compose, _contains_raw, _cycle,
                            _full_cycle_mask, _orbits, _slice_blocks,
                            _suborbits, group_from_generators,
                            is_transitive, random_element)
@@ -144,15 +146,6 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
 # conjugacy ---------------------------------------------------------------
 
-def _cycle_order_from(t: tuple[int, ...], start: int) -> list[int]:
-    out = [start]
-    x = t[start]
-    while x != start:
-        out.append(x)
-        x = t[x]
-    return out
-
-
 def are_conjugate_n_cycles(G: PermGroup, sigma: Permutation,
                            tau: Permutation) -> bool:
     """Whether two n-cycles are conjugate inside G.
@@ -168,15 +161,11 @@ def are_conjugate_n_cycles(G: PermGroup, sigma: Permutation,
 
 
 def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    n = len(s)
-    a = _cycle_order_from(s, 0)
-    b = _cycle_order_from(t, 0)
-    x0 = [0] * n
-    for ai, bi in zip(a, b):
-        x0[ai] = bi
-    x0 = tuple(x0)
-    cand = x0
-    for _ in range(n):
+    x0 = [0] * len(s)
+    for a, b in zip(_cycle(s, 0), _cycle(t, 0)):
+        x0[a] = b
+    cand = tuple(x0)
+    for _ in range(len(s)):
         if _contains_raw(G, cand):
             return True
         cand = _compose(s, cand)
@@ -195,7 +184,7 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
     earlier one opens a new class.
     """
     import numpy as np   # at call time, as in the slice kernel
-    class_count = theorem_verdict(G, cap, with_structure=False).class_count
+    class_count = theorem_verdict(G, cap).class_count
     reps: list[tuple[int, ...]] = []
     for b, _ in _suborbits(G):
         if len(reps) == class_count:
@@ -216,40 +205,29 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
 
 def cyclic_transitive_count(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Number of cyclic transitive subgroups: n-cycle count / phi(n), exactly."""
-    return theorem_verdict(G, cap, with_structure=False).cyclic_transitive_count
+    return theorem_verdict(G, cap).cyclic_transitive_count
 
 
 def normalizer_order_of_cycle(G: PermGroup, sigma: Permutation) -> int:
-    """Order of the normalizer of <sigma> in G, for an n-cycle sigma.
+    """Order of the normalizer of <sigma> in G, for an n-cycle sigma of G.
 
-    The normalizer of <sigma> in the full symmetric group has exactly
-    n * phi(n) elements (cycle rotations composed with unit-multiplier
-    relabelings); each is tested for membership in G.
+    The normalizer is n * #{u : 1 <= u <= n, gcd(u, n) = 1, sigma^u
+    conjugate to sigma in G}: the elements of G conjugating sigma to
+    sigma^u form a coset of the centralizer C_G(sigma) = <sigma>, of n
+    elements.
     """
     if not sigma.is_n_cycle():
         raise ValueError("normalizer_order_of_cycle needs a full cycle")
     if sigma.degree != G.degree or not _contains_raw(G, sigma.images):
         raise ValueError("the cycle does not lie in the group")
     n = G.degree
-    if n == 1:
-        return 1
-    a = _cycle_order_from(sigma.images, 0)
-    count = 0
-    for u in range(1, n):
-        if gcd(u, n) != 1:
-            continue
-        for t in range(n):
-            images = [0] * n
-            for i in range(n):
-                images[a[i]] = a[(u * i + t) % n]
-            if _contains_raw(G, tuple(images)):
-                count += 1
-    return count
+    return n * sum(_are_conjugate_raw(G, sigma.images, (sigma ** u).images)
+                   for u in range(1, n + 1) if gcd(u, n) == 1)
 
 
 # verdicts ----------------------------------------------------------------
 
-def _structure_tower(G: PermGroup) -> tuple[bool, tuple[int, ...] | None]:
+def _structure_tower(G: PermGroup) -> tuple[int, ...] | None:
     """Search for a chain of invariant partitions with prime ratios.
 
     Each step must induce, on the sub-blocks inside one super-block, a
@@ -258,8 +236,9 @@ def _structure_tower(G: PermGroup) -> tuple[bool, tuple[int, ...] | None]:
     each block constituent are transitive (the setwise stabilizer of a
     block is transitive on it), so p divides the order and an element of
     order p in S_p is a p-cycle.  Greedy over minimal systems with
-    backtracking; the first passing tower is reported, finest step first.
-    It enumerates no group: constituents are built from stabilizer chains.
+    backtracking; the first passing tower is returned, finest step first,
+    or None.  It enumerates no group: constituents are built from
+    stabilizer chains.
     """
 
     def rec(H: PermGroup):
@@ -285,9 +264,7 @@ def _structure_tower(G: PermGroup) -> tuple[bool, tuple[int, ...] | None]:
         return None
 
     tower = rec(G)
-    if tower is None:
-        return False, None
-    return True, tuple(tower)
+    return None if tower is None else tuple(tower)
 
 
 def extremal_structure_check(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
@@ -303,23 +280,20 @@ def extremal_structure_check(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
     return report.structure_verdict == "pass", report.tower
 
 
-def _verdict_full(G: PermGroup, cap: int, with_structure: bool = True):
+def _verdict_full(G: PermGroup, cap: int):
     count = count_n_cycles(G, cap)
-    n = G.degree
-    order = G.order
+    n, order = G.degree, G.order
     phi = euler_phi(n)
     class_count = count * n // order   # |class| = |G|/n
     subcount, remainder = divmod(count, phi)
     bound = Fraction(order, n)
     equality = remainder == 0 and Fraction(subcount) == bound
 
-    solvable = None
-    verdict = "not_applicable"
-    tower = None
-    if equality and with_structure:
+    solvable, verdict, tower = None, "not_applicable", None
+    if equality:
         _, solvable = derived_series(G)
-        passed, tower = _structure_tower(G)
-        verdict = "pass" if (solvable and passed) else "fail"
+        tower = _structure_tower(G)
+        verdict = "pass" if (solvable and tower is not None) else "fail"
 
     report = CensusReport(
         degree=n, order=order, n_cycle_count=count, class_count=class_count,
@@ -330,11 +304,10 @@ def _verdict_full(G: PermGroup, cap: int, with_structure: bool = True):
     return report, validate_report(report)
 
 
-def theorem_verdict(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                    with_structure: bool = True) -> CensusReport:
+def theorem_verdict(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> CensusReport:
     """Full census of one group; raises CensusInvariantError on any
     violated identity (which would mean a bug or a counterexample)."""
-    report, violations = _verdict_full(G, cap, with_structure)
+    report, violations = _verdict_full(G, cap)
     if violations:
         raise CensusInvariantError("; ".join(violations))
     return report

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -33,7 +34,7 @@ import numpy as np
 from .census import _JsonReport, count_n_cycles
 from .ntheory import euler_phi, prime_divisors
 from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, PermGroup,
-                           _check_degree)
+                           _check_degree, _decimal)
 
 
 @dataclass(frozen=True)
@@ -460,12 +461,14 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
     be rationals like 3/2, in which case denominators are cleared (the
     density of inert primes is invariant under scaling).
     """
+    def number(m, group: str, default):   # a digit run of the term m
+        digits = m.group(group)
+        return default if digits is None else _decimal(
+            digits, lambda message: PolynomialParseError(message, m.start(group)))
+
     coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True
-    stripped = text.strip()
-    if not stripped:
-        raise PolynomialParseError("empty polynomial")
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or (m.group("num") is None and m.group("var") is None):
@@ -475,27 +478,26 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
         if not first and m.group("sign") is None:
             raise PolynomialParseError("expected '+' or '-'", pos)
         sign = -1 if m.group("sign") == "-" else 1
-        num = m.group("num")
-        den = m.group("den")
-        if den is not None and int(den) == 0:
-            raise PolynomialParseError(f"denominator {den} is zero", m.start("den"))
-        coeff = Fraction(int(num), int(den or 1)) if num is not None else Fraction(1)
-        if m.group("var") is not None:
-            exp = int(m.group("exp") or 1)
-        else:
-            exp = 0
+        num, den = number(m, "num", 1), number(m, "den", 1)
+        if den == 0:
+            raise PolynomialParseError(f"denominator {m.group('den')} is zero",
+                                       m.start("den"))
+        exp = 0 if m.group("var") is None else number(m, "exp", 1)
         if exp > MAX_DEGREE:
             raise PolynomialParseError(f"exponent {exp} exceeds supported "
                                        f"maximum {MAX_DEGREE}", m.start("exp"))
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * Fraction(num, den)
         pos = m.end()
         first = False
     if not coeffs:
         raise PolynomialParseError("empty polynomial")
-    degree = max(coeffs)
-    scale = lcm(*[c.denominator for c in coeffs.values()]) if coeffs else 1
-    out = [int(coeffs.get(i, Fraction(0)) * scale) for i in range(degree + 1)]
-    out = _trim(out)
+    scale = lcm(*[c.denominator for c in coeffs.values()])
+    out = _trim([int(coeffs.get(i, Fraction(0)) * scale)
+                 for i in range(max(coeffs) + 1)])
     if not out:
         raise PolynomialParseError("the zero polynomial is not accepted")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: none
+    if limit and max(map(abs, out)) >= 10 ** limit:
+        raise PolynomialParseError(f"a coefficient has more than {limit} digits "
+                                   "once terms are summed and denominators cleared")
     return tuple(out)

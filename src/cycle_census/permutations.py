@@ -13,9 +13,10 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
+from math import lcm
 from typing import Iterator, Sequence
 
 DEFAULT_ELEMENT_CAP = 20_000_000
@@ -35,6 +36,18 @@ _SLICE_CELLS = 1 << 17
 def _check_degree(n: int) -> None:
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+
+
+def _decimal(digits: str, refuse) -> int:
+    """int(digits) for a run of decimal digits; a run longer than int()
+    converts (sys.get_int_max_str_digits, absent and unlimited before
+    Python 3.10.7) raises refuse(message) instead.  The message gives the
+    length: formatting the number would fail too."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: none
+    if 0 < limit < len(digits):
+        raise refuse(f"a number of {len(digits)} digits exceeds the "
+                     f"{limit}-digit limit")
+    return int(digits)
 
 
 class CycleParseError(ValueError):
@@ -129,16 +142,12 @@ class Permutation:
         return Permutation(_inverse(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = tuple(range(self.degree))
-        square = self.images
-        while k:
-            if k & 1:
-                result = _compose(result, square)
-            square = _compose(square, square)
-            k >>= 1
-        return Permutation(result)
+        """Each point moves k steps along its cycle (backwards for k < 0)."""
+        images = list(range(self.degree))
+        for cycle in self.cycles():
+            for i, x in enumerate(cycle):
+                images[x] = cycle[(i + k) % len(cycle)]
+        return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
         return _is_identity(self.images)
@@ -146,52 +155,39 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest point."""
         out = []
-        seen = [False] * self.degree
+        seen = set()
         for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                cycle.append(x)
-                x = self.images[x]
-            out.append(tuple(cycle))
+            if start not in seen and self.images[start] != start:
+                out.append(tuple(_cycle(self.images, start)))
+                seen.update(out[-1])
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted multiset of cycle lengths, fixed points included."""
-        lengths = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 1
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                length += 1
-                x = self.images[x]
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        lengths = [len(c) for c in self.cycles()]
+        return tuple(sorted(lengths + [1] * (self.degree - sum(lengths))))
 
     def is_n_cycle(self) -> bool:
         return _is_full_cycle(self.images)
 
     def order(self) -> int:
-        result = 1
-        for length in self.cycle_type():
-            result = result * length // gcd(result, length)
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def __str__(self) -> str:
         return format_cycles(self)
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
+
+
+def _cycle(t: tuple[int, ...], start: int) -> list[int]:
+    """The cycle of t through start, from start in the order t moves it."""
+    out = [start]
+    x = t[start]
+    while x != start:
+        out.append(x)
+        x = t[x]
+    return out
 
 
 def _is_full_cycle(t: tuple[int, ...]) -> bool:
@@ -267,7 +263,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
                 i += 1
             if i == start:
                 raise CycleParseError("expected a point number", start)
-            val = int(text[start:i])
+            val = _decimal(text[start:i], lambda m: CycleParseError(m, start))
             if not 1 <= val <= degree:
                 raise CycleParseError(
                     f"point {val} out of range 1..{degree}", start)

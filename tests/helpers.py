@@ -2,17 +2,20 @@
 
 Everything here is deliberately naive (breadth-first closures, exhaustive
 partition search, block closures of 0 with every other point, trial
-division of polynomials, full enumeration by the tuple walk _iter_raw)
-and shares no code with the paths it checks, apart
-from the chain builder under the normal-closure oracle (the builder is
-checked against build_chain here).  catalog_instances builds the standard
-catalog once for the tests that only read it.
+division of polynomials, full enumeration by the tuple walk _iter_raw,
+separate cycle walks, powers by repeated squaring, normalizers by testing
+every relabeling of a cycle) and shares no code with the paths it checks,
+apart from the chain builder under the normal-closure oracle (the builder
+is checked against build_chain here) and the membership sift under the
+normal-closure and normalizer oracles.  catalog_instances builds the
+standard catalog once for the tests that only read it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from cycle_census.catalog import standard_instances
 from cycle_census.permutations import (Permutation, _contains_raw,
@@ -305,6 +308,89 @@ def conjugacy_orbits(G, cycles):
         remaining -= orbit
         classes.append((min(orbit), len(orbit)))
     return classes
+
+
+# cycles and normalizers, as the library computed them before -------------
+
+def cycles(t):
+    """Nontrivial cycles of the image tuple t, each from its smallest point,
+    by the walk Permutation.cycles made before it shared one."""
+    out = []
+    seen = [False] * len(t)
+    for start in range(len(t)):
+        if seen[start] or t[start] == start:
+            seen[start] = True
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = t[start]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = t[x]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def cycle_type(t):
+    """Sorted cycle lengths of t, fixed points included, by its own walk."""
+    lengths = []
+    seen = [False] * len(t)
+    for start in range(len(t)):
+        if seen[start]:
+            continue
+        length = 1
+        seen[start] = True
+        x = t[start]
+        while x != start:
+            seen[x] = True
+            length += 1
+            x = t[x]
+        lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def order(t):
+    """The least common multiple of the cycle lengths, by gcd."""
+    result = 1
+    for length in cycle_type(t):
+        result = result * length // math.gcd(result, length)
+    return result
+
+
+def power(t, k):
+    """t^k by repeated squaring, a negative k through the inverse."""
+    if k < 0:
+        return power(inverse(t), -k)
+    result = tuple(range(len(t)))
+    square = t
+    while k:
+        if k & 1:
+            result = compose(result, square)
+        square = compose(square, square)
+        k >>= 1
+    return result
+
+
+def normalizer_order_by_relabeling(G, sigma):
+    """|N_G(<sigma>)| for an n-cycle sigma of G: the normalizer of <sigma>
+    in S_n is the n * phi(n) relabelings a[i] -> a[u*i + t] of the cycle
+    a = (0, sigma(0), ...), u prime to n, and each is tested for
+    membership in G."""
+    n = len(sigma)
+    a = [0]
+    while len(a) < n:
+        a.append(sigma[a[-1]])
+    count = 0
+    for u in range(1, n + 1):
+        if math.gcd(u, n) != 1:
+            continue
+        for t in range(n):
+            images = [0] * n
+            for i in range(n):
+                images[a[i]] = a[(u * i + t) % n]
+            count += _contains_raw(G, tuple(images))
+    return count
 
 
 # the stabilizer chain, as the library built it before its order cap ------

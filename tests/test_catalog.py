@@ -304,6 +304,22 @@ class TestGroupSpecFiles:
         with pytest.raises(GroupSpecError, match=message):
             parse_group_spec(text).build()
 
+    @pytest.mark.parametrize("text, message", [
+        (f"degree {'9' * 5000}\ngen (1,2)\n", "^<string>:1: a number of 5000 "),
+        (f"# expected_order {'9' * 5000}\ndegree 3\ngen (1,2,3)\n",
+         "^<string>:1: a number of 5000 "),
+        (f"# c3\n\ndegree {'0' * 5000}3\ngen (1,2,3)\n",
+         "^<string>:3: a number of 5001 "),
+        (f"degree 3\ngen (1,{'9' * 5000})\n",
+         "a number of 5000 digits exceeds the 4300-digit limit "
+         "\\(at character 3\\)$")])
+    def test_numbers_longer_than_int_converts(self, text, message):
+        """A number of more digits than int() converts is a GroupSpecError
+        with its file:line (a generator's, with its character position)."""
+        with pytest.raises(GroupSpecError, match=message) as exc:
+            parse_group_spec(text).build()
+        assert "exceeds the 4300-digit limit" in str(exc.value)
+
     def test_write_then_load_roundtrip(self, tmp_path):
         G = catalog.pgl(3, 2)
         path = tmp_path / "pgl32.grp"
@@ -332,6 +348,9 @@ class TestFamilyCodes:
             family_instance("q7")
         with pytest.raises(ValueError, match="unknown family code"):
             family_instance("c²")
+        with pytest.raises(ValueError, match="^family code c<N>: a number of "
+                           "5000 digits exceeds the 4300-digit limit$"):
+            family_instance("c" + "9" * 5000)
 
 
 def test_every_listed_family_instance_contains_an_n_cycle(m11, psl2_11, pgl32):

@@ -20,7 +20,8 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        parse_permutation, random_element)
 
 from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
-                     conjugacy_orbits, naive_closure, wreath_n_cycle_count)
+                     conjugacy_orbits, naive_closure,
+                     normalizer_order_by_relabeling, wreath_n_cycle_count)
 
 
 class TestEulerPhi:
@@ -140,6 +141,42 @@ class TestNormalizer:
         order = normalizer_order_of_cycle(m11, eleven)
         n = 11
         assert order % n == 0 and (n * euler_phi(n)) % order == 0
+
+    @staticmethod
+    def _mismatches(G):
+        """Class representatives whose normalizer order differs from the
+        relabeling search, with both orders."""
+        _, reps = n_cycle_classes(G)
+        orders = [(normalizer_order_of_cycle(G, r),
+                   normalizer_order_by_relabeling(G, r.images)) for r in reps]
+        return len(reps), [(r, o) for r, o in zip(reps, orders) if o[0] != o[1]]
+
+    def test_catalog_class_representatives_match_relabeling(self):
+        checked = 0
+        for name, G in catalog_instances():
+            if G.order <= 200_000:
+                count, mismatches = self._mismatches(G)
+                assert not mismatches, name
+                checked += count
+        assert checked == 474
+
+    def test_random_subgroups_match_relabeling(self):
+        rng = random.Random(20240809)
+        parents = [G for _, G in catalog_instances()]
+        checked = 0
+        while checked < 40:
+            parent = parents[rng.randrange(len(parents))]
+            H = group_from_generators(
+                parent.degree,
+                [random_element(parent, rng), random_element(parent, rng)])
+            if H.order > 10 ** 5 or not is_transitive(H):
+                continue
+            checked += 1
+            assert not self._mismatches(H)[1], H.generators
+
+    def test_degree_one(self):
+        G = catalog.cyclic_regular(1)
+        assert normalizer_order_of_cycle(G, Permutation.identity(1)) == 1
 
     def test_rejects_non_cycle(self, pgl32):
         with pytest.raises(ValueError):
@@ -412,7 +449,7 @@ class TestSuborbitCensusAgainstEnumeration:
             return f"a class size differs from |G|/n = {class_size}"
         count, phi = len(cycles), euler_phi(G.degree)
         class_count, reps = n_cycle_classes(G)
-        report = theorem_verdict(G, with_structure=False)
+        report = theorem_verdict(G)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(permutations, "_SLICE_CELLS", 64)
             small_blocks = count_n_cycles(G)
@@ -605,7 +642,7 @@ class TestConstituentChoice:
         for name, G in catalog_instances():
             if G.order > 4000:
                 continue
-            report = theorem_verdict(G, with_structure=False)
+            report = theorem_verdict(G)
             if not report.equality:
                 continue
             checked += 1

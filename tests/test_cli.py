@@ -243,6 +243,9 @@ class TestModuleEntryPoints:
         ["census", "--family", "cyclic", "--n", "0"],
         ["density", "--poly", "x^65+1", "--bound", "100"],
         ["census", "--family", "pgl", "--d", "3"],
+        ["density", "--poly", f"x^{'9' * 5000}+1", "--bound", "100"],
+        ["census", "--family", "wreath", "--inner", f"c{'9' * 5000}",
+         "--outer", "c2"],
     ])
     def test_bad_input_is_one_error_line(self, argv):
         done = self.run_module("cycle_census", argv)
@@ -251,6 +254,7 @@ class TestModuleEntryPoints:
         assert done.stderr.startswith("error:")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+        assert "Exceeds the limit" not in done.stderr
 
     @pytest.mark.parametrize("module", ["cycle_census", "cycle_census.cli"])
     def test_census_prints_what_main_prints(self, module):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -543,6 +544,27 @@ class TestPolynomialParsing:
         assert info.value.position == position
         assert "exceeds supported maximum 64" in str(info.value)
         assert parse_polynomial("x^64+1") == (1,) + (0,) * 63 + (1,)
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^" + "9" * 5000 + "+1", 2), ("9" * 5000 + "x+1", 0),
+        ("x + 1/" + "7" * 5000, 6), ("x^2 - " + "1" * 4301, 6)])
+    def test_rejects_a_number_longer_than_int_converts(self, text, position):
+        """Exponent, coefficient and denominator: each digit run longer than
+        int() converts is refused at its position, by its length."""
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text)
+        assert info.value.position == position
+        assert "digits exceeds the 4300-digit limit" in str(info.value)
+
+    @pytest.mark.parametrize("text", ["9" * 4300 + "x+1/7",
+                                      "x + " + "9" * 4300 + " + " + "9" * 4300])
+    def test_rejects_a_combined_coefficient_longer_than_str_converts(self, text):
+        """Summing terms or clearing denominators can lengthen a coefficient
+        past what str() converts, which would break printing the report."""
+        with pytest.raises(PolynomialParseError, match="more than 4300 digits"):
+            parse_polynomial(text)
+        coeffs = parse_polynomial("9" * 4300 + "x+1")
+        assert json.loads(json.dumps(coeffs)) == list(coeffs)
 
     @pytest.mark.parametrize("text, position", [("1/0x+1", 2),
                                                 ("x^2 + 3/00", 8)])

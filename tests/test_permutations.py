@@ -15,6 +15,7 @@ from cycle_census.permutations import (CapExceeded, CycleParseError,
                                        iterate_elements, orbit_partition,
                                        parse_permutation, random_element)
 
+import helpers
 from helpers import _iter_raw, catalog_instances, naive_closure
 
 
@@ -56,6 +57,14 @@ class TestParsing:
         with pytest.raises(CycleParseError, match="expected a point number") as exc:
             perm("(1,²)", 3)
         assert exc.value.position == 3
+
+    def test_point_longer_than_int_converts(self):
+        """A point of more digits than int() converts is refused at its
+        position, and the message gives its length, not the number."""
+        with pytest.raises(CycleParseError, match="5000 digits exceeds the "
+                           "4300-digit limit \\(at character 4\\)$") as exc:
+            perm("(1, " + "9" * 5000 + ")", 3)
+        assert exc.value.position == 4
 
     def test_roundtrip(self):
         rng = random.Random(7)
@@ -119,6 +128,34 @@ class TestAlgebra:
         assert c ** 5 == Permutation.identity(5)
         assert c ** -1 == c.inverse()
         assert c ** 7 == c * c
+
+
+class TestCycleWalkAgainstOracles:
+    """cycles, cycle_type, order and powers all read the one cycle walk;
+    the oracles are the separate walks and the repeated squaring they
+    replaced."""
+
+    @staticmethod
+    def _check(p):
+        t, n = p.images, p.degree
+        assert p.cycles() == helpers.cycles(t)
+        assert p.cycle_type() == helpers.cycle_type(t)
+        assert p.order() == helpers.order(t)
+        for k in range(-2 * n, 2 * n + 1):
+            assert (p ** k).images == helpers.power(t, k), k
+
+    @given(st.integers(1, 12).flatmap(lambda d: permutations(degree=d)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_permutations(self, p):
+        self._check(p)
+
+    def test_every_element_of_small_catalog_groups(self):
+        groups = (catalog.symmetric(6), catalog.holomorph_cyclic(11),
+                  catalog.pgl(3, 2), catalog.sharpness_group(1),
+                  catalog.cyclic_regular(1))
+        for G in groups:
+            for p in iterate_elements(G):
+                self._check(p)
 
 
 class TestCycleType:
