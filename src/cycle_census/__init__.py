@@ -10,8 +10,8 @@ polynomial stays irreducible modulo primes, against the phi(n)/n ceiling.
 
 from .blocks import (BlockSystem, InvalidBlockSystemError,
                      all_minimal_block_systems, block_action,
-                     block_constituent, derived_series, is_primitive,
-                     is_solvable, minimal_block_containing)
+                     block_constituent, derived_series,
+                     minimal_block_containing)
 from .catalog import (GroupSpec, GroupSpecError, alternating, cyclic_regular,
                       duality_extension, family_instance, holomorph_cyclic,
                       load_group_spec, load_named, parse_group_spec, pgammal,
@@ -29,9 +29,9 @@ from .gf import FqField, make_field
 from .ntheory import euler_phi
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded, CycleParseError,
                            DegreeMismatchError, NotTransitiveError, PermGroup,
-                           Permutation, compose, contains, cycle_type,
-                           format_cycles, group_from_generators, inverse,
-                           is_transitive, iterate_elements, orbit_partition,
-                           parse_permutation, random_element)
+                           Permutation, contains, format_cycles,
+                           group_from_generators, is_transitive,
+                           iterate_elements, parse_permutation,
+                           random_element)
 
 __version__ = "0.1.0"

@@ -3,10 +3,12 @@
 Block systems are G-invariant partitions of the points into r blocks of
 equal size s.  Minimal systems are found by the classic union-find
 closure of a point pair, once per orbit of the point stabilizer G_0,
-pairing 0 with the least point of the orbit; block constituents are read
-off the stabilizer chain, so no function here enumerates the group; the
-derived series closes commutators of generator pairs under conjugation
-until the order stabilizes.
+pairing 0 with the least point of the orbit.  The block constituent is
+read for the block through 0 only, off the stabilizer chain: G is
+transitive, so every other block's constituent is conjugate to it in
+S_s.  No function here enumerates the group; the derived series closes
+commutators of generator pairs under conjugation until the order
+stabilizes.
 """
 
 from __future__ import annotations
@@ -127,10 +129,6 @@ def all_minimal_block_systems(G: PermGroup) -> tuple[BlockSystem, ...]:
     return tuple(sorted(minimal, key=lambda s: (s.s, s.blocks)))
 
 
-def is_primitive(G: PermGroup) -> bool:
-    return not all_minimal_block_systems(G)
-
-
 def _block_images(G: PermGroup, system: BlockSystem) -> list[tuple[int, ...]]:
     """Each generator's action on the blocks, as block-index images."""
     if system.degree != G.degree:
@@ -150,45 +148,32 @@ def _block_images(G: PermGroup, system: BlockSystem) -> list[tuple[int, ...]]:
     return out
 
 
-def block_action(G: PermGroup, system: BlockSystem):
-    """The induced group on blocks, plus a kernel membership predicate.
+def block_action(G: PermGroup, system: BlockSystem) -> PermGroup:
+    """The group G induces on the blocks of the system.
 
     Raises InvalidBlockSystemError when some generator fails to map
-    blocks to blocks.  The kernel (elements fixing every block setwise)
-    is represented lazily by the returned predicate.
+    blocks to blocks.
     """
     image_gens = [Permutation(t) for t in _block_images(G, system)]
-    image = group_from_generators(system.r, image_gens)
-    idx = system.block_index()
-
-    def in_kernel(p: Permutation) -> bool:
-        return all(idx[p.images[x]] == idx[x] for x in range(G.degree))
-
-    return image, in_kernel
+    return group_from_generators(system.r, image_gens)
 
 
-def block_constituent(G: PermGroup, system: BlockSystem,
-                      block_index: int) -> PermGroup:
-    """Action of the setwise stabilizer of one block on that block.
+def block_constituent(G: PermGroup, system: BlockSystem) -> PermGroup:
+    """Action of the setwise stabilizer of the block through 0 on it.
 
-    Built from the stabilizer chain of transitive G: an element keeps the
-    block B_0 of point 0 iff it maps 0 into B_0, so G_0 and the top
-    transversal representatives of B_0 generate G_{B_0}.  Block B_j is
-    B_0^t for t the representative of its least point; its stabilizer is
-    t^-1 G_{B_0} t.  Positions on the block follow its point order.
+    G is transitive, so an element carries the block through 0 to any
+    other block, and conjugation by it carries one constituent to the
+    other: all block constituents are conjugate in S_s, and this one
+    stands for them all.  Built from the stabilizer chain: an element
+    keeps the block B of point 0 iff it maps 0 into B, so G_0 and the top
+    transversal representatives of B generate G_B.  Positions on the
+    block follow its point order.
     """
-    if not 0 <= block_index < system.r:
-        raise ValueError("block index out of range")
     _block_images(G, system)
     if not is_transitive(G):
         raise NotTransitiveError("block constituents are defined for transitive groups")
-    home = next(b for b in system.blocks if 0 in b)
-    gens = _stabilizer_gens(G) + [G.transversals[0][b] for b in home if b != 0]
-    block = system.blocks[block_index]
-    if block != home:
-        t = G.transversals[0][block[0]]
-        tinv = _inverse(t)
-        gens = [_conjugate(g, t, tinv) for g in gens]
+    block = next(b for b in system.blocks if 0 in b)
+    gens = _stabilizer_gens(G) + [G.transversals[0][b] for b in block if b != 0]
     position = {x: i for i, x in enumerate(block)}
     projections = {tuple(range(len(block)))}
     projections.update(tuple(position[g[x]] for x in block) for g in gens)
@@ -244,7 +229,3 @@ def derived_series(G: PermGroup) -> tuple[tuple[int, ...], bool]:
         if current.order == orders[-2]:
             break
     return tuple(orders), orders[-1] == 1
-
-
-def is_solvable(G: PermGroup) -> bool:
-    return derived_series(G)[1]

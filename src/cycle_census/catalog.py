@@ -327,17 +327,11 @@ class GroupSpec:
 
     name: str
     degree: int
-    generator_texts: tuple[str, ...]
+    generators: tuple[Permutation, ...]
     expected_order: int | None
 
     def build(self) -> PermGroup:
-        gens = []
-        for text in self.generator_texts:
-            try:
-                gens.append(parse_permutation(text, self.degree))
-            except CycleParseError as exc:
-                raise GroupSpecError(f"{self.name}: bad generator {text!r}: {exc}") from exc
-        group = group_from_generators(self.degree, gens)
+        group = group_from_generators(self.degree, self.generators)
         if self.expected_order is not None and group.order != self.expected_order:
             raise GroupSpecError(
                 f"{self.name}: constructed order {group.order} "
@@ -356,7 +350,7 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
     """
     degree = None
     expected = None
-    gens: list[str] = []
+    gens: list[Permutation] = []
 
     def error(message) -> GroupSpecError:   # at the line being read
         return GroupSpecError(f"{name}:{lineno}: {message}")
@@ -389,14 +383,17 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
         if keyword == "gen":
             if degree is None:
                 raise error("generator before degree line")
-            gens.append(line[3:].strip())
+            try:
+                gens.append(parse_permutation(line[3:].strip(), degree))
+            except CycleParseError as exc:
+                raise error(f"bad generator: {exc}") from exc
             continue
         raise error(f"unrecognized line {line!r}")
     if degree is None:
         raise GroupSpecError(f"{name}: missing degree line")
     if not gens:
         raise GroupSpecError(f"{name}: no generators")
-    return GroupSpec(name=name, degree=degree, generator_texts=tuple(gens),
+    return GroupSpec(name=name, degree=degree, generators=tuple(gens),
                      expected_order=expected)
 
 

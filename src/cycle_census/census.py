@@ -254,11 +254,10 @@ def _structure_tower(G: PermGroup) -> tuple[int, ...] | None:
             s = system.s
             if not is_prime(s):
                 continue
-            constituent = block_constituent(H, system, 0)
+            constituent = block_constituent(H, system)
             if (s * (s - 1)) % constituent.order != 0:
                 continue
-            image, _ = block_action(H, system)
-            rest = rec(image)
+            rest = rec(block_action(H, system))
             if rest is not None:
                 return [s] + rest
         return None

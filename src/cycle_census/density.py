@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -34,7 +33,7 @@ import numpy as np
 from .census import _JsonReport, count_n_cycles
 from .ntheory import euler_phi, prime_divisors
 from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, PermGroup,
-                           _check_degree, _decimal)
+                           _check_degree, _decimal, _digit_limit)
 
 
 @dataclass(frozen=True)
@@ -496,7 +495,7 @@ def parse_polynomial(text: str) -> tuple[int, ...]:
                  for i in range(max(coeffs) + 1)])
     if not out:
         raise PolynomialParseError("the zero polynomial is not accepted")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: none
+    limit = _digit_limit()
     if limit and max(map(abs, out)) >= 10 ** limit:
         raise PolynomialParseError(f"a coefficient has more than {limit} digits "
                                    "once terms are summed and denominators cleared")

@@ -158,16 +158,6 @@ class FqField:
         """The field automorphism a -> a^p."""
         return self._frob[a]
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        order = 1
-        v = a
-        while v != 1:
-            v = self.mul(v, a)
-            order += 1
-        return order
-
     def primitive_element(self) -> int:
         """A fixed generator of the multiplicative group."""
         if self.e > 1:

@@ -38,12 +38,18 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
 
 
+def _digit_limit() -> int:
+    """The most decimal digits int() and str() convert: 0 for no limit
+    (sys.get_int_max_str_digits, absent and unlimited before Python
+    3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _decimal(digits: str, refuse) -> int:
-    """int(digits) for a run of decimal digits; a run longer than int()
-    converts (sys.get_int_max_str_digits, absent and unlimited before
-    Python 3.10.7) raises refuse(message) instead.  The message gives the
+    """int(digits) for a run of decimal digits; a run longer than
+    _digit_limit() raises refuse(message) instead.  The message gives the
     length: formatting the number would fail too."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: none
+    limit = _digit_limit()
     if 0 < limit < len(digits):
         raise refuse(f"a number of {len(digits)} digits exceeds the "
                      f"{limit}-digit limit")
@@ -218,18 +224,6 @@ def _full_cycle_mask(block: np.ndarray) -> np.ndarray:
     return alive
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p * q
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return p.cycle_type()
-
-
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation with 1-based points.
 
@@ -310,12 +304,6 @@ class PermGroup:
     base: tuple[int, ...]
     transversals: tuple[dict[int, tuple[int, ...]], ...]
     order: int
-
-    def contains(self, p: Permutation) -> bool:
-        return contains(self, p)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return contains(self, p)
 
     def raw_generators(self) -> list[tuple[int, ...]]:
         return [g.images for g in self.generators]
@@ -600,12 +588,6 @@ def _orbits(degree: int, raw_gens) -> list[tuple[int, ...]]:
             frontier = nxt
         parts.append(tuple(sorted(orbit)))
     return parts
-
-
-def orbit_partition(G: PermGroup) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Orbits of G on points, plus a transitivity flag."""
-    parts = _orbits(G.degree, G.raw_generators())
-    return tuple(parts), len(parts) == 1
 
 
 def is_transitive(G: PermGroup) -> bool:

@@ -246,14 +246,23 @@ def _iter_raw(G, top_points=None):
 
 # block constituents by full enumeration -----------------------------------
 
-def constituent_elements(G, system, block_index):
-    """Every element of a block constituent, as image tuples on the block's
-    positions: the projections of all elements that keep the block."""
+def constituent_elements(G, system):
+    """Every element of the constituent of the block through 0, as image
+    tuples on the block's positions: the projections of all elements that
+    keep the block."""
     block_of = system.block_index()
-    block = system.blocks[block_index]
+    block = system.blocks[block_of[0]]
     position = {x: i for i, x in enumerate(block)}
     return {tuple(position[t[x]] for x in block) for t in _iter_raw(G)
-            if all(block_of[t[x]] == block_index for x in block)}
+            if all(block_of[t[x]] == block_of[0] for x in block)}
+
+
+def block_kernel_order(G, system):
+    """How many elements of G keep every block of the system, by
+    enumeration."""
+    block_of = system.block_index()
+    return sum(all(block_of[t[x]] == block_of[x] for x in range(G.degree))
+               for t in _iter_raw(G))
 
 
 # the census by full enumeration -------------------------------------------
