@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gf import FqField, make_field
+from .gf import MAX_Q, FqField, make_field
 from .ntheory import (prime_power, smallest_primitive_root,
                       unit_group_generators)
 from .permutations import (MAX_DEGREE, CycleParseError, PermGroup,
@@ -188,17 +188,18 @@ def pgl_order(d: int, q: int) -> int:
     return order
 
 
-def _check_pgl_params(d: int, q: int) -> tuple[int, int]:
-    if d < 2:
-        raise ValueError("projective dimension parameter d must be at least 2")
-    p, e = prime_power(q)
-    _check_degree((q ** d - 1) // (q - 1))
-    return p, e
-
-
 def _projective_space(d: int, q: int):
     """GF(q), the projective points of GF(q)^d, and each point's index."""
-    p, e = _check_pgl_params(d, q)
+    if d < 2:
+        raise ValueError("projective dimension parameter d must be at least 2")
+    # Bounds first: prime_power trial-divides q, and q^d has d*log2(q) bits.
+    if q > MAX_Q:
+        raise ValueError(f"field size q exceeds the supported maximum {MAX_Q}")
+    if d > MAX_DEGREE:
+        raise ValueError(f"d above {MAX_DEGREE} puts the degree (q^d-1)/(q-1) "
+                         f"past the supported maximum {MAX_DEGREE}")
+    p, e = prime_power(q)
+    _check_degree((q ** d - 1) // (q - 1))
     field = make_field(p, e)
     points = projective_points(field, d)
     return field, points, {v: i for i, v in enumerate(points)}
@@ -222,9 +223,8 @@ def frobenius_point_perm(d: int, q: int) -> Permutation:
 
 def pgammal(d: int, q: int) -> PermGroup:
     """PGL_d(q) extended by the field automorphisms; index e = log_p q."""
-    p, e = _check_pgl_params(d, q)
-    base = pgl(d, q)
-    if e == 1:
+    base = pgl(d, q)   # refuses d and q first
+    if prime_power(q)[1] == 1:
         return base
     gens = list(base.generators) + [frobenius_point_perm(d, q)]
     return group_from_generators(base.degree, gens)
@@ -301,6 +301,9 @@ def sharpness_group(k: int) -> PermGroup:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_DEGREE:   # before 3^k is formed
+        raise ValueError(f"k above {MAX_DEGREE} puts the degree 2*3^k past "
+                         f"the supported maximum {MAX_DEGREE}")
     m = 3 ** k
     n = 2 * m
     _check_degree(n)
@@ -441,8 +444,9 @@ def standard_instances(include_m23: bool = False) -> list[tuple[str, PermGroup]]
     """The fixed catalog sweep: every family at its standard parameters.
 
     Wreath products are taken over all ordered pairs of the degree <= 9
-    instances whose product degree stays <= 18; duplicate generator sets
-    are constructed only once.
+    instances whose product degree stays <= 18.  A group repeating an
+    earlier generator set is built, then dropped (hol2 and s2 are c2, a3
+    is c3), and each pgammal rebuilds its pgl: 226 chain builds in all.
     """
     out: list[tuple[str, PermGroup]] = []
     pool: list[tuple[str, PermGroup]] = []

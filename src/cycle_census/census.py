@@ -290,9 +290,11 @@ def _verdict_full(G: PermGroup, cap: int):
 
     solvable, verdict, tower = None, "not_applicable", None
     if equality:
-        _, solvable = derived_series(G)
+        # A passing tower embeds G in an iterated wreath product of
+        # subgroups of AGL_1(p), which is solvable: no derived series needed.
         tower = _structure_tower(G)
-        verdict = "pass" if (solvable and tower is not None) else "fail"
+        solvable = tower is not None or derived_series(G)[1]
+        verdict = "fail" if tower is None else "pass"
 
     report = CensusReport(
         degree=n, order=order, n_cycle_count=count, class_count=class_count,

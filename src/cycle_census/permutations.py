@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Sequence
 
 DEFAULT_ELEMENT_CAP = 20_000_000
@@ -35,7 +35,8 @@ _SLICE_CELLS = 1 << 17
 
 def _check_degree(n: int) -> None:
     if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+        shown = n if n < 10 ** 18 else "above 10^18"   # keeps the line short
+        raise ValueError(f"degree {shown} exceeds supported maximum {MAX_DEGREE}")
 
 
 def _digit_limit() -> int:
@@ -105,10 +106,6 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _is_identity(p: tuple[int, ...]) -> bool:
-    return all(i == j for i, j in enumerate(p))
-
-
 def _conjugate(x: tuple[int, ...], g: tuple[int, ...], ginv: tuple[int, ...]) -> tuple[int, ...]:
     """g^-1 * x * g under left-to-right composition."""
     return tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
@@ -156,7 +153,7 @@ class Permutation:
         return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
-        return _is_identity(self.images)
+        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -296,7 +293,10 @@ class PermGroup:
     transversals[i] maps each point of the orbit of base[i] under the
     i-th stabilizer to a coset representative (as a raw image tuple)
     carrying base[i] to that point.  order is the product of the
-    transversal sizes.  Do not mutate any field.
+    transversal sizes.  _inverses[i] holds the inverse representatives of
+    level i of the builder's chain, for every point i (pruned levels hold
+    i alone), and _strong the strong generators as (g, g^-1, smallest
+    point g moves).  Do not mutate any field.
     """
 
     degree: int
@@ -304,6 +304,8 @@ class PermGroup:
     base: tuple[int, ...]
     transversals: tuple[dict[int, tuple[int, ...]], ...]
     order: int
+    _inverses: tuple[dict[int, tuple[int, ...]], ...]
+    _strong: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
     def raw_generators(self) -> list[tuple[int, ...]]:
         return [g.images for g in self.generators]
@@ -333,17 +335,16 @@ def group_from_generators(degree: int, generators: Sequence[Permutation], *,
                 f"generator of degree {g.degree} in a degree {degree} group")
     if order_cap is not None and order_cap < 1:
         raise ValueError(f"order_cap must be at least 1, got {order_cap}")
-    base, transversals = _build_chain(degree, [g.images for g in gens],
-                                      order_cap)
-    order = 1
-    for tr in transversals:
-        order *= len(tr)
+    base, transversals, inverses, strong = _build_chain(
+        degree, [g.images for g in gens], order_cap)
     return PermGroup(degree=degree, generators=gens, base=base,
-                     transversals=transversals, order=order)
+                     transversals=transversals,
+                     order=prod(map(len, transversals)),
+                     _inverses=inverses, _strong=strong)
 
 
 def _build_chain(degree, raw_gens, order_cap=None):
-    """Deterministic Schreier-Sims; returns (base, transversals).
+    """Deterministic Schreier-Sims: (base, transversals, inverses, strong).
 
     The working base is the full point sequence 0..n-1; levels whose
     orbit stays a singleton are pruned afterwards, which leaves exactly
@@ -354,7 +355,8 @@ def _build_chain(degree, raw_gens, order_cap=None):
     Each strong generator is kept with its inverse and the smallest point
     it moves (a residue that sifts to level j moves j first), so the
     generators of level i are those whose first moved point is >= i.
-    Each level keeps the inverses of its representatives beside them.
+    Each level keeps the inverses of its representatives beside them;
+    inverses, unpruned, and strong are returned as the build leaves them.
 
     No proven work is redone.  When the descent reaches level i, every
     level below it (i + 1 ..) has been passed since the last change, so
@@ -377,8 +379,6 @@ def _build_chain(degree, raw_gens, order_cap=None):
         if g != identity:
             first = next(x for x, y in enumerate(g) if x != y)
             strong.append((g, _inverse(g), first))
-    if not strong:
-        return (), ()
     transversals: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
     inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
     fresh = [False] * degree   # level i holds the orbit of all its generators
@@ -415,17 +415,6 @@ def _build_chain(degree, raw_gens, order_cap=None):
         if order_cap is not None and bound > order_cap:
             raise CapExceeded(bound, order_cap, exact=False)
 
-    def sift(g, start):
-        for i in range(start, degree):
-            beta = g[i]
-            if beta == i:
-                continue   # the representative would be the identity
-            rep_inv = inverses[i].get(beta)
-            if rep_inv is None:
-                return g, i
-            g = _compose(g, rep_inv)
-        return g, degree   # fully sifted: g is the identity
-
     i = degree - 1
     while i >= 0:
         if not fresh[i]:
@@ -442,7 +431,7 @@ def _build_chain(degree, raw_gens, order_cap=None):
                 if schreier in seen:
                     continue
                 seen.add(schreier)
-                residue, j = sift(schreier, i + 1)
+                residue, j = _sift(inverses, schreier, i + 1)
                 if j == degree:
                     continue
                 strong.append((residue, _inverse(residue), j))
@@ -456,24 +445,26 @@ def _build_chain(degree, raw_gens, order_cap=None):
         i = i - 1 if jump is None else jump
 
     kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
-    return (tuple(b for b, _ in kept),
-            tuple(tr for _, tr in kept))
+    return (tuple(b for b, _ in kept), tuple(tr for _, tr in kept),
+            tuple(inverses), tuple(strong))
 
 
-def _sift_raw(G: PermGroup, g: tuple[int, ...]) -> tuple[int, ...]:
-    for i, b in enumerate(G.base):
-        beta = g[b]
-        if beta == b:
-            continue
-        rep = G.transversals[i].get(beta)
-        if rep is None:
-            return g
-        g = _compose(g, _inverse(rep))
-    return g
+def _sift(inverses, g: tuple[int, ...], start: int = 0):
+    """Sift g through the inverse transversals from level start; returns
+    (residue, level it stopped at), that level len(g) once g is the identity."""
+    for i in range(start, len(g)):
+        beta = g[i]
+        if beta == i:
+            continue   # the representative would be the identity
+        rep_inv = inverses[i].get(beta)
+        if rep_inv is None:
+            return g, i
+        g = _compose(g, rep_inv)
+    return g, len(g)
 
 
 def _contains_raw(G: PermGroup, g: tuple[int, ...]) -> bool:
-    return _is_identity(_sift_raw(G, g))
+    return _sift(G._inverses, g)[1] == G.degree
 
 
 def contains(G: PermGroup, p: Permutation) -> bool:
@@ -548,10 +539,11 @@ def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[P
 
 
 def _stabilizer_gens(G: PermGroup) -> list[tuple[int, ...]]:
-    """Generators of the stabilizer of base[0]: the transversal
-    representatives below the top level.  That is G_0 for transitive G of
-    degree > 1, whose base[0] is 0."""
-    return [rep for tr in G.transversals[1:] for rep in tr.values()]
+    """Generators of the stabilizer of base[0]: the strong generators
+    whose smallest moved point lies above base[0] (G fixes every point
+    below it, so they generate the pointwise stabilizer of 0..base[0]).
+    That is G_0 for transitive G of degree > 1, whose base[0] is 0."""
+    return [g for g, _, first in G._strong if first > G.base[0]]
 
 
 def _suborbits(G: PermGroup) -> list[tuple[int, int]]:

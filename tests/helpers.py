@@ -3,6 +3,7 @@
 Everything here is deliberately naive (breadth-first closures, exhaustive
 partition search, block closures of 0 with every other point, trial
 division of polynomials, full enumeration by the tuple walk _iter_raw,
+membership by a sift that inverts each representative (_sift_raw),
 separate cycle walks, powers by repeated squaring, normalizers by testing
 every relabeling of a cycle) and shares no code with the paths it checks,
 apart from the chain builder under the normal-closure oracle (the builder
@@ -478,6 +479,20 @@ def build_chain(degree, raw_gens):
     kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept),
             tuple(tr for _, tr in kept))
+
+
+def _sift_raw(G, g):
+    """The residue of g sifted through G's chain, each representative
+    inverted where it is used, as the library sifted before its groups kept
+    the builder's inverse transversals; g lies in G iff it is the identity."""
+    for b, tr in zip(G.base, G.transversals):
+        if g[b] == b:
+            continue
+        rep = tr.get(g[b])
+        if rep is None:
+            return g
+        g = compose(g, inverse(rep))
+    return g
 
 
 # the derived series, as the library computed it before its normal closures

@@ -6,9 +6,12 @@ module is a couple of minutes, dominated by the catalog sweep and the
 2-million-prime density run.
 """
 
+import contextlib
+import io
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from cycle_census import catalog, census, density
 from cycle_census.census import (are_conjugate_n_cycles, n_cycle_classes,
@@ -257,3 +260,16 @@ def test_criterion_9_oracle_equivalences(m11, psl2_11):
     report_pass("criterion 9",
                 f"{checked_orders} closures, {checked_polys} polynomials, "
                 f"{checked_blocks} block lattices ({elapsed:.1f}s)")
+
+
+def test_readme_library_example():
+    """The README's "Library use" block runs as written and prints what its
+    comments promise, so a change of the API breaks this test, not the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == ["6 9 False", "27", "39322 78497 1/2"]
+    report_pass("README library example")

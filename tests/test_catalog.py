@@ -181,10 +181,16 @@ class TestSinger:
         singer_cycle(d, q)
         assert built and set(built) == {q}
 
-    @pytest.mark.parametrize("d,q", [(2, 64), (4, 4), (7, 2), (2, 6), (1, 5)])
+    @pytest.mark.parametrize("d,q", [(2, 64), (4, 4), (7, 2), (2, 6), (1, 5),
+                                     (200_000_000, 2), (65, 2), (2, 257)])
     def test_inadmissible_parameters_refused(self, d, q):
-        with pytest.raises(ValueError):
+        """Refused on a short line, large d and q before any arithmetic
+        (q = 10^23 - 1, which trial division takes minutes to factor, is
+        checked from the command line under a timeout)."""
+        with pytest.raises(ValueError) as info:
             singer_cycle(d, q)
+        assert len(str(info.value)) < 200
+        assert "Exceeds the limit" not in str(info.value)
 
     def test_singer_24_is_five_cycle(self):
         assert singer_cycle(2, 4).cycle_type() == (5,)
@@ -230,6 +236,9 @@ class TestSharpness:
             sharpness_group(0)
         with pytest.raises(ValueError):
             sharpness_group(4)
+        for k in (65, 10_000, 10 ** 300):   # refused before 3^k is formed
+            with pytest.raises(ValueError, match="k above 64 puts the degree"):
+                sharpness_group(k)
 
 
 @pytest.mark.parametrize("family", [cyclic_regular, holomorph_cyclic,
@@ -237,6 +246,11 @@ class TestSharpness:
 def test_degree_above_64_refused(family):
     with pytest.raises(ValueError, match="degree 65 exceeds supported maximum 64"):
         family(65)
+    # a huge degree is not quoted, and no int is formatted past 4300 digits
+    for n in (10 ** 300 - 1, 10 ** 5000):
+        with pytest.raises(ValueError) as info:
+            family(n)
+        assert str(info.value) == "degree above 10^18 exceeds supported maximum 64"
 
 
 class TestGroupSpecFiles:

@@ -256,6 +256,53 @@ class TestExtremal:
             assert passed
             assert math.prod(tower) == n
 
+    def test_a_passing_tower_means_solvable(self, monkeypatch):
+        """The census reads solvability off a passing tower and runs the
+        derived series only when the tower fails.  Check the derived series
+        agrees on every equality group the sweep censuses at cap 2 * 10^7
+        (its random phase included) and on seeded random subgroups."""
+        from cycle_census.blocks import derived_series
+        groups = []
+        sweep_row = census._sweep_row
+
+        def recording(name, group, cap):
+            groups.append((name, group))
+            return sweep_row(name, group, cap)
+        monkeypatch.setattr(census, "_sweep_row", recording)
+        census.run_sweep(instance_cap=2 * 10 ** 7)
+        rng = random.Random(99)
+        parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
+                   catalog.wreath_imprimitive(catalog.symmetric(3),
+                                              catalog.symmetric(4))]
+        for k in range(60):
+            parent = parents[rng.randrange(len(parents))]
+            H = group_from_generators(
+                parent.degree,
+                [random_element(parent, rng), random_element(parent, rng)])
+            if H.order <= 10 ** 5 and is_transitive(H):
+                groups.append((f"seeded{k}", H))
+        passed = 0
+        for name, G in groups:
+            report = theorem_verdict(G, 2 * 10 ** 7)
+            if not report.equality:
+                continue
+            assert report.solvable == derived_series(G)[1], name
+            passed += report.tower is not None
+        assert passed == 98
+
+    def test_a_failing_tower_leaves_solvability_to_the_derived_series(
+            self, monkeypatch, sharp1):
+        """No equality group above fails its tower, so make one fail."""
+        monkeypatch.setattr(census, "_structure_tower", lambda G: None)
+        report = theorem_verdict(sharp1)
+        assert (report.solvable, report.structure_verdict, report.tower) == (
+            True, "fail", None)
+        monkeypatch.setattr(census, "derived_series",
+                            lambda G: ((G.order, G.order), False))
+        report, violations = census._verdict_full(sharp1, DEFAULT_ELEMENT_CAP)
+        assert report.solvable is False
+        assert violations == ["bound attained by a non-solvable group"]
+
 
 class TestPglSingerStructure:
     """In pgl(d,q) every n-cycle generates a conjugate of the Singer cycle,

@@ -1,10 +1,14 @@
-"""The chain builder against the oracle it replaced, and its order cap.
+"""The chain builder against the oracle it replaced, its order cap, and
+the chain record a group keeps.
 
 The builder filters generators by their first moved point, reads cached
 inverse representatives and can stop at an order cap; none of that may
 change a chain.  Transversal representatives, and their dict order, are
 part of the output (random_element and so the sweep's random rows read
-them), so chains are compared item by item in insertion order.
+them), so chains are compared item by item in insertion order.  The
+inverse transversals and strong generators the group keeps are checked
+against the representatives, and membership against the sift that
+inverts them.
 """
 
 import hashlib
@@ -14,14 +18,16 @@ import pytest
 
 from cycle_census import catalog
 from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
-                                       _orbits, group_from_generators,
+                                       _contains_raw, _orbits,
+                                       _stabilizer_gens, group_from_generators,
                                        iterate_elements, random_element)
 
-from helpers import build_chain, catalog_instances
+from helpers import (_sift_raw, build_chain, catalog_instances, compose,
+                     inverse, is_identity)
 
 
 def _items(chain):
-    base, transversals = chain
+    base, transversals = chain[:2]
     return base, [list(tr.items()) for tr in transversals]
 
 
@@ -132,6 +138,71 @@ def test_random_phase_refusals_are_pinned(cases):
     assert len(refused) == 41
     assert hashlib.sha256(repr(refused).encode()).hexdigest() == (
         "a185072492af8ea8bbf2177a698e651a43ea2ffc8ee15fdfdad94fa9ecdf7e49")
+
+
+class TestChainRecord:
+    """What a group keeps of its chain build beside the pinned fields: the
+    inverse transversals of every working level and the strong generators,
+    on the catalog and the random-phase pairs."""
+
+    @pytest.fixture(scope="class")
+    def groups(self, cases):
+        return [(label, group_from_generators(
+                    degree, [Permutation(g) for g in gens]))
+                for kind in ("catalog", "random_phase")
+                for label, degree, gens, _ in cases[kind]]
+
+    def test_case_count(self, groups):
+        assert len(groups) == 541
+
+    def test_stored_inverses_invert_the_representatives(self, groups):
+        for label, G in groups:
+            assert len(G._inverses) == G.degree, label
+            levels = dict(zip(G.base, G.transversals))
+            for point, inverses in enumerate(G._inverses):
+                # a pruned level holds its point alone
+                tr = levels.get(point, {point: tuple(range(G.degree))})
+                assert {x: inverse(rep) for x, rep in tr.items()} == inverses, label
+
+    def test_strong_generators_carry_inverse_and_first_moved_point(self, groups):
+        for label, G in groups:
+            for g, g_inv, first in G._strong:
+                assert is_identity(compose(g, g_inv)), label
+                assert first == min(x for x in range(G.degree) if g[x] != x), label
+            assert bool(G._strong) == bool(G.base), label
+
+    def test_stabilizer_generators_generate_the_stabilizer(self, groups):
+        """The strong generators moving only points above base[0] have the
+        orbits of all representatives below the top level, and generate a
+        group of order |G| / |orbit of base[0]|."""
+        for label, G in groups:
+            if not G.base:
+                continue
+            gens = _stabilizer_gens(G)
+            reps = [rep for tr in G.transversals[1:] for rep in tr.values()]
+            assert _orbits(G.degree, gens) == _orbits(G.degree, reps), label
+            identity = Permutation.identity(G.degree)
+            stabilizer = group_from_generators(
+                G.degree, [identity] + [Permutation(g) for g in gens])
+            assert stabilizer.order == G.order // len(G.transversals[0]), label
+
+    def test_membership_agrees_with_the_inverting_sift(self, groups):
+        """Seeded random members, and each times a transposition, which
+        may or may not lie in G."""
+        rng = random.Random(17)
+        outside = 0
+        for label, G in groups:
+            n = G.degree
+            for _ in range(4):
+                member = random_element(G, rng).images
+                a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                for g in (member, compose(member, tuple(swap))):
+                    want = is_identity(_sift_raw(G, g))
+                    assert _contains_raw(G, g) == want, (label, g)
+                    outside += not want
+        assert outside == 1982   # of 2 164 products with a transposition
 
 
 class TestOrderCap:

@@ -246,6 +246,12 @@ class TestModuleEntryPoints:
         ["density", "--poly", f"x^{'9' * 5000}+1", "--bound", "100"],
         ["census", "--family", "wreath", "--inner", f"c{'9' * 5000}",
          "--outer", "c2"],
+        # oversized family parameters, refused before any arithmetic on them
+        # (the first took minutes to factor, hence run_module's timeout)
+        ["census", "--family", "pgl", "--d", "2", "--q", "9" * 23],
+        ["census", "--family", "pgl", "--d", "200000000", "--q", "2"],
+        ["census", "--family", "sharpness", "--k", "10000"],
+        ["census", "--family", "cyclic", "--n", "9" * 300],
     ])
     def test_bad_input_is_one_error_line(self, argv):
         done = self.run_module("cycle_census", argv)
@@ -253,6 +259,7 @@ class TestModuleEntryPoints:
         assert done.stdout == ""
         assert done.stderr.startswith("error:")
         assert done.stderr.count("\n") == 1
+        assert len(done.stderr) < 200
         assert "Traceback" not in done.stderr
         assert "Exceeds the limit" not in done.stderr
 
