@@ -42,11 +42,7 @@ def data_dir() -> Path:
 
 def cyclic_regular(n: int) -> PermGroup:
     """The cyclic group generated by the n-cycle (1,2,...,n)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    _check_degree(n)
-    images = tuple((i + 1) % n for i in range(n))
-    return group_from_generators(n, [Permutation(images)])
+    return group_from_generators(n, _cyclic_generators(n))
 
 
 def holomorph_cyclic(m: int) -> PermGroup:
@@ -55,43 +51,62 @@ def holomorph_cyclic(m: int) -> PermGroup:
     For prime m this is AGL_1(m), the full normalizer of a regular cyclic
     group inside the symmetric group.
     """
+    return group_from_generators(m, _holomorph_generators(m))
+
+
+def symmetric(n: int) -> PermGroup:
+    return group_from_generators(n, _symmetric_generators(n))
+
+
+def alternating(n: int) -> PermGroup:
+    return group_from_generators(n, _alternating_generators(n))
+
+
+# The generators of the elementary families, which standard_instances reads
+# before it builds a group: hol2 and s2 repeat c2's, and a3 repeats c3's.
+
+def _cyclic_generators(n: int) -> list[Permutation]:
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    _check_degree(n)
+    return [Permutation(tuple((i + 1) % n for i in range(n)))]
+
+
+def _holomorph_generators(m: int) -> list[Permutation]:
     if m < 2:
         raise ValueError("modulus must be at least 2")
     _check_degree(m)
     translation = Permutation(tuple((i + 1) % m for i in range(m)))
-    gens = [translation]
-    for u in unit_group_generators(m):
-        gens.append(Permutation(tuple((u * i) % m for i in range(m))))
-    return group_from_generators(m, gens)
+    return [translation] + [Permutation(tuple((u * i) % m for i in range(m)))
+                            for u in unit_group_generators(m)]
 
 
-def symmetric(n: int) -> PermGroup:
+def _symmetric_generators(n: int) -> list[Permutation]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n)
     if n == 1:
-        return group_from_generators(1, [Permutation.identity(1)])
+        return [Permutation.identity(1)]
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
     if n == 2:
-        return group_from_generators(2, [cycle])
-    swap = parse_permutation("(1,2)", n)
-    return group_from_generators(n, [swap, cycle])
+        return [cycle]
+    return [parse_permutation("(1,2)", n), cycle]
 
 
-def alternating(n: int) -> PermGroup:
+def _alternating_generators(n: int) -> list[Permutation]:
     if n < 3:
         raise ValueError("alternating groups need degree at least 3")
     _check_degree(n)
     three = parse_permutation("(1,2,3)", n)
     if n == 3:
-        return group_from_generators(3, [three])
+        return [three]
     if n % 2 == 1:
         long = Permutation(tuple((i + 1) % n for i in range(n)))
     else:
         # (2,3,...,n) is an even (n-1)-cycle
         long = parse_permutation(
             "(" + ",".join(str(i) for i in range(2, n + 1)) + ")", n)
-    return group_from_generators(n, [three, long])
+    return [three, long]
 
 
 def wreath_imprimitive(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -223,7 +238,11 @@ def frobenius_point_perm(d: int, q: int) -> Permutation:
 
 def pgammal(d: int, q: int) -> PermGroup:
     """PGL_d(q) extended by the field automorphisms; index e = log_p q."""
-    base = pgl(d, q)   # refuses d and q first
+    return _extend_by_frobenius(pgl(d, q), d, q)   # pgl refuses d and q first
+
+
+def _extend_by_frobenius(base: PermGroup, d: int, q: int) -> PermGroup:
+    """PGammaL_d(q) from the group base = PGL_d(q): base itself for prime q."""
     if prime_power(q)[1] == 1:
         return base
     gens = list(base.generators) + [frobenius_point_perm(d, q)]
@@ -444,48 +463,51 @@ def standard_instances(include_m23: bool = False) -> list[tuple[str, PermGroup]]
     """The fixed catalog sweep: every family at its standard parameters.
 
     Wreath products are taken over all ordered pairs of the degree <= 9
-    instances whose product degree stays <= 18.  A group repeating an
-    earlier generator set is built, then dropped (hol2 and s2 are c2, a3
-    is c3), and each pgammal rebuilds its pgl: 226 chain builds in all.
+    instances whose product degree stays <= 18.  An elementary group whose
+    generators repeat an earlier one's is skipped before it is built (hol2
+    and s2 are c2, a3 is c3), and each pgammal extends the pgl built just
+    before it: one chain build per instance.
     """
     out: list[tuple[str, PermGroup]] = []
     pool: list[tuple[str, PermGroup]] = []
     seen_gens = set()
 
-    def add(name: str, group: PermGroup, to_pool: bool = False) -> None:
-        key = (group.degree, tuple(g.images for g in group.generators))
+    def add_elementary(name: str, gens: list[Permutation]) -> None:
+        key = tuple(g.images for g in gens)
         if key in seen_gens:
             return
         seen_gens.add(key)
+        group = group_from_generators(gens[0].degree, gens)
         out.append((name, group))
-        if to_pool and 2 <= group.degree <= 9:
+        if 2 <= group.degree <= 9:
             pool.append((name, group))
 
     for n in range(1, 25):
-        add(f"c{n}", cyclic_regular(n), to_pool=True)
+        add_elementary(f"c{n}", _cyclic_generators(n))
     for m in range(2, 28):
-        add(f"hol{m}", holomorph_cyclic(m), to_pool=True)
+        add_elementary(f"hol{m}", _holomorph_generators(m))
     for n in range(2, 9):
-        add(f"s{n}", symmetric(n), to_pool=True)
+        add_elementary(f"s{n}", _symmetric_generators(n))
     for n in range(3, 9):
-        add(f"a{n}", alternating(n), to_pool=True)
+        add_elementary(f"a{n}", _alternating_generators(n))
 
-    for iname, inner in list(pool):
-        for oname, outer in list(pool):
+    for iname, inner in pool:
+        for oname, outer in pool:
             if inner.degree * outer.degree <= 18:
-                add(f"{iname}_wr_{oname}", wreath_imprimitive(inner, outer))
+                out.append((f"{iname}_wr_{oname}",
+                            wreath_imprimitive(inner, outer)))
 
     for d, q in ((2, 4), (2, 5), (2, 7), (2, 8), (3, 2), (3, 3)):
-        add(f"pgl({d},{q})", pgl(d, q))
-        _, e = prime_power(q)
-        if e > 1:
-            add(f"pgammal({d},{q})", pgammal(d, q))
+        group = pgl(d, q)
+        out.append((f"pgl({d},{q})", group))
+        if prime_power(q)[1] > 1:
+            out.append((f"pgammal({d},{q})", _extend_by_frobenius(group, d, q)))
 
-    add("sharpness(1)", sharpness_group(1))
-    add("sharpness(2)", sharpness_group(2))
-    add("duality(3,2)", duality_extension(3, 2))
-    add("m11", load_named("m11"))
-    add("psl2_11", load_named("psl2_11"))
+    out += [("sharpness(1)", sharpness_group(1)),
+            ("sharpness(2)", sharpness_group(2)),
+            ("duality(3,2)", duality_extension(3, 2)),
+            ("m11", load_named("m11")),
+            ("psl2_11", load_named("psl2_11"))]
     if include_m23:
-        add("m23", load_named("m23"))
+        out.append(("m23", load_named("m23")))
     return out

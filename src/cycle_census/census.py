@@ -10,20 +10,31 @@ certificate for the wreath-like block structure.
 The count visits one coset slice per orbit of the point stabilizer G_0,
 not the whole group: the number N(0, b) of n-cycles sending 0 to b is
 constant on each G_0-orbit, and the slice of elements sending 0 to b has
-|G|/n elements.  The n-cycles are counted, never stored.  The class count
-then follows from the class-size identity |class| = |G|/n, since the
-centralizer of an n-cycle sigma in the full symmetric group is <sigma>.
+|G|/n elements.  One level deeper, the number N(0, b, c) of n-cycles
+sending 0 to b and b to c is constant on each orbit of G_{0,b}, and the
+elements doing so form one coset of G_{0,b}.  For b = base[1] the
+census's own chain holds G_{0,b} (its strong generators above b, and its
+levels from 2 on), so that suborbit is counted at depth 2, one coset per
+G_{0,b}-orbit, when its slice spans more than one block and the cosets
+are fewer than the points of its G_0-orbit (Sims's orbit weighting in
+backtrack search; Seress, Permutation Group Algorithms, 2003, ch. 9).
+M23 lists one coset of 20 160 elements instead of a slice of 443 520.
+The n-cycles are counted, never stored.  The class count then follows
+from the class-size identity |class| = |G|/n, since the centralizer of an
+n-cycle sigma in the full symmetric group is <sigma>.
 
-A slice is never walked element by element.  Its elements are products
-t_0[b] o t_1[.] o ... o t_k[.] of transversal representatives (Seress,
-Permutation Group Algorithms, 2003, section 4.1); permutations._slice_blocks
-tables the deepest factors into one array, walks the upper ones as
-prefixes, and lists the slices of all orbit minima as one stream of blocks
-of at most _SLICE_CELLS cells, each a numpy gather of stacked prefixes
-through the table.  _full_cycle_mask then follows 0 through every row of a
-block at once.  One block is alive at a time, so for any group the count
-holds at most the table, one block (each at most 128 KiB) and a few index
-vectors of one entry per row.
+Neither a slice nor a coset is walked element by element.  Their
+elements are products p o t_j[.] o ... o t_k[.] of a prefix p and
+transversal representatives (Seress, section 4.1): p = t_0[b] from level
+1 for a slice, p = t_0[b] o t_1[c'] from level 2 for a coset.
+permutations._slice_blocks tables the deepest factors into one array,
+walks the upper ones under each prefix, and lists the rows of all the
+prefixes of one depth as one stream of blocks of at most _SLICE_CELLS
+cells, each a numpy gather of stacked prefixes through the table.
+_full_cycle_mask then follows 0 through every row of a block at once.
+One block is alive at a time, so for any group the count holds at most
+the table, one block (each at most 128 KiB) and a few index vectors of
+one entry per row.
 
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
@@ -40,9 +51,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from . import catalog
+from . import catalog, permutations
 from .blocks import (all_minimal_block_systems, block_action,
                      block_constituent, derived_series)
 from .ntheory import euler_phi, is_prime
@@ -50,7 +61,7 @@ from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
                            _check_degree, _compose, _contains_raw, _cycle,
                            _full_cycle_mask, _orbits, _slice_blocks,
-                           _suborbits, group_from_generators,
+                           _stabilizer_gens, _suborbits, group_from_generators,
                            is_transitive, random_element)
 
 __all__ = [
@@ -115,33 +126,82 @@ class CensusReport(_JsonReport):
 # counting ----------------------------------------------------------------
 
 def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Exact n-cycle count, summed over one coset slice per G_0-orbit.
+    """Exact n-cycle count, summed over one coset per orbit of a stabilizer.
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
     orbit O of G_0 (conjugation by G_0 moves the image of 0 along O), so
-    the count is the sum of |O| * N(0, min O).  The slices of all orbit
-    minima come in one block stream, slice after slice, and each holds
-    |G|/n elements, so row k of the stream lies in slice k // (|G|/n).
-    Refused when |G| exceeds the cap or the degree exceeds 64.  Every
-    census entry point is a view over this pass.
+    the count is the sum of |O| * N(0, min O), each N(0, b) read off the
+    slice of |G|/n elements sending 0 to b.  The suborbit of b = base[1]
+    goes one level deeper when its slice spans more than one block
+    (|G| > _SLICE_CELLS) and _second_level_cosets splits it into fewer
+    cosets than |O_b|: each coset has |G|/(n |O_b|) elements, so fewer
+    are listed.  Refused when |G| exceeds the cap or the degree exceeds
+    64.  Every census entry point is a view over this pass.
     """
-    import numpy as np   # at call time, as in the slice kernel
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
     _check_degree(G.degree)
+    top = _top_level(G)
     suborbits = _suborbits(G)
-    per_slice = G.order // G.degree
-    found = np.zeros(len(suborbits), dtype=np.int64)
+    deep = []
+    if len(G.base) > 1 and G.order > permutations._SLICE_CELLS:
+        cosets = _second_level_cosets(G)
+        if len(cosets) < len(G.transversals[1]):
+            deep = cosets
+            suborbits = [(b, size) for b, size in suborbits if b != G.base[1]]
+    return (_weighted_count(G, [(top[b], size) for b, size in suborbits], 1)
+            + _weighted_count(G, deep, 2))
+
+
+def _top_level(G: PermGroup) -> dict[int, tuple[int, ...]]:
+    """Level 0 of a transitive group's chain: t_0[b] sends 0 to b.  Degree
+    1 has no base, and its one representative is the identity."""
+    return G.transversals[0] if G.base else {0: (0,)}
+
+
+def _second_level_cosets(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
+    """(p, |O_b| |O_c|) for the suborbit O_b of b = base[1], one pair per
+    orbit O_c of G_{0,b} on the points an n-cycle can send b to after 0,
+    with p = t_0[b] o t_1[c'], c = min O_c and c' = t_0[b]^-1(c).
+
+    The elements sending 0 to b and b to c are p o G_{0,b}, which levels 2
+    and on of the chain list.  Conjugation by G_{0,b} moves c along O_c,
+    so N(0, b) is the sum of |O_c| N(0, b, min O_c) over the G_{0,b}-orbits
+    in t_0[b](O_b), and |O_b| N(0, b) is the suborbit's share of the
+    count.  c = 0 is left out: it closes the 2-cycle (0 b), and n > 2
+    here, since G_0 moves b.
+    """
+    b = G.base[1]
+    t0, t0_inv = G.transversals[0][b], G._inverses[0][b]
+    level1 = G.transversals[1]
+    return [(_compose(level1[t0_inv[orbit[0]]], t0), len(level1) * len(orbit))
+            for orbit in _orbits(G.degree, _stabilizer_gens(G, 1))
+            if orbit[0] and t0_inv[orbit[0]] in level1]
+
+
+def _weighted_count(G: PermGroup, weighted, level: int) -> int:
+    """The sum of w times the number of n-cycles among the rows
+    p o t_level[.] o ... of _slice_blocks, over the pairs (p, w).
+
+    The rows come in one block stream, prefix after prefix, each prefix
+    giving the product of the transversal sizes from level on, so row k
+    belongs to prefix k // that product.
+    """
+    import numpy as np   # at call time, as in the slice kernel
+    if not weighted:
+        return 0
+    per_prefix = prod(map(len, G.transversals[level:]))
+    found = np.zeros(len(weighted), dtype=np.int64)
     start = 0
     # map drops each block before the next is built: one block is live.
     for mask in map(_full_cycle_mask,
-                    _slice_blocks(G, [b for b, _ in suborbits])):
+                    _slice_blocks(G, [p for p, _ in weighted], level)):
         rows = start + np.flatnonzero(mask)
-        found += np.bincount(rows // per_slice, minlength=len(suborbits))
+        found += np.bincount(rows // per_prefix, minlength=len(weighted))
         start += len(mask)
-    return sum(size * int(k) for (_, size), k in zip(suborbits, found))
+    return sum(w * int(k) for (_, w), k in zip(weighted, found))
 
 
 # conjugacy ---------------------------------------------------------------
@@ -186,11 +246,13 @@ def n_cycle_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP
     import numpy as np   # at call time, as in the slice kernel
     class_count = theorem_verdict(G, cap).class_count
     reps: list[tuple[int, ...]] = []
+    top = _top_level(G)
     for b, _ in _suborbits(G):
         if len(reps) == class_count:
             break
-        cycles = np.concatenate([block[_full_cycle_mask(block)]
-                                 for block in _slice_blocks(G, [b])])
+        cycles = np.concatenate([
+            block[_full_cycle_mask(block)]
+            for block in _slice_blocks(G, [top[b]], 1)])
         cycles = cycles[np.lexsort(cycles.T[::-1])]
         for t in map(tuple, cycles.tolist()):
             if not any(_are_conjugate_raw(G, r, t) for r in reps):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog, census, density
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
-                           NotTransitiveError)
+                           NotTransitiveError, _decimal)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -185,6 +185,24 @@ def cmd_export_spec(args, out) -> int:
     return EXIT_OK
 
 
+class _NumberTooLong(Exception):
+    """An integer flag's digits run past the int() conversion limit.  Not a
+    ValueError, so argparse lets it through instead of printing a usage
+    error that quotes every digit; main prints it on one line."""
+
+
+def _int(text: str) -> int:
+    """int(text) for an integer flag, refusing a number too long to convert
+    with _NumberTooLong; every other bad value fails as int() does."""
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if digits.isdecimal():
+        _decimal(digits, _NumberTooLong)
+    return int(text)
+
+
+_int.__name__ = "int"   # argparse names the type in "invalid int value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycle-census",
@@ -194,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_group_flags(p):
         p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--k", type=int)
+        p.add_argument("--n", type=_int)
+        p.add_argument("--m", type=_int)
+        p.add_argument("--d", type=_int)
+        p.add_argument("--q", type=_int)
+        p.add_argument("--k", type=_int)
         p.add_argument("--inner")
         p.add_argument("--outer")
         p.add_argument("--spec-file")
 
     def add_common(p, default_format="text"):
-        p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+        p.add_argument("--cap", type=_int, default=DEFAULT_ELEMENT_CAP,
                        help="maximum group order for exhaustive enumeration")
         p.add_argument("--format", choices=("text", "json"),
                        default=default_format)
@@ -219,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an acceptance suite")
     p.add_argument("--suite", default="feit-jones")
-    p.add_argument("--instance-cap", type=int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--random-subgroups", type=int, default=200)
-    p.add_argument("--subgroup-order-cap", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=20240809)
+    p.add_argument("--instance-cap", type=_int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--random-subgroups", type=_int, default=200)
+    p.add_argument("--subgroup-order-cap", type=_int, default=100_000)
+    p.add_argument("--seed", type=_int, default=20240809)
     p.add_argument("--include-m23", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
@@ -230,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="prime-density experiment for a polynomial")
     p.add_argument("--poly", required=True,
                    help="integer or rational polynomial, e.g. x^6+x^3+1")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--floor", type=int, default=0,
+    p.add_argument("--bound", type=_int, required=True)
+    p.add_argument("--floor", type=_int, default=0,
                    help="ignore primes at or below this value")
     p.add_argument("--predict",
                    help="family code whose n-cycle fraction to attach "
                         "(c<N>, s<N>, a<N>, hol<N>, sharp<K>)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int, default=1,
                    help="processes to split the prime range over")
     add_common(p)
     p.set_defaults(func=cmd_density)
@@ -256,6 +274,9 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
+    except _NumberTooLong as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.func(args, out)
     except CapExceeded as exc:

@@ -475,50 +475,47 @@ def contains(G: PermGroup, p: Permutation) -> bool:
     return _contains_raw(G, p.images)
 
 
-def _slice_blocks(G: PermGroup, tops: Sequence[int]) -> Iterator[np.ndarray]:
-    """The coset slices of tops as int8 blocks of shape (rows, n).
+def _slice_blocks(G: PermGroup, prefixes: Sequence[tuple[int, ...]],
+                  level: int) -> Iterator[np.ndarray]:
+    """The rows p o t_level[.] o t_(level+1)[.] o ... for each prefix p in
+    turn, as int8 blocks of shape (rows, n).
 
-    The rows are the products t_0[b] o t_1[.] o ... of transversal
-    representatives in nested order: level 0 over tops in the given order,
-    each deeper level over its sorted orbit points, the deepest level
-    innermost.  Concatenated, the blocks are the slices of tops, slice
-    after slice, each of |G| / |orbit of base[0]| rows; with tops the
-    sorted first orbit they are G.  A group with no base yields its
-    identity.  The deepest levels are tabled into one array, level by level
-    upward while the next table stays within _SLICE_CELLS bytes: row
-    (beta, r) of T_j[:, table] is t_j[beta] applied after row r, so each
-    level stays outside those below it.  The table is intp because it is
-    the index of every gather, and numpy converts an index of any other
-    dtype to intp on each call: an int8 table would cost eight times its
-    size per block.  The upper levels are walked as prefix tuples
-    p = t_0[b] o t_1[.] o ..., b in tops, and each block is p[table] for
-    as many prefixes as fit in _SLICE_CELLS int8 cells (at least one).
-    Rows are int8, so callers refuse a degree above MAX_DEGREE.
+    Under each prefix the levels from level on run in nested order, each
+    over its sorted orbit points, the deepest innermost: one row per
+    element of the stabilizer those levels form.  Prefix t_0[b] from level
+    1 gives the coset slice of the elements sending base[0] to b; the
+    identity from level 0 gives G, and a group with no base its identity.
+    The deepest levels are tabled into one array, the deepest whatever its
+    size and each level above it while the table stays within
+    _SLICE_CELLS bytes: row (beta, r) of T_j[:, table] is
+    t_j[beta] applied after row r, so each level stays outside those below
+    it.  The table is intp because it is the index of every gather, and
+    numpy converts an index of any other dtype to intp on each call: an
+    int8 table would cost eight times its size per block.  The levels
+    above the table are walked under each prefix as tuples
+    p o t_level[.] o ..., and each block is q[table] for as many of these
+    tuples q as fit in _SLICE_CELLS int8 cells (at least one).  Rows are
+    int8, so callers refuse a degree above MAX_DEGREE.
     """
     import numpy as np   # at call time: see _SLICE_CELLS
     n = G.degree
-    if not G.base:
-        yield np.arange(n, dtype=np.int8)[None]
-        return
-    levels = [[G.transversals[0][b] for b in tops]]
-    levels += [[tr[beta] for beta in sorted(tr)] for tr in G.transversals[1:]]
-    top = len(levels) - 1
-    table = np.array(levels[top], dtype=np.intp)
-    while top > 0 and len(levels[top - 1]) * table.nbytes <= _SLICE_CELLS:
-        top -= 1
-        table = np.take(np.array(levels[top], dtype=np.intp), table,
+    levels = [[tr[beta] for beta in sorted(tr)] for tr in G.transversals[level:]]
+    table = np.arange(n, dtype=np.intp)[None]
+    while levels and (len(table) == 1
+                      or len(levels[-1]) * table.nbytes <= _SLICE_CELLS):
+        table = np.take(np.array(levels.pop(), dtype=np.intp), table,
                         axis=1).reshape(-1, n)
     per_block = max(1, _SLICE_CELLS // table.size)
 
-    def prefixes(level: int, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if level == top:
+    def walk(depth: int, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if depth == len(levels):
             yield p
             return
-        for rep in levels[level]:
-            yield from prefixes(level + 1, _compose(rep, p))
+        for rep in levels[depth]:
+            yield from walk(depth + 1, _compose(rep, p))
 
-    walk = prefixes(0, tuple(range(n)))
-    while batch := list(islice(walk, per_block)):
+    rows = (q for p in prefixes for q in walk(0, p))
+    while batch := list(islice(rows, per_block)):
         yield np.take(np.array(batch, dtype=np.int8), table,
                       axis=1).reshape(-1, n)
 
@@ -533,17 +530,20 @@ def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[P
     if G.order > cap:
         raise CapExceeded(G.order, cap)
     _check_degree(G.degree)
-    tops = sorted(G.transversals[0]) if G.base else []
-    return (Permutation(tuple(row)) for block in _slice_blocks(G, tops)
+    return (Permutation(tuple(row))
+            for block in _slice_blocks(G, [tuple(range(G.degree))], 0)
             for row in block.tolist())
 
 
-def _stabilizer_gens(G: PermGroup) -> list[tuple[int, ...]]:
-    """Generators of the stabilizer of base[0]: the strong generators
-    whose smallest moved point lies above base[0] (G fixes every point
-    below it, so they generate the pointwise stabilizer of 0..base[0]).
-    That is G_0 for transitive G of degree > 1, whose base[0] is 0."""
-    return [g for g, _, first in G._strong if first > G.base[0]]
+def _stabilizer_gens(G: PermGroup, level: int = 0) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of base[0], ..., base[level]: the strong
+    generators whose smallest moved point lies above base[level].  Each
+    base point is the smallest point its stabilizer moves, so the
+    stabilizer of the earlier base points fixes every point below
+    base[level], and these generate the pointwise stabilizer of
+    0..base[level].  For transitive G of degree > 1, level 0 gives G_0
+    and level 1 gives G_{0,b}, b = base[1]."""
+    return [g for g, _, first in G._strong if first > G.base[level]]
 
 
 def _suborbits(G: PermGroup) -> list[tuple[int, int]]:

@@ -379,3 +379,24 @@ def test_every_listed_family_instance_contains_an_n_cycle(m11, psl2_11, pgl32):
     ]
     for G in instances:
         assert any(p.is_n_cycle() for p in iterate_elements(G, 10 ** 5)), G
+
+
+class TestStandardInstances:
+    def test_one_chain_build_per_instance(self, monkeypatch):
+        """A duplicate elementary group (hol2, s2, a3) is dropped before any
+        chain is built, and each pgammal extends the pgl built before it."""
+        builds = []
+        original = catalog.group_from_generators
+
+        def counting(degree, gens, **kwargs):
+            builds.append(degree)
+            return original(degree, gens, **kwargs)
+        monkeypatch.setattr(catalog, "group_from_generators", counting)
+        for include_m23, count in ((False, 221), (True, 222)):
+            builds.clear()
+            instances = catalog.standard_instances(include_m23=include_m23)
+            assert len(instances) == len(builds) == count
+            assert [G.degree for _, G in instances] == builds
+        names = [name for name, _ in instances]
+        assert not {"hol2", "s2", "a3"} & set(names)
+        assert names.index("pgammal(2,8)") == names.index("pgl(2,8)") + 1

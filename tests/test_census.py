@@ -15,7 +15,8 @@ from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  theorem_verdict, validate_report)
 from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        NotTransitiveError, Permutation,
-                                       contains, group_from_generators,
+                                       _is_full_cycle, contains,
+                                       group_from_generators,
                                        is_transitive, iterate_elements,
                                        parse_permutation, random_element)
 
@@ -481,11 +482,30 @@ class TestSweepRandomPhase:
         assert all(r.status == "ok" for r in random_rows)
 
 
+def _random_subgroups(count):
+    """The seeded random transitive subgroups of order <= 10^5 that
+    TestSuborbitCensusAgainstEnumeration checks."""
+    rng = random.Random(20240809)
+    parents = [G for _, G in catalog_instances()]
+    groups = []
+    while len(groups) < count:
+        parent = parents[rng.randrange(len(parents))]
+        H = group_from_generators(
+            parent.degree,
+            [random_element(parent, rng), random_element(parent, rng)])
+        if H.order <= 10 ** 5 and is_transitive(H):
+            groups.append(H)
+    return groups
+
+
 class TestSuborbitCensusAgainstEnumeration:
     """The census counts one coset slice per G_0-orbit; the oracle enumerates
     all of G and partitions the n-cycles by breadth-first conjugation.  The
     count is also taken with the slice kernel's block budget at 64 cells,
-    where most blocks hold a single prefix."""
+    where most blocks hold a single prefix, and where every group of order
+    above 64 counts the suborbit of base[1] at depth 2, one coset of
+    G_{0,b} per G_{0,b}-orbit, whenever that lists fewer cosets than the
+    suborbit has points."""
 
     @staticmethod
     def _mismatch(G):
@@ -518,17 +538,7 @@ class TestSuborbitCensusAgainstEnumeration:
         assert checked == 179
 
     def test_random_subgroups(self):
-        rng = random.Random(20240809)
-        parents = [G for _, G in catalog_instances()]
-        checked = 0
-        while checked < 40:
-            parent = parents[rng.randrange(len(parents))]
-            H = group_from_generators(
-                parent.degree,
-                [random_element(parent, rng), random_element(parent, rng)])
-            if H.order > 10 ** 5 or not is_transitive(H):
-                continue
-            checked += 1
+        for H in _random_subgroups(40):
             assert self._mismatch(H) is None, H.generators
 
     def test_degree_one(self):
@@ -553,6 +563,50 @@ def _rows_digest(rows):
                          r.report.to_json_dict() if r.report else None])
              for r in rows]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestSecondLevelCosets:
+    """The depth-2 count of the suborbit of b = base[1], taken whatever the
+    group's size, against the n-cycles of its depth-1 slice _iter_raw(G, [b])
+    weighted by |O_b|, on the catalog instances of order <= 2*10^5, the
+    random subgroups and M23.  Groups with no base[1] (regular groups and
+    degree 1) have no depth 2."""
+
+    @staticmethod
+    def _check(G):
+        b = G.base[1]
+        deep = census._weighted_count(G, census._second_level_cosets(G), 2)
+        slice_ = sum(map(_is_full_cycle, _iter_raw(G, [b])))
+        return deep == len(G.transversals[1]) * slice_
+
+    def test_catalog_instances(self):
+        groups = [(name, G) for name, G in catalog_instances()
+                  if G.order <= 200_000 and len(G.base) > 1]
+        assert len(groups) == 155   # of 179
+        assert [name for name, G in groups if not self._check(G)] == []
+
+    def test_random_subgroups(self):
+        groups = [H for H in _random_subgroups(40) if len(H.base) > 1]
+        assert len(groups) == 31
+        assert [H.generators for H in groups if not self._check(H)] == []
+
+    def test_m23(self):
+        """G_{0,1} is M21, transitive on the 21 points other than 0 and 1:
+        one coset of |M21| = 20 160 elements."""
+        G = catalog.load_named("m23")
+        assert [w for _, w in census._second_level_cosets(G)] == [22 * 21]
+        assert self._check(G)
+
+    def test_m23_census_lists_one_coset(self, monkeypatch):
+        rows = []
+        original = census._full_cycle_mask
+
+        def counting(block):
+            rows.append(len(block))
+            return original(block)
+        monkeypatch.setattr(census, "_full_cycle_mask", counting)
+        assert theorem_verdict(catalog.load_named("m23")).n_cycle_count == 887_040
+        assert sum(rows) == 20_160
 
 
 class TestSweepRowsArePinned:

@@ -186,6 +186,23 @@ class TestChainRecord:
                 G.degree, [identity] + [Permutation(g) for g in gens])
             assert stabilizer.order == G.order // len(G.transversals[0]), label
 
+    def test_second_level_generators_generate_its_stabilizer(self, groups):
+        """The strong generators moving only points above base[1] generate
+        the stabilizer of base[0] and base[1], of order |G| over the first
+        two transversal sizes: |G| / (n |O_b|) for transitive G, the
+        group whose cosets a depth-2 count lists."""
+        checked = 0
+        for label, G in groups:
+            if len(G.base) < 2:
+                continue
+            checked += 1
+            gens = [Permutation(g) for g in _stabilizer_gens(G, 1)]
+            stabilizer = group_from_generators(
+                G.degree, [Permutation.identity(G.degree)] + gens)
+            assert stabilizer.order == G.order // (
+                len(G.transversals[0]) * len(G.transversals[1])), label
+        assert checked == 464   # of 541; the rest have one base point or none
+
     def test_membership_agrees_with_the_inverting_sift(self, groups):
         """Seeded random members, and each times a transposition, which
         may or may not lie in G."""

@@ -252,6 +252,10 @@ class TestModuleEntryPoints:
         ["census", "--family", "pgl", "--d", "200000000", "--q", "2"],
         ["census", "--family", "sharpness", "--k", "10000"],
         ["census", "--family", "cyclic", "--n", "9" * 300],
+        # an integer flag too long to convert, which argparse would quote in
+        # full below its usage block
+        ["census", "--family", "cyclic", "--n", "9" * 5000],
+        ["verify", "--seed", "9" * 5000],
     ])
     def test_bad_input_is_one_error_line(self, argv):
         done = self.run_module("cycle_census", argv)
@@ -262,6 +266,14 @@ class TestModuleEntryPoints:
         assert len(done.stderr) < 200
         assert "Traceback" not in done.stderr
         assert "Exceeds the limit" not in done.stderr
+
+    def test_other_bad_integers_keep_the_usage_error(self, capsys):
+        code, _ = run(["census", "--family", "cyclic", "--n", "abc"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage: cycle-census census")
+        assert err.endswith("cycle-census census: error: argument --n: "
+                            "invalid int value: 'abc'\n")
 
     @pytest.mark.parametrize("module", ["cycle_census", "cycle_census.cli"])
     def test_census_prints_what_main_prints(self, module):

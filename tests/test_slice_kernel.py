@@ -42,6 +42,13 @@ def _top_points(G):
     return sorted(G.transversals[0]) if G.base else [0]
 
 
+def _slices(G, tops):
+    """The coset slices of the points tops: the rows t_0[b] o (levels >= 1)
+    for each b in tops (the identity for a group with no base)."""
+    top = G.transversals[0] if G.base else {0: tuple(range(G.degree))}
+    return _slice_blocks(G, [top[b] for b in tops], 1)
+
+
 class TestBlocks:
     def test_blocks_follow_iter_raw(self, cells):
         """Every slice of every catalog instance of order <= 10^4 and of the
@@ -59,7 +66,7 @@ class TestBlocks:
             minima = [b for b, _ in _suborbits(G)]
             multi += len(minima) > 1
             for tops in [[b] for b in _top_points(G)] + [minima]:
-                blocks = list(_slice_blocks(G, tops))
+                blocks = list(_slices(G, tops))
                 assert all(block.dtype == np.int8 and block.shape[1] == n
                            and block.size <= max(cells, n * n)
                            for block in blocks), (name, tops)
@@ -82,7 +89,7 @@ class TestBlocks:
         elements = _iter_raw(G, [1])
         blocks = 0
         n_cycles = 0
-        for block in _slice_blocks(G, [1]):
+        for block in _slices(G, [1]):
             assert block.size <= permutations._SLICE_CELLS
             expected = list(islice(elements, len(block)))
             assert block.tolist() == [list(t) for t in expected]
@@ -110,7 +117,7 @@ class TestBlocks:
             for stream in [[b] for b in tops] + [tops]:
                 tracemalloc.start()
                 try:
-                    for _ in _slice_blocks(G, stream):
+                    for _ in _slices(G, stream):
                         pass
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
