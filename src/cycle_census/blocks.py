@@ -1,13 +1,14 @@
 """Imprimitivity machinery: block systems, block actions, solvability.
 
 Block systems are G-invariant partitions of the points into r blocks of
-equal size s.  Minimal systems are found by the classic union-find
-closure of a point pair, once per orbit of the point stabilizer G_0,
-pairing 0 with the least point of the orbit.  The block constituent is
-read for the block through 0 only, off the stabilizer chain: G is
-transitive, so every other block's constituent is conjugate to it in
-S_s.  No function here enumerates the group; the derived series closes
-commutators of generator pairs under conjugation until the order
+equal size s, read off the stabilizer chain: the blocks through 0 are
+the orbits of 0 under the subgroups containing G_0 (Dixon & Mortimer,
+Thm 1.5A), so the least block through 0 and b is the orbit of 0 under
+<G_0, t_0[b]>, and its images under the level-0 representatives t_0[x]
+are its system.  The block constituent is read for the block through 0
+only: G is transitive, so every other block's constituent is conjugate
+to it in S_s.  No function here enumerates the group; the derived series
+closes commutators of generator pairs under conjugation until the order
 stabilizes.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .permutations import (NotTransitiveError, PermGroup, Permutation,
                            _compose, _conjugate, _contains_raw, _inverse,
-                           _stabilizer_gens, _suborbits,
+                           _orbits, _stabilizer_gens, _suborbits,
                            group_from_generators, is_transitive)
 
 
@@ -57,11 +58,24 @@ class BlockSystem:
         return idx
 
 
+def _block_through_0(G: PermGroup, b: int) -> frozenset[int]:
+    """The least block through 0 and b: the orbit of 0 under <G_0, t_0[b]>."""
+    return frozenset(_orbits(G.degree, _stabilizer_gens(G) + [G.transversals[0][b]])[0])
+
+
+def _system(G: PermGroup, block: frozenset[int]) -> BlockSystem:
+    """The system of a block through 0: its images t_0[x](block), each
+    sorted, in order of their least points."""
+    images = {tuple(sorted(t[y] for y in block)) for t in G.transversals[0].values()}
+    return BlockSystem(degree=G.degree, blocks=tuple(sorted(images)))
+
+
 def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None:
     """The finest G-invariant partition with a and b in one block.
 
     Returns None when that partition is the one-block partition (the pair
-    generates no proper block).  Union-find closure over the pair orbit.
+    generates no proper block).  G is transitive, so base[0] = 0 and
+    G._inverses[0] is the level of point 0: t_0[a]^-1 maps a, b to 0, b'.
     """
     if not is_transitive(G):
         raise NotTransitiveError("block systems are defined for transitive groups")
@@ -70,43 +84,8 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
         raise ValueError(f"points must lie in 0..{n - 1}, got {a} and {b}")
     if a == b:
         raise ValueError("points must be distinct")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)   # a root is its class's least point
-        return True
-
-    raw = G.raw_generators()
-    queue = [(a, b)]
-    union(a, b)
-    while queue:
-        u, v = queue.pop()
-        for g in raw:
-            x, y = g[u], g[v]
-            if union(x, y):
-                queue.append((x, y))
-    # points in increasing order: each block comes sorted, and the blocks
-    # come in order of their least points, their roots
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    if len(blocks) == 1:
-        return None
-    return BlockSystem(degree=n, blocks=tuple(map(tuple, blocks.values())))
-
-
-def _refines(finer: BlockSystem, coarser: BlockSystem) -> bool:
-    idx = coarser.block_index()
-    return all(len({idx[x] for x in block}) == 1 for block in finer.blocks)
+    block = _block_through_0(G, G._inverses[0][a][b])
+    return None if len(block) == n else _system(G, block)
 
 
 def all_minimal_block_systems(G: PermGroup) -> tuple[BlockSystem, ...]:
@@ -114,18 +93,18 @@ def all_minimal_block_systems(G: PermGroup) -> tuple[BlockSystem, ...]:
 
     A minimal system is the finest one joining 0 to some other point b of
     its block.  That system is the same for b and g(b), for g in G_0: g
-    fixes 0 and maps every G-invariant partition to itself.  So one
-    closure of {0, min O} per G_0-orbit O finds every candidate.
+    fixes 0 and maps every G-invariant partition to itself.  So one block
+    through 0 and min O per G_0-orbit O finds every candidate.  A system
+    is fixed by its block through 0, so it refines another exactly when
+    its block lies inside the other's.
     """
     if not is_transitive(G):
         raise NotTransitiveError("block systems are defined for transitive groups")
     # b is 0 only at degree 1, which has no other point
-    closures = (minimal_block_containing(G, 0, b) for b, _ in _suborbits(G) if b)
-    candidates = {system.blocks: system for system in closures if system}
-    # a system refined by another of the same block size is that system
-    minimal = [system for system in candidates.values()
-               if not any(other.s < system.s and _refines(other, system)
-                          for other in candidates.values())]
+    candidates = {_block_through_0(G, b) for b, _ in _suborbits(G) if b}
+    candidates.discard(frozenset(range(G.degree)))
+    minimal = [_system(G, block) for block in candidates
+               if not any(other < block for other in candidates)]
     return tuple(sorted(minimal, key=lambda s: (s.s, s.blocks)))
 
 

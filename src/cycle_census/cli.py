@@ -191,16 +191,17 @@ class _NumberTooLong(Exception):
     error that quotes every digit; main prints it on one line."""
 
 
-def _int(text: str) -> int:
-    """int(text) for an integer flag, refusing a number too long to convert
-    with _NumberTooLong; every other bad value fails as int() does."""
-    digits = text.strip().lstrip("+-").replace("_", "")
-    if digits.isdecimal():
-        _decimal(digits, _NumberTooLong)
-    return int(text)
-
-
-_int.__name__ = "int"   # argparse names the type in "invalid int value"
+def _add_int(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add an integer flag, read by int(text) but refusing a number too long
+    to convert with a _NumberTooLong that names the flag; every other bad
+    value fails as int() does."""
+    def convert(text: str) -> int:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if digits.isdecimal():
+            _decimal(digits, lambda why: _NumberTooLong(f"argument {flag}: {why}"))
+        return int(text)
+    convert.__name__ = "int"   # argparse names the type in "invalid int value"
+    parser.add_argument(flag, type=convert, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,18 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_group_flags(p):
         p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--n", type=_int)
-        p.add_argument("--m", type=_int)
-        p.add_argument("--d", type=_int)
-        p.add_argument("--q", type=_int)
-        p.add_argument("--k", type=_int)
+        _add_int(p, "--n")
+        _add_int(p, "--m")
+        _add_int(p, "--d")
+        _add_int(p, "--q")
+        _add_int(p, "--k")
         p.add_argument("--inner")
         p.add_argument("--outer")
         p.add_argument("--spec-file")
 
     def add_common(p, default_format="text"):
-        p.add_argument("--cap", type=_int, default=DEFAULT_ELEMENT_CAP,
-                       help="maximum group order for exhaustive enumeration")
+        _add_int(p, "--cap", default=DEFAULT_ELEMENT_CAP,
+                 help="maximum group order for exhaustive enumeration")
         p.add_argument("--format", choices=("text", "json"),
                        default=default_format)
 
@@ -237,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an acceptance suite")
     p.add_argument("--suite", default="feit-jones")
-    p.add_argument("--instance-cap", type=_int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--random-subgroups", type=_int, default=200)
-    p.add_argument("--subgroup-order-cap", type=_int, default=100_000)
-    p.add_argument("--seed", type=_int, default=20240809)
+    _add_int(p, "--instance-cap", default=DEFAULT_ELEMENT_CAP)
+    _add_int(p, "--random-subgroups", default=200)
+    _add_int(p, "--subgroup-order-cap", default=100_000)
+    _add_int(p, "--seed", default=20240809)
     p.add_argument("--include-m23", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
@@ -248,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="prime-density experiment for a polynomial")
     p.add_argument("--poly", required=True,
                    help="integer or rational polynomial, e.g. x^6+x^3+1")
-    p.add_argument("--bound", type=_int, required=True)
-    p.add_argument("--floor", type=_int, default=0,
-                   help="ignore primes at or below this value")
+    _add_int(p, "--bound", required=True)
+    _add_int(p, "--floor", default=0,
+             help="ignore primes at or below this value")
     p.add_argument("--predict",
                    help="family code whose n-cycle fraction to attach "
                         "(c<N>, s<N>, a<N>, hol<N>, sharp<K>)")
-    p.add_argument("--workers", type=_int, default=1,
-                   help="processes to split the prime range over")
+    _add_int(p, "--workers", default=1,
+             help="processes to split the prime range over")
     add_common(p)
     p.set_defaults(func=cmd_density)
 

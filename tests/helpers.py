@@ -9,7 +9,9 @@ every relabeling of a cycle) and shares no code with the paths it checks,
 apart from the chain builder under the normal-closure oracle (the builder
 is checked against build_chain here) and the membership sift under the
 normal-closure and normalizer oracles.  catalog_instances builds the
-standard catalog once for the tests that only read it.
+standard catalog once for the tests that only read it, random_subgroups
+the seeded random subgroups, and m23_slice walks M23's one depth-1 slice
+once.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 
-from cycle_census.catalog import standard_instances
+import numpy as np
+
+from cycle_census.catalog import load_named, standard_instances
 from cycle_census.permutations import (Permutation, _contains_raw,
-                                       _is_full_cycle, group_from_generators)
+                                       _is_full_cycle, group_from_generators,
+                                       is_transitive, random_element)
 
 
 @functools.cache
@@ -29,6 +35,23 @@ def catalog_instances():
     is bound here at import, so a test that monkeypatches
     catalog.standard_instances cannot leave its fake in the cache."""
     return tuple(standard_instances())
+
+
+@functools.cache
+def random_subgroups(count):
+    """The first count seeded random transitive subgroups of order <= 10^5
+    of the catalog instances, each generated by two random elements."""
+    rng = random.Random(20240809)
+    parents = [G for _, G in catalog_instances()]
+    groups = []
+    while len(groups) < count:
+        parent = parents[rng.randrange(len(parents))]
+        H = group_from_generators(
+            parent.degree,
+            [random_element(parent, rng), random_element(parent, rng)])
+        if H.order <= 10 ** 5 and is_transitive(H):
+            groups.append(H)
+    return tuple(groups)
 
 
 def compose(p, q):
@@ -243,6 +266,23 @@ def _iter_raw(G, top_points=None):
             yield from rec(level + 1, compose(tr[beta], suffix))
 
     yield from rec(0, identity)
+
+
+@functools.cache
+def m23_slice():
+    """The 443 520 elements _iter_raw(M23, [1]) as int8 rows, and whether
+    each is an n-cycle by _is_full_cycle: the one depth-1 slice of M23,
+    walked once for the tests that read it."""
+    G = load_named("m23")
+    full = []
+
+    def rows():
+        for t in _iter_raw(G, [1]):
+            full.append(_is_full_cycle(t))
+            yield t
+    table = np.fromiter(rows(), dtype=np.dtype((np.int8, G.degree)),
+                        count=G.order // G.degree)
+    return table, np.array(full)
 
 
 # block constituents by full enumeration -----------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
 import helpers
 from helpers import (all_partners_minimal_systems, block_kernel_order,
                      catalog_instances, constituent_elements,
-                     minimal_invariant_partitions)
+                     finest_partition_joining, minimal_invariant_partitions,
+                     random_subgroups)
 
 
 class TestMinimalBlockContaining:
@@ -52,6 +54,22 @@ class TestMinimalBlockContaining:
             minimal_block_containing(C6, 0, b)
         with pytest.raises(ValueError, match=r"0\.\.5"):
             minimal_block_containing(C6, b, 0)
+
+    def test_every_ordered_pair_matches_the_merging_closure(self):
+        """minimal_block_containing(G, a, b) first carries a to 0 by the
+        inverse of a level-0 representative: every ordered pair, a != 0
+        included, against the oracle's merging closure of a and b, on the
+        catalog instances of degree <= 12 and the seeded random subgroups."""
+        groups = [G for _, G in catalog_instances() if G.degree <= 12]
+        groups += random_subgroups(40)
+        assert len(groups) == 147
+        for G in groups:
+            n, raw = G.degree, G.raw_generators()
+            for a, b in itertools.permutations(range(n), 2):
+                system = minimal_block_containing(G, a, b)
+                got = system.blocks if system else (tuple(range(n)),)
+                assert got == finest_partition_joining(n, raw, a, b), (
+                    G.generators, a, b)
 
     def test_invariance_of_returned_systems(self):
         for G in (catalog.cyclic_regular(12), catalog.holomorph_cyclic(9),

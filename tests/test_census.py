@@ -21,8 +21,9 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        parse_permutation, random_element)
 
 from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
-                     conjugacy_orbits, naive_closure,
-                     normalizer_order_by_relabeling, wreath_n_cycle_count)
+                     conjugacy_orbits, m23_slice, naive_closure,
+                     normalizer_order_by_relabeling, random_subgroups,
+                     wreath_n_cycle_count)
 
 
 class TestEulerPhi:
@@ -482,22 +483,6 @@ class TestSweepRandomPhase:
         assert all(r.status == "ok" for r in random_rows)
 
 
-def _random_subgroups(count):
-    """The seeded random transitive subgroups of order <= 10^5 that
-    TestSuborbitCensusAgainstEnumeration checks."""
-    rng = random.Random(20240809)
-    parents = [G for _, G in catalog_instances()]
-    groups = []
-    while len(groups) < count:
-        parent = parents[rng.randrange(len(parents))]
-        H = group_from_generators(
-            parent.degree,
-            [random_element(parent, rng), random_element(parent, rng)])
-        if H.order <= 10 ** 5 and is_transitive(H):
-            groups.append(H)
-    return groups
-
-
 class TestSuborbitCensusAgainstEnumeration:
     """The census counts one coset slice per G_0-orbit; the oracle enumerates
     all of G and partitions the n-cycles by breadth-first conjugation.  The
@@ -538,7 +523,7 @@ class TestSuborbitCensusAgainstEnumeration:
         assert checked == 179
 
     def test_random_subgroups(self):
-        for H in _random_subgroups(40):
+        for H in random_subgroups(40):
             assert self._mismatch(H) is None, H.generators
 
     def test_degree_one(self):
@@ -573,10 +558,12 @@ class TestSecondLevelCosets:
     degree 1) have no depth 2."""
 
     @staticmethod
-    def _check(G):
+    def _check(G, slice_=None):
+        """slice_, when given, is the n-cycle count of _iter_raw(G, [b])."""
         b = G.base[1]
         deep = census._weighted_count(G, census._second_level_cosets(G), 2)
-        slice_ = sum(map(_is_full_cycle, _iter_raw(G, [b])))
+        if slice_ is None:
+            slice_ = sum(map(_is_full_cycle, _iter_raw(G, [b])))
         return deep == len(G.transversals[1]) * slice_
 
     def test_catalog_instances(self):
@@ -586,7 +573,7 @@ class TestSecondLevelCosets:
         assert [name for name, G in groups if not self._check(G)] == []
 
     def test_random_subgroups(self):
-        groups = [H for H in _random_subgroups(40) if len(H.base) > 1]
+        groups = [H for H in random_subgroups(40) if len(H.base) > 1]
         assert len(groups) == 31
         assert [H.generators for H in groups if not self._check(H)] == []
 
@@ -595,7 +582,8 @@ class TestSecondLevelCosets:
         one coset of |M21| = 20 160 elements."""
         G = catalog.load_named("m23")
         assert [w for _, w in census._second_level_cosets(G)] == [22 * 21]
-        assert self._check(G)
+        assert G.base[1] == 1   # m23_slice() is _iter_raw(G, [1])
+        assert self._check(G, int(m23_slice()[1].sum()))
 
     def test_m23_census_lists_one_coset(self, monkeypatch):
         rows = []

@@ -253,7 +253,7 @@ class TestModuleEntryPoints:
         ["census", "--family", "sharpness", "--k", "10000"],
         ["census", "--family", "cyclic", "--n", "9" * 300],
         # an integer flag too long to convert, which argparse would quote in
-        # full below its usage block
+        # full below its usage block; the error names the flag
         ["census", "--family", "cyclic", "--n", "9" * 5000],
         ["verify", "--seed", "9" * 5000],
     ])
@@ -266,6 +266,8 @@ class TestModuleEntryPoints:
         assert len(done.stderr) < 200
         assert "Traceback" not in done.stderr
         assert "Exceeds the limit" not in done.stderr
+        if argv[-1] == "9" * 5000:
+            assert done.stderr.startswith(f"error: argument {argv[-2]}: ")
 
     def test_other_bad_integers_keep_the_usage_error(self, capsys):
         code, _ = run(["census", "--family", "cyclic", "--n", "abc"])

@@ -9,7 +9,6 @@ chain splits into table and prefix levels near its bottom.
 """
 
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from cycle_census.permutations import (Permutation, _full_cycle_mask,
                                        group_from_generators,
                                        iterate_elements)
 
-from helpers import _iter_raw, catalog_instances, collect_n_cycles
+from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
+                     m23_slice)
 
 EDGE_DEGREES = {
     "c1": catalog.cyclic_regular(1),
@@ -86,18 +86,20 @@ class TestBlocks:
         _is_full_cycle row by row."""
         G = catalog.load_named("m23")
         assert _suborbits(G) == [(1, 22)]
-        elements = _iter_raw(G, [1])
+        elements, full = m23_slice()
+        start = 0
         blocks = 0
         n_cycles = 0
         for block in _slices(G, [1]):
             assert block.size <= permutations._SLICE_CELLS
-            expected = list(islice(elements, len(block)))
-            assert block.tolist() == [list(t) for t in expected]
+            stop = start + len(block)
+            assert np.array_equal(block, elements[start:stop])
             mask = _full_cycle_mask(block)
-            assert mask.tolist() == list(map(_is_full_cycle, expected))
+            assert np.array_equal(mask, full[start:stop])
+            start = stop
             blocks += 1
             n_cycles += int(mask.sum())
-        assert next(elements, None) is None
+        assert start == len(elements)
         assert blocks > 1
         assert n_cycles * 22 == 887_040
 
