@@ -143,14 +143,8 @@ def projective_points(field: FqField, d: int) -> list[tuple[int, ...]]:
     lexicographic order of their coordinate vectors (field elements
     ordered by their integer encoding).
     """
-    pts = []
-    for vec in itertools.product(field.elements(), repeat=d):
-        for c in vec:
-            if c != 0:
-                if c == 1:
-                    pts.append(vec)
-                break
-    return pts
+    return [vec for vec in itertools.product(field.elements(), repeat=d)
+            if next((c for c in vec if c != 0), 0) == 1]
 
 
 def _normalize_point(field: FqField, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -286,10 +280,8 @@ def duality_extension(d: int, q: int) -> PermGroup:
     field, points, index = _projective_space(d, q)
     n = len(points)
 
-    hyperplane_sets = []
-    for w in points:
-        member = frozenset(i for i, v in enumerate(points) if _dot(field, w, v) == 0)
-        hyperplane_sets.append(member)
+    hyperplane_sets = [frozenset(i for i, v in enumerate(points)
+                                 if _dot(field, w, v) == 0) for w in points]
     set_index = {s: j for j, s in enumerate(hyperplane_sets)}
 
     def paired(point_perm: Permutation) -> Permutation:
@@ -433,14 +425,9 @@ def load_named(name: str) -> PermGroup:
 
 def write_group_spec(group: PermGroup, name: str, comment: str = "") -> str:
     """Render a group in the group-spec format, with its order annotation."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}".rstrip())
-    lines.append(f"# expected_order {group.order}")
-    lines.append(f"degree {group.degree}")
-    for g in group.generators:
-        lines.append(f"gen {format_cycles(g)}")
+    lines = [f"# {part}".rstrip() for part in comment.splitlines()]
+    lines += [f"# expected_order {group.order}", f"degree {group.degree}"]
+    lines += [f"gen {format_cycles(g)}" for g in group.generators]
     return "\n".join(lines) + "\n"
 
 

@@ -9,15 +9,14 @@ certificate for the wreath-like block structure.
 
 The count visits one coset slice per orbit of the point stabilizer G_0,
 not the whole group: the number N(0, b) of n-cycles sending 0 to b is
-constant on each G_0-orbit, and the slice of elements sending 0 to b has
-|G|/n elements.  One level deeper, the number N(0, b, c) of n-cycles
+constant on each G_0-orbit O_b, and the slice of elements sending 0 to b
+has |G|/n elements.  One level deeper, the number N(0, b, c) of n-cycles
 sending 0 to b and b to c is constant on each orbit of G_{0,b}, and the
-elements doing so form one coset of G_{0,b}.  For b = base[1] the
-census's own chain holds G_{0,b} (its strong generators above b, and its
-levels from 2 on), so that suborbit is counted at depth 2, one coset per
-G_{0,b}-orbit, when its slice spans more than one block and the cosets
-are fewer than the points of its G_0-orbit (Sims's orbit weighting in
-backtrack search; Seress, Permutation Group Algorithms, 2003, ch. 9).
+elements doing so form one coset of G_{0,b}.  Every suborbit is counted
+there, one coset per G_{0,b}-orbit, when its slice spans more than one
+block and the cosets are fewer than |O_b| (Sims's orbit weighting;
+Seress, Permutation Group Algorithms, 2003, ch. 9), in G relabelled by
+the transposition (base[1] b), whose chain holds G_{0,b} (Seress 5.4).
 M23 lists one coset of 20 160 elements instead of a slice of 443 520.
 The n-cycles are counted, never stored.  The class count then follows
 from the class-size identity |class| = |G|/n, since the centralizer of an
@@ -59,8 +58,8 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _check_degree, _compose, _contains_raw, _cycle,
-                           _full_cycle_mask, _orbits, _slice_blocks,
+                           _check_degree, _compose, _conjugate, _contains_raw,
+                           _cycle, _full_cycle_mask, _orbits, _slice_blocks,
                            _stabilizer_gens, _suborbits, group_from_generators,
                            is_transitive, random_element)
 
@@ -129,13 +128,12 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """Exact n-cycle count, summed over one coset per orbit of a stabilizer.
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
-    orbit O of G_0 (conjugation by G_0 moves the image of 0 along O), so
-    the count is the sum of |O| * N(0, min O), each N(0, b) read off the
-    slice of |G|/n elements sending 0 to b.  The suborbit of b = base[1]
-    goes one level deeper when its slice spans more than one block
-    (|G| > _SLICE_CELLS) and _second_level_cosets splits it into fewer
-    cosets than |O_b|: each coset has |G|/(n |O_b|) elements, so fewer
-    are listed.  Refused when |G| exceeds the cap or the degree exceeds
+    orbit O_b of G_0, so the count is the sum of |O_b| N(0, b) over b =
+    min O_b.  Each suborbit takes one rule: its share is read off the
+    _second_level_cosets of G relabelled by (base[1] b), each of
+    |G|/(n |O_b|) elements, when |O_b| > 1, |G| > _SLICE_CELLS and they
+    are fewer than |O_b|, and off the slice of |G|/n elements sending 0 to
+    b otherwise.  Refused when |G| exceeds the cap or the degree exceeds
     64.  Every census entry point is a view over this pass.
     """
     if not is_transitive(G):
@@ -144,15 +142,28 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         raise CapExceeded(G.order, cap)
     _check_degree(G.degree)
     top = _top_level(G)
-    suborbits = _suborbits(G)
-    deep = []
-    if len(G.base) > 1 and G.order > permutations._SLICE_CELLS:
-        cosets = _second_level_cosets(G)
-        if len(cosets) < len(G.transversals[1]):
-            deep = cosets
-            suborbits = [(b, size) for b, size in suborbits if b != G.base[1]]
-    return (_weighted_count(G, [(top[b], size) for b, size in suborbits], 1)
-            + _weighted_count(G, deep, 2))
+    count, shallow = 0, []
+    for b, size in _suborbits(G):
+        if size > 1 and G.order > permutations._SLICE_CELLS:
+            H = _relabelled(G, b)
+            cosets = _second_level_cosets(H)
+            if len(cosets) < size:
+                count += _weighted_count(H, cosets, 2)
+                continue
+        shallow.append((top[b], size))
+    return count + _weighted_count(G, shallow, 1)
+
+
+def _relabelled(G: PermGroup, b: int) -> PermGroup:
+    """G conjugated by tau = (base[1] b), b moved by G_0; G for b = base[1].
+    tau fixes 0 and the points below base[1] (G_0 fixes them; b lies above),
+    so H.base[1] = base[1] and H's level 1 is tau(O_b), the same count."""
+    a = G.base[1]
+    if b == a:
+        return G
+    tau = tuple(b if x == a else a if x == b else x for x in range(G.degree))
+    return group_from_generators(G.degree, [
+        Permutation(_conjugate(g, tau, tau)) for g in G.raw_generators()])
 
 
 def _top_level(G: PermGroup) -> dict[int, tuple[int, ...]]:

@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family code whose n-cycle fraction to attach "
                         "(c<N>, s<N>, a<N>, hol<N>, sharp<K>)")
     _add_int(p, "--workers", default=1,
-             help="processes to split the prime range over")
+             help="processes to split the prime range over (at most the CPUs)")
     add_common(p)
     p.set_defaults(func=cmd_density)
 

@@ -22,6 +22,7 @@ X.  The tests cross-check the two routes.
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -423,10 +424,11 @@ def density_report(coeffs, bound: int, floor: int = 0,
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
     blocks = [(coeffs, resultant, primes[i:i + step])
               for i in range(0, len(primes), step)]
-    if workers == 1 or len(blocks) <= 1:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_classify_block(b) for b in blocks]
     else:
-        with get_context("fork").Pool(min(workers, len(blocks))) as pool:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_classify_block, blocks)
 
     skipped, tested, inert = (sum(r[i] for r in results) for i in range(3))

@@ -15,7 +15,7 @@ from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  theorem_verdict, validate_report)
 from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        NotTransitiveError, Permutation,
-                                       _is_full_cycle, contains,
+                                       _is_full_cycle, _suborbits, contains,
                                        group_from_generators,
                                        is_transitive, iterate_elements,
                                        parse_permutation, random_element)
@@ -488,9 +488,9 @@ class TestSuborbitCensusAgainstEnumeration:
     all of G and partitions the n-cycles by breadth-first conjugation.  The
     count is also taken with the slice kernel's block budget at 64 cells,
     where most blocks hold a single prefix, and where every group of order
-    above 64 counts the suborbit of base[1] at depth 2, one coset of
-    G_{0,b} per G_{0,b}-orbit, whenever that lists fewer cosets than the
-    suborbit has points."""
+    above 64 counts each suborbit O_b of more than one point at depth 2,
+    one coset of G_{0,b} per G_{0,b}-orbit in G relabelled by (base[1] b),
+    whenever that lists fewer cosets than O_b has points."""
 
     @staticmethod
     def _mismatch(G):
@@ -554,8 +554,10 @@ class TestSecondLevelCosets:
     """The depth-2 count of the suborbit of b = base[1], taken whatever the
     group's size, against the n-cycles of its depth-1 slice _iter_raw(G, [b])
     weighted by |O_b|, on the catalog instances of order <= 2*10^5, the
-    random subgroups and M23.  Groups with no base[1] (regular groups and
-    degree 1) have no depth 2."""
+    random subgroups and M23; then the same for every suborbit O_b of more
+    than one point, counted in G relabelled by tau = (base[1] b), whose
+    order, first two base points and level 1, tau(O_b), are checked too.
+    Groups with no base[1] (regular groups and degree 1) have no depth 2."""
 
     @staticmethod
     def _check(G, slice_=None):
@@ -584,6 +586,92 @@ class TestSecondLevelCosets:
         assert [w for _, w in census._second_level_cosets(G)] == [22 * 21]
         assert G.base[1] == 1   # m23_slice() is _iter_raw(G, [1])
         assert self._check(G, int(m23_slice()[1].sum()))
+
+    @staticmethod
+    def _relabelled_mismatches(G, n_cycles=None, orbits=None):
+        """The suborbits b, |O_b| > 1, whose relabelled group H does not keep
+        G's order and first two base points, does not have tau(O_b) as its
+        level 1, or whose depth-2 count is not |O_b| times the n-cycles of
+        _iter_raw(G, [b]).  O_b is read off _iter_raw(G, [0]), the elements
+        of G_0, unless orbits maps b to it; n_cycles, when given, maps b to
+        the n-cycle count of its slice."""
+        a = G.base[1]
+        suborbits = [b for b, size in _suborbits(G) if size > 1]
+        if orbits is None:
+            orbits = {b: set() for b in suborbits}
+            for g in _iter_raw(G, [0]):
+                for b, orbit in orbits.items():
+                    orbit.add(g[b])
+        bad = []
+        for b in suborbits:
+            tau = {a: b, b: a}
+            H = census._relabelled(G, b)
+            deep = census._weighted_count(H, census._second_level_cosets(H), 2)
+            slice_ = (n_cycles[b] if n_cycles is not None
+                      else sum(map(_is_full_cycle, _iter_raw(G, [b]))))
+            if (H.order != G.order or H.base[:2] != G.base[:2]
+                    or set(H.transversals[1])
+                    != {tau.get(x, x) for x in orbits[b]}
+                    or deep != len(orbits[b]) * slice_):
+                bad.append(b)
+        return bad
+
+    def test_every_suborbit_of_the_catalog_instances(self):
+        groups = [(name, G) for name, G in catalog_instances()
+                  if G.order <= 200_000 and len(G.base) > 1]
+        relabelled = sum(b != G.base[1] for _, G in groups
+                         for b, size in _suborbits(G) if size > 1)
+        assert relabelled == 170
+        assert {name: bad for name, G in groups
+                if (bad := self._relabelled_mismatches(G))} == {}
+
+    def test_every_suborbit_of_the_random_subgroups(self):
+        groups = [H for H in random_subgroups(40) if len(H.base) > 1]
+        relabelled = sum(b != H.base[1] for H in groups
+                         for b, size in _suborbits(H) if size > 1)
+        assert relabelled == 53
+        assert [H.generators for H in groups
+                if self._relabelled_mismatches(H)] == []
+
+    def test_every_suborbit_of_m23(self):
+        """G_0 is M22, transitive on the 22 points other than 0: one
+        suborbit, base[1]'s, which needs no relabelling."""
+        G = catalog.load_named("m23")
+        assert _suborbits(G) == [(1, 22)]
+        assert self._relabelled_mismatches(
+            G, {1: int(m23_slice()[1].sum())}, {1: set(range(1, 23))}) == []
+
+    def test_base1_is_not_relabelled(self, monkeypatch):
+        """base[1]'s suborbit is counted in G itself: a census of M23, whose
+        one suborbit is base[1]'s, builds no chain."""
+        G = catalog.load_named("m23")
+        assert census._relabelled(G, G.base[1]) is G
+        builds = []
+        original = census.group_from_generators
+
+        def recording(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(census, "group_from_generators", recording)
+        assert theorem_verdict(G).n_cycle_count == 887_040
+        assert builds == []
+
+    def test_several_suborbits_list_fewer_rows(self, monkeypatch):
+        """a4_wr_hol4 (order 165 888) has three suborbits, each counted at
+        depth 2: 12 096 rows, where the census listed 27 648 when only
+        base[1]'s went deeper."""
+        G = dict(catalog_instances())["a4_wr_hol4"]
+        assert len(_suborbits(G)) == 3
+        rows = []
+        original = census._full_cycle_mask
+
+        def counting(block):
+            rows.append(len(block))
+            return original(block)
+        monkeypatch.setattr(census, "_full_cycle_mask", counting)
+        assert count_n_cycles(G) == wreath_n_cycle_count(
+            catalog.alternating(4), catalog.holomorph_cyclic(4))
+        assert sum(rows) == 12_096
 
     def test_m23_census_lists_one_coset(self, monkeypatch):
         rows = []

@@ -466,6 +466,35 @@ class TestReports:
         two = density_report((1, 0, 0, 1, 0, 0, 1), bound=30_000, workers=3)
         assert one == two
 
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
+        """The pool takes the least of the workers asked for, the blocks and
+        the CPUs; one process runs no pool.  A fake context records each
+        pool's size and starts no process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(density, "get_context",
+                            lambda method: type("Fake", (), {"Pool": FakePool}))
+        monkeypatch.setattr(density, "_BLOCK_CELLS", 300)   # 112 blocks
+        coeffs = (1, 0, 0, 1, 0, 0, 1)
+        whole = density_report(coeffs, bound=5000)
+        for cpus, workers in ((3, 5000), (None, 5000), (8, 2), (1, 2)):
+            monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
+            assert density_report(coeffs, bound=5000, workers=workers) == whole
+        assert sizes == [3, 2]
+
     def test_json_roundtrip(self):
         import json
         for predicted in (None, Fraction(1, 2)):
