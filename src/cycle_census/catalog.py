@@ -269,7 +269,7 @@ def singer_cycle(d: int, q: int) -> Permutation:
 
 
 def duality_extension(d: int, q: int) -> PermGroup:
-    """PGL_3(q) plus field automorphisms, extended by point-hyperplane duality.
+    """PGL_3(q), extended by point-hyperplane duality.
 
     Acts on 2n points: 1..n are the projective points, n+1..2n the
     hyperplanes (indexed by the same normalized coordinate vectors); the
@@ -294,8 +294,6 @@ def duality_extension(d: int, q: int) -> PermGroup:
 
     gens = [paired(_matrix_point_perm(field, mat, points, index))
             for mat in _gl_generators(field, d)]
-    if field.e > 1:
-        gens.append(paired(frobenius_point_perm(d, q)))
     swap = Permutation(tuple((i + n) % (2 * n) for i in range(2 * n)))
     gens.append(swap)
     return group_from_generators(2 * n, gens)

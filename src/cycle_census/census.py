@@ -12,11 +12,11 @@ not the whole group: the number N(0, b) of n-cycles sending 0 to b is
 constant on each G_0-orbit O_b, and the slice of elements sending 0 to b
 has |G|/n elements.  One level deeper, the number N(0, b, c) of n-cycles
 sending 0 to b and b to c is constant on each orbit of G_{0,b}, and the
-elements doing so form one coset of G_{0,b}.  Every suborbit is counted
-there, one coset per G_{0,b}-orbit, when its slice spans more than one
-block and the cosets are fewer than |O_b| (Sims's orbit weighting;
-Seress, Permutation Group Algorithms, 2003, ch. 9), in G relabelled by
-the transposition (base[1] b), whose chain holds G_{0,b} (Seress 5.4).
+elements doing so form one coset of G_{0,b} (Sims's orbit weighting;
+Seress, Permutation Group Algorithms, 2003, ch. 9).  A suborbit with
+|O_b| > 1 whose slice spans more than one block is counted there, one
+coset per G_{0,b}-orbit, in G relabelled by the transposition (base[1] b),
+whose chain holds G_{0,b} (Seress 5.4); any other on its slice.
 M23 lists one coset of 20 160 elements instead of a slice of 443 520.
 The n-cycles are counted, never stored.  The class count then follows
 from the class-size identity |class| = |G|/n, since the centralizer of an
@@ -131,10 +131,10 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     orbit O_b of G_0, so the count is the sum of |O_b| N(0, b) over b =
     min O_b.  Each suborbit takes one rule: its share is read off the
     _second_level_cosets of G relabelled by (base[1] b), each of
-    |G|/(n |O_b|) elements, when |O_b| > 1, |G| > _SLICE_CELLS and they
-    are fewer than |O_b|, and off the slice of |G|/n elements sending 0 to
-    b otherwise.  Refused when |G| exceeds the cap or the degree exceeds
-    64.  Every census entry point is a view over this pass.
+    |G|/(n |O_b|) elements, when |O_b| > 1 and |G| > _SLICE_CELLS, and off
+    the slice of |G|/n elements sending 0 to b otherwise.  Refused when |G|
+    exceeds the cap or the degree exceeds 64.  Every census entry point is
+    a view over this pass.
     """
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
@@ -146,11 +146,9 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     for b, size in _suborbits(G):
         if size > 1 and G.order > permutations._SLICE_CELLS:
             H = _relabelled(G, b)
-            cosets = _second_level_cosets(H)
-            if len(cosets) < size:
-                count += _weighted_count(H, cosets, 2)
-                continue
-        shallow.append((top[b], size))
+            count += _weighted_count(H, _second_level_cosets(H), 2)
+        else:
+            shallow.append((top[b], size))
     return count + _weighted_count(G, shallow, 1)
 
 

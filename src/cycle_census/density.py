@@ -9,19 +9,19 @@ repeated factors), test irreducibility of each good reduction, and report
 the empirical density next to the phi(n)/n ceiling and an optional
 group-predicted density.
 
-Irreducibility over GF(p) uses the distinct-degree criterion: f of degree
-n is irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1
-for every prime l dividing n.  The per-prime reference implementation is
-scalar.  Density reports skip the primes dividing the integer Res(f, f')
-and test the rest in numpy, all at once: X^p with one reduction mod f a
-bit, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix of rows X^(ip) mod
-f, and one division-free Euclid of f and the product of the X^(p^(n/l)) -
-X.  The tests cross-check the two routes.
+The per-prime reference implementation is scalar: f of degree n is
+irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1 for
+every prime l dividing n.  Density reports skip the primes dividing the
+integer Res(f, f') and test the rest in numpy, all at once: X^p with one
+reduction mod f a bit, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q
+of rows X^(ip) mod f, a screen for X^(p^n) = X and no X^(p^(n/l)) = X,
+then Berlekamp: a squarefree f mod p has dim ker(Q - I) irreducible
+factors (von zur Gathen and Gerhard, Modern Computer Algebra, 14.8).  The
+tests cross-check the two routes, which decide by different criteria.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 from dataclasses import dataclass
@@ -238,35 +238,24 @@ def _mulmod(a, b, f, support, ps):
     return _reduce(acc, f, support, ps)
 
 
-def _degrees(a):
-    """Degree of each column's polynomial, -1 for zero."""
-    nonzero = a != 0
-    return np.where(nonzero.any(axis=0),
-                    len(a) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
-
-
-def _gcd(a, b, ps):
-    """gcd(a, b) mod p per column, up to a unit, by division-free Euclid: a
-    <- lc(b) a - lc(a) X^(deg a - deg b) b cancels lc(a) without an inverse
-    (two products <= (p-1)^2), and a, b swap when a falls below b.  Columns
-    with b = 0 are done; deg a + deg b drops on every other column."""
-    cols = np.arange(a.shape[1])
-    slots = np.arange(len(a))[:, None]
-    da, db = _degrees(a), _degrees(b)
-    while True:
-        swap = da < db
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        da, db = np.where(swap, db, da), np.where(swap, da, db)
-        live = db >= 0
-        if not live.any():
-            return a
-        lca = np.where(live, a[da, cols], 0)
-        lcb = np.where(live, b[db, cols], 1)
-        src = slots - np.where(live, da - db, 0)
-        shifted = np.where(src >= 0,
-                           np.take_along_axis(b, np.maximum(src, 0), axis=0), 0)
-        a = (lcb * a - lca * shifted) % ps
-        da = _degrees(a)
+def _rows_independent(a, ps):
+    """Whether the rows a[k] (slots, primes) are independent mod each p, by
+    fraction-free elimination: row k's first nonzero slot j is its pivot,
+    per prime, and each later row r becomes a[k, j] r - r[j] a[k] mod p.
+    np.fmod, cheaper than %, keeps entries in (-p, p), so an update is at
+    most 2 (p - 1)^2 <= n (p - 1)^2, the bound _INT64_MAX enforces."""
+    cols = np.arange(a.shape[2])
+    independent = np.ones(a.shape[2], dtype=bool)
+    for k, row in enumerate(a):
+        nonzero = row != 0
+        independent &= nonzero.any(axis=0)
+        j = np.argmax(nonzero, axis=0)
+        rest = a[k + 1:]   # all later rows at once, updated in place
+        lead = rest[:, j, cols]
+        rest *= row[j, cols]
+        rest -= lead[:, None] * row
+        np.fmod(rest, ps, out=rest)
+    return independent
 
 
 def _residues(coeffs, ps):
@@ -322,8 +311,10 @@ def _bad_primes(resultant, ps):
 
 
 def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
-    """Vectorized distinct-degree test for the (good) primes in ps; its
-    memory grows as n^2 len(ps), so callers pass blocks of primes."""
+    """Vectorized irreducibility test for the (good) primes in ps: the
+    distinct-degree screen, then Berlekamp's rank of Q - I on the primes
+    that pass it.  Its memory grows as n^2 len(ps), so callers pass blocks
+    of primes."""
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
@@ -363,18 +354,16 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     for k in range(2, n + 1):
         powers[k] = np.einsum("ir,ijr->jr", powers[k - 1], Q) % ps
 
-    # X^(p^m) = X gives gcd f; the rest need gcd(X^(p^m) - X, f) = 1 for each
-    # m = n/l: one gcd of their product mod f, as f's factors are prime
-    subs = [n // ell for ell in prime_divisors(n)]
+    # Necessary: X^(p^n) = X and no X^(p^(n/l)) = X.  On good primes f is
+    # squarefree, with nullity(Q - I) irreducible factors (Berlekamp); row 0
+    # of Q - I is zero, so f is irreducible iff rows 1..n-1 are independent.
     irreducible = (powers[n] == x).all(axis=0) & ~np.any(
-        [(powers[m] == x).all(axis=0) for m in subs], axis=0)
+        [(powers[n // ell] == x).all(axis=0) for ell in prime_divisors(n)],
+        axis=0)
     cols = np.nonzero(irreducible)[0]
-    pc, fc = ps[cols], f[:, cols]
-    g = functools.reduce(lambda a, b: _mulmod(a, b, fc, support, pc),
-                         [(powers[m] - x)[:, cols] % pc for m in subs])
-    gcd = _gcd(np.vstack([g, np.zeros_like(pc)]),
-               np.vstack([fc, np.ones_like(pc)]), pc)
-    irreducible[cols] = _degrees(gcd) == 0
+    a, d = Q[1:].take(cols, axis=2), np.arange(n - 1)   # C-ordered copy
+    a[d, d + 1] = (a[d, d + 1] - 1) % ps[cols]
+    irreducible[cols] = _rows_independent(a, ps[cols])
     return irreducible
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cycle_census import catalog, census, permutations
+from cycle_census.blocks import all_minimal_block_systems
 from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  count_n_cycles, cyclic_transitive_count,
                                  euler_phi, extremal_structure_check,
@@ -306,6 +307,50 @@ class TestExtremal:
         assert violations == ["bound attained by a non-solvable group"]
 
 
+class TestStructureTowerRejections:
+    """_structure_tower's four ways to refuse a step, each on the catalog
+    instance that takes it.  Calls to block_constituent and block_action
+    are recorded, so each test also shows how far the search got."""
+
+    @staticmethod
+    def _tower(monkeypatch, name):
+        calls = []
+        for fn in ("block_constituent", "block_action"):
+            def recording(G, system, fn=fn, real=getattr(census, fn)):
+                image = real(G, system)
+                calls.append((fn, system.s, image.degree, image.order))
+                return image
+            monkeypatch.setattr(census, fn, recording)
+        return census._structure_tower(dict(catalog_instances())[name]), calls
+
+    def test_primitive_of_non_prime_degree(self, monkeypatch):
+        """S4 has no block system, and its degree 4 is not prime."""
+        assert self._tower(monkeypatch, "s4") == (None, [])
+
+    def test_minimal_blocks_of_non_prime_size(self, monkeypatch):
+        """S4 wr C2's one minimal system has blocks of 4 points."""
+        G = dict(catalog_instances())["s4_wr_c2"]
+        assert [system.s for system in all_minimal_block_systems(G)] == [4]
+        assert self._tower(monkeypatch, "s4_wr_c2") == (None, [])
+
+    def test_constituent_order_not_dividing_p_times_p_minus_1(self, monkeypatch):
+        """S5 wr C2: the blocks have 5 points, but |S5| = 120 does not
+        divide 5 * 4."""
+        assert self._tower(monkeypatch, "s5_wr_c2") == (
+            None, [("block_constituent", 5, 5, 120)])
+
+    def test_failing_block_action_backtracks(self, monkeypatch):
+        """C2 wr S4: the C2 constituent passes, but the S4 acting on the
+        four blocks is primitive of degree 4, so the search gives up."""
+        assert self._tower(monkeypatch, "c2_wr_s4") == (
+            None, [("block_constituent", 2, 2, 2), ("block_action", 2, 4, 24)])
+
+    def test_count_of_rejected_catalog_instances(self):
+        groups = [G for _, G in catalog_instances() if G.order <= 2 * 10 ** 7]
+        assert len(groups) == 210
+        assert sum(census._structure_tower(G) is None for G in groups) == 78
+
+
 class TestPglSingerStructure:
     """In pgl(d,q) every n-cycle generates a conjugate of the Singer cycle,
     and the class count is phi(n)/d (from the normalizer order n*d)."""
@@ -489,8 +534,8 @@ class TestSuborbitCensusAgainstEnumeration:
     count is also taken with the slice kernel's block budget at 64 cells,
     where most blocks hold a single prefix, and where every group of order
     above 64 counts each suborbit O_b of more than one point at depth 2,
-    one coset of G_{0,b} per G_{0,b}-orbit in G relabelled by (base[1] b),
-    whenever that lists fewer cosets than O_b has points."""
+    one coset of G_{0,b} per G_{0,b}-orbit in G relabelled by (base[1] b);
+    a group of order at most 64 and a suborbit of one point take depth 1."""
 
     @staticmethod
     def _mismatch(G):
@@ -591,10 +636,11 @@ class TestSecondLevelCosets:
     def _relabelled_mismatches(G, n_cycles=None, orbits=None):
         """The suborbits b, |O_b| > 1, whose relabelled group H does not keep
         G's order and first two base points, does not have tau(O_b) as its
-        level 1, or whose depth-2 count is not |O_b| times the n-cycles of
-        _iter_raw(G, [b]).  O_b is read off _iter_raw(G, [0]), the elements
-        of G_0, unless orbits maps b to it; n_cycles, when given, maps b to
-        the n-cycle count of its slice."""
+        level 1, lists more than |O_b| cosets at depth 2, or whose depth-2
+        count is not |O_b| times the n-cycles of _iter_raw(G, [b]).  O_b is
+        read off _iter_raw(G, [0]), the elements of G_0, unless orbits maps
+        b to it; n_cycles, when given, maps b to the n-cycle count of its
+        slice."""
         a = G.base[1]
         suborbits = [b for b, size in _suborbits(G) if size > 1]
         if orbits is None:
@@ -606,12 +652,14 @@ class TestSecondLevelCosets:
         for b in suborbits:
             tau = {a: b, b: a}
             H = census._relabelled(G, b)
-            deep = census._weighted_count(H, census._second_level_cosets(H), 2)
+            cosets = census._second_level_cosets(H)
+            deep = census._weighted_count(H, cosets, 2)
             slice_ = (n_cycles[b] if n_cycles is not None
                       else sum(map(_is_full_cycle, _iter_raw(G, [b]))))
             if (H.order != G.order or H.base[:2] != G.base[:2]
                     or set(H.transversals[1])
                     != {tau.get(x, x) for x in orbits[b]}
+                    or len(cosets) > len(orbits[b])
                     or deep != len(orbits[b]) * slice_):
                 bad.append(b)
         return bad

@@ -10,10 +10,11 @@ import pytest
 
 import cycle_census
 
-from cycle_census import catalog, cli, density
+from cycle_census import catalog, census, cli, density
 from cycle_census.census import CensusReport
 from cycle_census.density import DensityReport
-from cycle_census.permutations import DEFAULT_ELEMENT_CAP
+from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, Permutation,
+                                       group_from_generators)
 
 
 def run(argv):
@@ -215,6 +216,50 @@ class TestVerifyCommand:
                           "--instance-cap", "500"])
         assert code == 1 and text == ""
         assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+class TestViolationExitCode:
+    """Exit code 2 means a violated identity or a failed random phase, with
+    one line on stderr per violation."""
+
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        original = census.count_n_cycles
+        monkeypatch.setattr(census, "count_n_cycles",
+                            lambda *args: original(*args) + 1)
+
+    def test_census_invariant_violation(self, off_by_one, capsys):
+        code, text = run(["census", "--family", "cyclic", "--n", "6"])
+        err = capsys.readouterr().err.splitlines()
+        assert (code, text) == (cli.EXIT_VIOLATION, "") and len(err) == 1
+        assert err[0].startswith("CENSUS INVARIANT VIOLATION: ")
+
+    def test_one_bound_violation_line_per_row(self, off_by_one, capsys):
+        rows = [r for r in census.run_sweep(instance_cap=50, subgroup_count=0)
+                if r.status == "violation"]
+        code, text = run(["verify", "--random-subgroups", "0",
+                          "--instance-cap", "50"])
+        assert code == cli.EXIT_VIOLATION and rows
+        assert f"violations {len(rows)}" in text
+        assert capsys.readouterr().err.splitlines() == [
+            f"BOUND VIOLATION in {r.name}: {r.detail}" for r in rows]
+
+    def test_a_failed_random_phase(self, monkeypatch, capsys):
+        """One intransitive parent, <(1 2)> on 3 points, skipped by the
+        instance cap: every random pair is refused."""
+        parent = group_from_generators(3, [Permutation((0, 2, 1))])
+        monkeypatch.setattr(catalog, "standard_instances",
+                            lambda include_m23=False: [("c2_on_3", parent)])
+        rows = census.run_sweep(instance_cap=1, subgroup_count=1)
+        assert [(r.name, r.status) for r in rows] == [
+            ("c2_on_3", "skipped"), ("random-phase", "violation")]
+        assert rows[-1].detail == "only 0 random subgroups found in 60 attempts"
+        code, _ = run(["verify", "--random-subgroups", "1",
+                       "--instance-cap", "1"])
+        assert code == cli.EXIT_VIOLATION
+        assert capsys.readouterr().err.splitlines() == [
+            "BOUND VIOLATION in random-phase: only 0 random subgroups found "
+            "in 60 attempts"]
 
 
 class TestModuleEntryPoints:

@@ -13,7 +13,7 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   density_report, is_irreducible_mod_p,
                                   parse_polynomial, predicted_density,
                                   reduce_mod_p, sieve_primes)
-from cycle_census.ntheory import is_prime
+from cycle_census.ntheory import is_prime, multiplicative_order
 
 from helpers import naive_irreducible, sylvester_resultant
 
@@ -285,6 +285,23 @@ class TestSurvivorProduct:
         assert not _batch_irreducible(tuple(f), np.array([p]))[0]
 
 
+class TestCyclotomicBeyondDegree8:
+    @pytest.mark.parametrize("m", [m for m in range(2, 62) if is_prime(m)])
+    def test_inert_iff_p_generates_the_units_mod_m(self, m):
+        """Phi_m = 1 + x + ... + x^(m-1) for every prime m <= 61 and each
+        prime p <= 3000 other than m: irreducible mod p iff p has order
+        m - 1 mod m.  Degree 60 gives the rank test its largest matrices,
+        in blocks of _BLOCK_CELLS // 61^2 = 70 primes.  The factors of
+        Phi_m mod p share one degree, so only irreducible reductions pass
+        the screen: this checks that the rank test refuses none of them."""
+        ps = np.array([p for p in sieve_primes(3000) if p != m])
+        step = density._BLOCK_CELLS // m ** 2
+        got = np.concatenate([_batch_irreducible((1,) * m, ps[i:i + step])
+                              for i in range(0, len(ps), step)])
+        assert list(got) == [multiplicative_order(int(p), m) == m - 1
+                             for p in ps]
+
+
 def _int_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -366,44 +383,6 @@ class TestSeparabilityScreen:
             disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                     - 27 * a * a * d * d + 18 * a * b * c * d)
             assert density._separability_resultant((a, b, c, d)) == abs(d * disc)
-
-
-def _columns(polys, slots):
-    out = np.zeros((slots, len(polys)), dtype=np.int64)
-    for j, c in enumerate(polys):
-        out[:len(c), j] = c
-    return out
-
-
-class TestBatchedEuclid:
-    def test_matches_scalar_pgcd(self):
-        """Each column's gcd, made monic, equals the scalar _pgcd."""
-        rng = random.Random(2024)
-        cases = []
-        for p in (2, 3, 7, 101, 1_000_000_007, 2_147_483_647):
-            def poly(deg):
-                c = [rng.randrange(p) for _ in range(deg)]
-                return c + [rng.randrange(1, p)]
-            for _ in range(10):
-                cases.append((poly(rng.randrange(9)), poly(rng.randrange(9)), p))
-            cases.append((poly(5), [], p))                       # b = 0
-            cases.append(([], poly(4), p))                       # a = 0
-            cases.append(([], [], p))
-            cases.append((poly(6), poly(0), p))                  # constant b
-            cases.append((poly(4), poly(4), p))                  # equal degrees
-            h = poly(rng.randrange(1, 4))                        # common factor
-            cases.append((density._pmul(h, poly(4), p),
-                          density._pmul(h, poly(5), p), p))
-        a = _columns([c[0] for c in cases], 9)
-        b = _columns([c[1] for c in cases], 9)
-        ps = np.array([c[2] for c in cases], dtype=np.int64)
-        got = density._gcd(a, b, ps)
-        for j, (fa, fb, p) in enumerate(cases):
-            g = density._trim(got[:, j].tolist())
-            if g:
-                inv = pow(g[-1], -1, p)
-                g = [c * inv % p for c in g]
-            assert g == density._pgcd(fa, fb, p), (fa, fb, p)
 
 
 class TestReports:
