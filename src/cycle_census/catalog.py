@@ -13,12 +13,13 @@ the normalized points of GF(q)^d; a Singer cycle is a companion matrix.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .gf import MAX_Q, FqField, make_field
-from .ntheory import (prime_power, smallest_primitive_root,
+from .ntheory import (euler_phi, prime_power, smallest_primitive_root,
                       unit_group_generators)
 from .permutations import (MAX_DEGREE, CycleParseError, PermGroup,
                            Permutation, _check_degree, _decimal, format_cycles,
@@ -42,7 +43,7 @@ def data_dir() -> Path:
 
 def cyclic_regular(n: int) -> PermGroup:
     """The cyclic group generated by the n-cycle (1,2,...,n)."""
-    return group_from_generators(n, _cyclic_generators(n))
+    return _elementary(*_cyclic(n))
 
 
 def holomorph_cyclic(m: int) -> PermGroup:
@@ -51,62 +52,67 @@ def holomorph_cyclic(m: int) -> PermGroup:
     For prime m this is AGL_1(m), the full normalizer of a regular cyclic
     group inside the symmetric group.
     """
-    return group_from_generators(m, _holomorph_generators(m))
+    return _elementary(*_holomorph(m))
 
 
 def symmetric(n: int) -> PermGroup:
-    return group_from_generators(n, _symmetric_generators(n))
+    return _elementary(*_symmetric(n))
 
 
 def alternating(n: int) -> PermGroup:
-    return group_from_generators(n, _alternating_generators(n))
+    return _elementary(*_alternating(n))
 
 
-# The generators of the elementary families, which standard_instances reads
-# before it builds a group: hol2 and s2 repeat c2's, and a3 repeats c3's.
+# The generators and order of each elementary family, which standard_instances
+# reads before it builds a group: hol2 and s2 repeat c2's, and a3 repeats
+# c3's.  The order is the family's theorem, so the chain build stops there.
 
-def _cyclic_generators(n: int) -> list[Permutation]:
+def _elementary(gens: list[Permutation], order: int) -> PermGroup:
+    return group_from_generators(gens[0].degree, gens, _ceiling=order)
+
+
+def _cyclic(n: int) -> tuple[list[Permutation], int]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n)
-    return [Permutation(tuple((i + 1) % n for i in range(n)))]
+    return [Permutation(tuple((i + 1) % n for i in range(n)))], n
 
 
-def _holomorph_generators(m: int) -> list[Permutation]:
+def _holomorph(m: int) -> tuple[list[Permutation], int]:
     if m < 2:
         raise ValueError("modulus must be at least 2")
     _check_degree(m)
     translation = Permutation(tuple((i + 1) % m for i in range(m)))
     return [translation] + [Permutation(tuple((u * i) % m for i in range(m)))
-                            for u in unit_group_generators(m)]
+                            for u in unit_group_generators(m)], m * euler_phi(m)
 
 
-def _symmetric_generators(n: int) -> list[Permutation]:
+def _symmetric(n: int) -> tuple[list[Permutation], int]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n)
     if n == 1:
-        return [Permutation.identity(1)]
+        return [Permutation.identity(1)], 1
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
     if n == 2:
-        return [cycle]
-    return [parse_permutation("(1,2)", n), cycle]
+        return [cycle], 2
+    return [parse_permutation("(1,2)", n), cycle], math.factorial(n)
 
 
-def _alternating_generators(n: int) -> list[Permutation]:
+def _alternating(n: int) -> tuple[list[Permutation], int]:
     if n < 3:
         raise ValueError("alternating groups need degree at least 3")
     _check_degree(n)
     three = parse_permutation("(1,2,3)", n)
     if n == 3:
-        return [three]
+        return [three], 3
     if n % 2 == 1:
         long = Permutation(tuple((i + 1) % n for i in range(n)))
     else:
         # (2,3,...,n) is an even (n-1)-cycle
         long = parse_permutation(
             "(" + ",".join(str(i) for i in range(2, n + 1)) + ")", n)
-    return [three, long]
+    return [three, long], math.factorial(n) // 2
 
 
 def wreath_imprimitive(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -131,7 +137,8 @@ def wreath_imprimitive(inner: PermGroup, outer: PermGroup) -> PermGroup:
             for i in range(s):
                 images[j * s + i] = b[j] * s + i
         gens.append(Permutation(tuple(images)))
-    return group_from_generators(n, gens)
+    return group_from_generators(
+        n, gens, _ceiling=inner.order ** r * outer.order)
 
 
 # projective linear groups ----------------------------------------------
@@ -219,7 +226,7 @@ def pgl(d: int, q: int) -> PermGroup:
     field, points, index = _projective_space(d, q)
     gens = [_matrix_point_perm(field, mat, points, index)
             for mat in _gl_generators(field, d)]
-    return group_from_generators(len(points), gens)
+    return group_from_generators(len(points), gens, _ceiling=pgl_order(d, q))
 
 
 def frobenius_point_perm(d: int, q: int) -> Permutation:
@@ -236,11 +243,14 @@ def pgammal(d: int, q: int) -> PermGroup:
 
 
 def _extend_by_frobenius(base: PermGroup, d: int, q: int) -> PermGroup:
-    """PGammaL_d(q) from the group base = PGL_d(q): base itself for prime q."""
-    if prime_power(q)[1] == 1:
+    """PGammaL_d(q) from the group base = PGL_d(q): base itself for prime q.
+    Its order is |PGL_d(q)| e for q = p^e."""
+    e = prime_power(q)[1]
+    if e == 1:
         return base
     gens = list(base.generators) + [frobenius_point_perm(d, q)]
-    return group_from_generators(base.degree, gens)
+    return group_from_generators(base.degree, gens,
+                                 _ceiling=pgl_order(d, q) * e)
 
 
 def singer_cycle(d: int, q: int) -> Permutation:
@@ -273,7 +283,9 @@ def duality_extension(d: int, q: int) -> PermGroup:
 
     Acts on 2n points: 1..n are the projective points, n+1..2n the
     hyperplanes (indexed by the same normalized coordinate vectors); the
-    extra generator swaps point i with hyperplane i.
+    extra generator swaps point i with hyperplane i.  It is the polarity
+    v -> v^perp, which conjugates a matrix A to its inverse transpose, so
+    the order is 2 |PGL_3(q)|.
     """
     if d != 3 or q not in (2, 3):
         raise ValueError("duality extension is built for d = 3 and q in {2, 3}")
@@ -296,7 +308,7 @@ def duality_extension(d: int, q: int) -> PermGroup:
             for mat in _gl_generators(field, d)]
     swap = Permutation(tuple((i + n) % (2 * n) for i in range(2 * n)))
     gens.append(swap)
-    return group_from_generators(2 * n, gens)
+    return group_from_generators(2 * n, gens, _ceiling=2 * pgl_order(d, q))
 
 
 # the sharp family -------------------------------------------------------
@@ -328,7 +340,8 @@ def sharpness_group(k: int) -> PermGroup:
     diag = Permutation(tuple((i // m) * m + (u * (i % m)) % m for i in range(n)))
     swap = Permutation(tuple((i + m) % n for i in range(n)))
     return group_from_generators(
-        n, [block_translation(0), block_translation(1), diag, swap])
+        n, [block_translation(0), block_translation(1), diag, swap],
+        _ceiling=2 * m * m * euler_phi(m))
 
 
 # group-spec files --------------------------------------------------------
@@ -457,24 +470,24 @@ def standard_instances(include_m23: bool = False) -> list[tuple[str, PermGroup]]
     pool: list[tuple[str, PermGroup]] = []
     seen_gens = set()
 
-    def add_elementary(name: str, gens: list[Permutation]) -> None:
+    def add_elementary(name: str, gens: list[Permutation], order: int) -> None:
         key = tuple(g.images for g in gens)
         if key in seen_gens:
             return
         seen_gens.add(key)
-        group = group_from_generators(gens[0].degree, gens)
+        group = _elementary(gens, order)
         out.append((name, group))
         if 2 <= group.degree <= 9:
             pool.append((name, group))
 
     for n in range(1, 25):
-        add_elementary(f"c{n}", _cyclic_generators(n))
+        add_elementary(f"c{n}", *_cyclic(n))
     for m in range(2, 28):
-        add_elementary(f"hol{m}", _holomorph_generators(m))
+        add_elementary(f"hol{m}", *_holomorph(m))
     for n in range(2, 9):
-        add_elementary(f"s{n}", _symmetric_generators(n))
+        add_elementary(f"s{n}", *_symmetric(n))
     for n in range(3, 9):
-        add_elementary(f"a{n}", _alternating_generators(n))
+        add_elementary(f"a{n}", *_alternating(n))
 
     for iname, inner in pool:
         for oname, outer in pool:

@@ -155,13 +155,15 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 def _relabelled(G: PermGroup, b: int) -> PermGroup:
     """G conjugated by tau = (base[1] b), b moved by G_0; G for b = base[1].
     tau fixes 0 and the points below base[1] (G_0 fixes them; b lies above),
-    so H.base[1] = base[1] and H's level 1 is tau(O_b), the same count."""
+    so H.base[1] = base[1] and H's level 1 is tau(O_b), the same count.
+    H is a conjugate of G, so its chain build stops at |G|."""
     a = G.base[1]
     if b == a:
         return G
     tau = tuple(b if x == a else a if x == b else x for x in range(G.degree))
     return group_from_generators(G.degree, [
-        Permutation(_conjugate(g, tau, tau)) for g in G.raw_generators()])
+        Permutation(_conjugate(g, tau, tau)) for g in G.raw_generators()],
+        _ceiling=G.order)
 
 
 def _top_level(G: PermGroup) -> dict[int, tuple[int, ...]]:
@@ -465,8 +467,10 @@ def run_sweep(instance_cap: int = 200_000,
         if len(_orbits(parent.degree, [g1.images, g2.images])) > 1:
             continue   # intransitive: no chain needed to reject the pair
         try:
+            # <g1, g2> lies in parent, so its build stops at |parent|
             H = group_from_generators(parent.degree, [g1, g2],
-                                      order_cap=subgroup_order_cap)
+                                      order_cap=subgroup_order_cap,
+                                      _ceiling=parent.order)
         except CapExceeded:
             continue   # refused as soon as its partial chain passed the cap
         produced += 1

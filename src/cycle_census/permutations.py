@@ -315,14 +315,17 @@ class PermGroup:
 
 
 def group_from_generators(degree: int, generators: Sequence[Permutation], *,
-                          order_cap: int | None = None) -> PermGroup:
+                          order_cap: int | None = None,
+                          _ceiling: int | None = None) -> PermGroup:
     """Build the group with a deterministic stabilizer chain.
 
     Base points are chosen as the smallest point moved by the current
     stabilizer, in increasing order, so that enumeration order and
     reports are reproducible.  With an order_cap, a group of larger order
     is refused (CapExceeded, exact=False) as soon as the partial chain
-    proves it, without completing the chain.
+    proves it, without completing the chain.  _ceiling is private: a
+    proven upper bound on the order, at which the build may stop early
+    (see _build_chain).
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -336,14 +339,14 @@ def group_from_generators(degree: int, generators: Sequence[Permutation], *,
     if order_cap is not None and order_cap < 1:
         raise ValueError(f"order_cap must be at least 1, got {order_cap}")
     base, transversals, inverses, strong = _build_chain(
-        degree, [g.images for g in gens], order_cap)
+        degree, [g.images for g in gens], order_cap, _ceiling)
     return PermGroup(degree=degree, generators=gens, base=base,
                      transversals=transversals,
                      order=prod(map(len, transversals)),
                      _inverses=inverses, _strong=strong)
 
 
-def _build_chain(degree, raw_gens, order_cap=None):
+def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     """Deterministic Schreier-Sims: (base, transversals, inverses, strong).
 
     The working base is the full point sequence 0..n-1; levels whose
@@ -372,6 +375,24 @@ def _build_chain(degree, raw_gens, order_cap=None):
     stabilizer, so the product of the transversal sizes is a lower bound
     on |G|; with an order_cap, the build stops with CapExceeded as soon as
     that bound passes it.
+
+    With a ceiling C >= |G|, a level visit that finds the bound equal to C
+    once the level is fresh rebuilds every stale level and ends the build,
+    before it sifts any of its Schreier generators.  This is exact
+    (Seress, Permutation Group Algorithms, 2003, ch. 4): a transversal,
+    stale or not, is at most the basic orbit of its level, and the basic
+    orbit sizes multiply to |G|, so bound = C >= |G| makes every
+    transversal a full basic orbit.  Every element of G then sifts to the
+    identity, so no later Schreier generator adds a strong generator, and
+    the full run would only rebuild the stale levels from the same
+    generators: the record (base, transversals in insertion order,
+    inverses, strong) is the full run's.  A bound above C disproves the
+    ceiling and raises ValueError.  Only proven ceilings may be passed: a
+    family's order theorem, |inner|^r |outer| for a wreath product, |G|
+    for a conjugate of G, or the order of a group containing G.  A claimed
+    order, such as a spec file's expected_order, is not one: a ceiling
+    below |G| that the bound happens to hit would return an incomplete
+    chain.
     """
     identity = tuple(range(degree))
     strong = []   # (generator, its inverse, the smallest point it moves)
@@ -412,6 +433,9 @@ def _build_chain(degree, raw_gens, order_cap=None):
         transversals[i] = tr
         inverses[i] = inv
         fresh[i] = True
+        if ceiling is not None and bound > ceiling:
+            raise ValueError(f"the group has order at least {bound}, "
+                             f"above its order ceiling {ceiling}")
         if order_cap is not None and bound > order_cap:
             raise CapExceeded(bound, order_cap, exact=False)
 
@@ -419,6 +443,11 @@ def _build_chain(degree, raw_gens, order_cap=None):
     while i >= 0:
         if not fresh[i]:
             rebuild(i)
+        if bound == ceiling:
+            for k in range(i):
+                if not fresh[k]:
+                    rebuild(k)
+            break
         tr, inv = transversals[i], inverses[i]
         gens_i = gens_at(i)
         seen = sifted[i]

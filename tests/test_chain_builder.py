@@ -1,26 +1,30 @@
-"""The chain builder against the oracle it replaced, its order cap, and
-the chain record a group keeps.
+"""The chain builder against the oracle it replaced, its order cap, its
+order ceiling, and the chain record a group keeps.
 
 The builder filters generators by their first moved point, reads cached
-inverse representatives and can stop at an order cap; none of that may
-change a chain.  Transversal representatives, and their dict order, are
-part of the output (random_element and so the sweep's random rows read
-them), so chains are compared item by item in insertion order.  The
+inverse representatives, can stop at an order cap and stops early at a
+proven order ceiling; none of that may change a chain.  Transversal
+representatives, and their dict order, are part of the output
+(random_element and so the sweep's random rows read them), so chains are
+compared item by item in insertion order.  The
 inverse transversals and strong generators the group keeps are checked
 against the representatives, and membership against the sift that
 inverts them.
 """
 
 import hashlib
+import math
 import random
+import re
 
 import pytest
 
-from cycle_census import catalog
+from cycle_census import catalog, census, permutations
 from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
-                                       _contains_raw, _orbits,
-                                       _stabilizer_gens, group_from_generators,
-                                       iterate_elements, random_element)
+                                       _contains_raw, _conjugate, _orbits,
+                                       _stabilizer_gens, _suborbits,
+                                       group_from_generators, iterate_elements,
+                                       random_element)
 
 from helpers import (_sift_raw, build_chain, catalog_instances, compose,
                      inverse, is_identity)
@@ -38,14 +42,48 @@ def _order(chain):
     return order
 
 
+def _record(chain):
+    """Everything the builder returns: base, transversals and inverse
+    transversals in insertion order, and the strong generators."""
+    base, transversals, inverses, strong = chain
+    return (base, [list(tr.items()) for tr in transversals],
+            [list(inv.items()) for inv in inverses], strong)
+
+
+# |PGL_3(2)| extended by the duality, and the two loaded groups
+_OTHER_ORDERS = {"duality(3,2)": 2 * 168, "m11": 7920, "psl2_11": 660}
+
+
+def _family_order(name):
+    """The order of a catalog instance, from its family's theorem alone."""
+    if name in _OTHER_ORDERS:
+        return _OTHER_ORDERS[name]
+    if "_wr_" in name:
+        inner, outer = name.split("_wr_")
+        return (_family_order(inner) ** int(re.sub(r"\D", "", outer))
+                * _family_order(outer))
+    family, *args = re.findall(r"[a-z]+|\d+", name)
+    args = [int(a) for a in args]
+    if family in ("pgl", "pgammal"):
+        d, q = args
+        order = q ** (d * (d - 1) // 2) * math.prod(q ** i - 1
+                                                    for i in range(2, d + 1))
+        return order * {4: 2, 8: 3}.get(q, 1) if family == "pgammal" else order
+    (n,) = args
+    return {"c": lambda: n, "s": lambda: math.factorial(n),
+            "a": lambda: math.factorial(n) // 2,
+            "hol": lambda: n * sum(math.gcd(u, n) == 1 for u in range(n)),
+            "sharpness": lambda: 2 * 9 ** n * 2 * 3 ** (n - 1)}[family]()
+
+
 def _catalog_cases():
-    return [(name, G.degree, G.raw_generators())
+    return [(name, G.degree, G.raw_generators(), _family_order(name))
             for name, G in catalog.standard_instances()]
 
 
 def _random_phase_cases():
     """Every pair the sweep's random phase draws at its default seed, kept
-    or not, until it has kept 200."""
+    or not, until it has kept 200, with its parent's order."""
     instances = catalog_instances()
     rng = random.Random(20240809)
     cases = []
@@ -54,7 +92,8 @@ def _random_phase_cases():
         name, parent = instances[rng.randrange(len(instances))]
         pair = [random_element(parent, rng).images,
                 random_element(parent, rng).images]
-        cases.append((f"pair{len(cases)}<{name}", parent.degree, pair))
+        cases.append((f"pair{len(cases)}<{name}", parent.degree, pair,
+                      parent.order))
         kept += (len(_orbits(parent.degree, pair)) == 1
                  and _order(build_chain(parent.degree, pair)) <= 100_000)
     return cases
@@ -62,7 +101,7 @@ def _random_phase_cases():
 
 def _seeded_subgroup_cases():
     """The first 60 pairs drawn by test_census's random-subgroup invariant
-    test (seed 99), kept or not."""
+    test (seed 99), kept or not, with their parent's order."""
     rng = random.Random(99)
     parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
                catalog.wreath_imprimitive(catalog.symmetric(3),
@@ -72,18 +111,24 @@ def _seeded_subgroup_cases():
         parent = parents[rng.randrange(len(parents))]
         pair = [random_element(parent, rng).images,
                 random_element(parent, rng).images]
-        cases.append((f"seeded{k}", parent.degree, pair))
+        cases.append((f"seeded{k}", parent.degree, pair, parent.order))
     return cases
 
 
 @pytest.fixture(scope="module")
-def cases():
+def drawn():
+    """(label, degree, raw generators, proven order ceiling) for every case:
+    a catalog instance's family order, a random pair's parent's order."""
+    return {"catalog": _catalog_cases(), "random_phase": _random_phase_cases(),
+            "seeded": _seeded_subgroup_cases()}
+
+
+@pytest.fixture(scope="module")
+def cases(drawn):
     """(label, degree, raw generators, oracle chain) for every case."""
-    out = {"catalog": _catalog_cases(), "random_phase": _random_phase_cases(),
-           "seeded": _seeded_subgroup_cases()}
     return {kind: [(label, degree, gens, build_chain(degree, gens))
-                   for label, degree, gens in found]
-            for kind, found in out.items()}
+                   for label, degree, gens, _ in found]
+            for kind, found in drawn.items()}
 
 
 def test_case_counts(cases):
@@ -138,6 +183,130 @@ def test_random_phase_refusals_are_pinned(cases):
     assert len(refused) == 41
     assert hashlib.sha256(repr(refused).encode()).hexdigest() == (
         "a185072492af8ea8bbf2177a698e651a43ea2ffc8ee15fdfdad94fa9ecdf7e49")
+
+
+class TestOrderCeiling:
+    """A build given a proven upper bound on its order stops as soon as
+    the product of its transversal sizes reaches it, and leaves the full
+    build's record: base, transversals and inverse transversals in
+    insertion order, and strong generators."""
+
+    @pytest.mark.parametrize("kind", ["catalog", "random_phase", "seeded"])
+    def test_the_ceiling_changes_no_record(self, drawn, kind):
+        stopped = 0
+        for label, degree, gens, ceiling in drawn[kind]:
+            full = _build_chain(degree, gens)
+            assert _order(full) <= ceiling, label
+            if kind == "catalog":
+                assert _order(full) == ceiling, label   # the family's theorem
+            chain = _build_chain(degree, gens, ceiling=ceiling)
+            assert _record(chain) == _record(full), label
+            stopped += _order(full) == ceiling
+        # every catalog instance; the random pairs that generate their parent
+        assert stopped == {"catalog": 221, "random_phase": 141,
+                           "seeded": 35}[kind]
+
+    def test_the_catalog_keeps_the_full_records(self, drawn):
+        """standard_instances builds with the family orders."""
+        for (label, degree, gens, _), (name, G) in zip(
+                drawn["catalog"], catalog.standard_instances()):
+            assert label == name
+            record = (G.base, G.transversals, G._inverses, G._strong)
+            assert _record(record) == _record(_build_chain(degree, gens)), name
+
+    def test_the_cap_refuses_the_same_pairs_at_the_same_bound(self, drawn):
+        """The random phase's pairs under the sweep's order cap of 10^5,
+        with and without their parent's order as the ceiling: the same
+        refusals, at the same lower bound, as the pinned digest."""
+        refused = {False: [], True: []}
+        for with_ceiling, found in refused.items():
+            for label, degree, gens, order in drawn["random_phase"]:
+                if len(_orbits(degree, gens)) > 1:
+                    continue
+                try:
+                    chain = _build_chain(degree, gens, order_cap=100_000,
+                                         ceiling=order if with_ceiling else None)
+                except CapExceeded as exc:
+                    found.append((label, exc.order))
+                else:
+                    assert _record(chain) == _record(
+                        _build_chain(degree, gens)), label
+        assert refused[True] == refused[False]
+        assert hashlib.sha256(repr(refused[True]).encode()).hexdigest() == (
+            "a185072492af8ea8bbf2177a698e651a43ea2ffc8ee15fdfdad94fa9ecdf7e49")
+
+    def test_relabelled_conjugates_keep_the_full_records(self):
+        """The relabelled conjugate of every suborbit a census counts at
+        depth 2, built with |G| as the ceiling, for every group above one
+        block: M23 and the 11 wreath products above the default cap of
+        2*10^7, which the default sweep skips, included."""
+        groups = [(name, G) for name, G in catalog_instances()
+                  if G.order > permutations._SLICE_CELLS]
+        groups.append(("m23", catalog.load_named("m23")))
+        assert len(groups) == 46
+        assert sum(G.order > 2 * 10 ** 7 for _, G in groups) == 11
+        relabelled = 0
+        for name, G in groups:
+            a = G.base[1]
+            for b, size in _suborbits(G):
+                if size == 1 or b == a:
+                    continue
+                H = census._relabelled(G, b)
+                tau = tuple(b if x == a else a if x == b else x
+                            for x in range(G.degree))
+                full = _build_chain(G.degree, [_conjugate(g, tau, tau)
+                                               for g in G.raw_generators()])
+                record = (H.base, H.transversals, H._inverses, H._strong)
+                assert _record(record) == _record(full), (name, b)
+                relabelled += 1
+        assert relabelled == 59
+
+    def test_the_stop_skips_sifts(self, monkeypatch):
+        """On a wreath product, and on a random pair that generates its
+        whole parent, the build with its ceiling sifts strictly less."""
+        sifts = []
+        original = permutations._sift
+
+        def counting(*args):
+            sifts.append(args)
+            return original(*args)
+        monkeypatch.setattr(permutations, "_sift", counting)
+        wreath = dict(catalog_instances())["s3_wr_s4"]
+        rng = random.Random(5)
+        parent = catalog.symmetric(6)
+        while True:
+            pair = [random_element(parent, rng).images for _ in range(2)]
+            if _order(_build_chain(6, pair)) == parent.order:
+                break
+        for degree, gens, ceiling in (
+                (wreath.degree, wreath.raw_generators(), 6 ** 4 * 24),
+                (6, pair, parent.order)):
+            counts = []
+            for bound in (None, ceiling):
+                sifts.clear()
+                _build_chain(degree, gens, ceiling=bound)
+                counts.append(len(sifts))
+            assert counts[1] < counts[0], counts
+
+    def test_a_ceiling_below_the_order_refuses(self, drawn):
+        """The bound passes a ceiling of |G| - 1 on every catalog instance
+        but the trivial one: a caller bug, refused rather than a chain."""
+        refused = 0
+        for label, degree, gens, order in drawn["catalog"]:
+            if order == 1:
+                continue
+            with pytest.raises(ValueError, match=(
+                    rf"order at least \d+, above its order ceiling {order - 1}$")):
+                _build_chain(degree, gens, ceiling=order - 1)
+            refused += 1
+        assert refused == 220
+
+    def test_group_from_generators_takes_the_ceiling(self, m11):
+        G = group_from_generators(11, m11.generators, _ceiling=m11.order)
+        assert (G.order, G.base, G.transversals) == (
+            m11.order, m11.base, m11.transversals)
+        with pytest.raises(ValueError, match="above its order ceiling 7919"):
+            group_from_generators(11, m11.generators, _ceiling=7919)
 
 
 class TestChainRecord:
