@@ -5,9 +5,14 @@ polynomial over GF(p) in base p, least significant digit first (so the
 constant term is the lowest digit and the residue class of x is the
 element p).  For e >= 2 the modulus is the lexicographically least
 primitive monic polynomial of degree e, coefficients compared from the
-constant term up; primitivity makes x a generator of the multiplicative
-group, which is verified at construction.  For e = 1 no modulus is
-stored.  Every field does its arithmetic by table lookup.
+constant term up.  For e = 1 no modulus is stored.
+
+A monic f of degree e with f(0) != 0 is primitive exactly when x has
+order p^e - 1 modulo f (Lidl & Niederreiter, *Finite Fields*, 1997), so
+the modulus is the first whose walk 1, x, x^2, ... first returns to 1
+after q - 1 steps, and that walk is the field's exp table (for e = 1, the
+walk of primitive_element()).  Products, inverses, powers and the
+Frobenius map are read off it and its inverse, the log table.
 """
 
 from __future__ import annotations
@@ -20,29 +25,10 @@ from .ntheory import is_prime, smallest_primitive_root
 MAX_Q = 128
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
-                  modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of length-e coefficient tuples mod (modulus, p); e = 1 never
-    reduces, so it reads no modulus."""
-    e = len(a)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(e):
-                prod[k - e + j] = (prod[k - e + j] - c * modulus[j]) % p
-    return tuple(prod[:e] + [0] * (e - len(prod)))
-
-
 class FqField:
     """GF(p^e) with exhaustive add/mul tables (q <= 128 keeps them tiny)."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_inv", "_frob")
+    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_exp", "_log")
 
     def __init__(self, p: int, e: int):
         if not is_prime(p):
@@ -53,45 +39,33 @@ class FqField:
         if q > MAX_Q:
             raise ValueError(f"field size {q} exceeds the supported maximum {MAX_Q}")
         self.p, self.e, self.q = p, e, q
-        self.modulus = None if e == 1 else self._find_primitive_modulus()
-        self._build_tables()
-
-    # construction ---------------------------------------------------
-
-    def _find_primitive_modulus(self) -> tuple[int, ...]:
-        p, e, q = self.p, self.e, self.q
-        x = (0, 1) + (0,) * (e - 2)
-        for tail in itertools.product(range(p), repeat=e):
-            if tail[0] == 0:
-                continue  # x would not be a unit
-            modulus = tail + (1,)
-            # multiplicative order of x must be exactly q - 1, which also
-            # forces irreducibility (reducible moduli have fewer units)
-            v = x
-            order = 1
-            while order < q and v != (1,) + (0,) * (e - 1):
-                v = _poly_mul_mod(v, x, modulus, p)
-                order += 1
-            if order == q - 1:
-                return modulus
-        raise AssertionError(f"no primitive polynomial found for GF({p}^{e})")
-
-    def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
         coeffs = [self.coeffs(a) for a in range(q)]
-        enc = self.from_coeffs
-        self._add = [
-            bytes(enc(tuple((ca[i] + cb[i]) % p for i in range(e)))
-                  for cb in coeffs)
-            for ca in coeffs
-        ]
-        self._mul = [
-            bytes(enc(_poly_mul_mod(ca, cb, self.modulus, p))
-                  for cb in coeffs)
-            for ca in coeffs
-        ]
-        self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
-        self._frob = tuple(self.pow_(a, p) for a in range(q))
+        self._add = [bytes(self.from_coeffs(x + y for x, y in zip(ca, cb))
+                           for cb in coeffs) for ca in coeffs]
+        # the modulus x - g makes the walk of x over GF(p) the powers of g
+        tails = ((t for t in itertools.product(range(p), repeat=e) if t[0])
+                 if e > 1 else [(-self.primitive_element() % p,)])
+        for tail in tails:
+            if exp := self._walk(tail):
+                break
+        self.modulus = tail + (1,) if e > 1 else None
+        self._exp = exp
+        self._log = log = {a: k for k, a in enumerate(exp)}
+        self._mul = [bytes(q)] + [
+            bytes([0, *(exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q))])
+            for a in range(1, q)]
+
+    def _walk(self, tail: tuple[int, ...]) -> list[int] | None:
+        """The powers 1, x, ..., x^(q-2) modulo x^e + tail, if x first
+        returns to 1 at x^(q-1); None otherwise.  Multiplying by x shifts
+        the digits up and subtracts the carried-out top digit times tail."""
+        p, high = self.p, self.p ** (self.e - 1)
+        minus = [self.from_coeffs(-c * t for t in tail) for c in range(p)]
+        walk, a = [], 1
+        for _ in range(self.q - 1):
+            walk.append(a)
+            a = self._add[a % high * p][minus[a // high]]
+        return walk if a == 1 and walk.count(1) == 1 else None
 
     # element codecs -------------------------------------------------
 
@@ -139,24 +113,18 @@ class FqField:
         return self._mul[a][b]
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self._inv[a]
+        return self.pow_(a, -1)
 
     def pow_(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
+        if a == 0:
+            if k < 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return int(k == 0)
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def frobenius(self, a: int) -> int:
         """The field automorphism a -> a^p."""
-        return self._frob[a]
+        return self.pow_(a, self.p)
 
     def primitive_element(self) -> int:
         """A fixed generator of the multiplicative group."""

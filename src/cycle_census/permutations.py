@@ -17,7 +17,10 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import lcm, prod
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np   # annotations only; numpy loads at call time
 
 DEFAULT_ELEMENT_CAP = 20_000_000
 

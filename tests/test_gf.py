@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -83,8 +84,26 @@ def test_frobenius_is_an_automorphism(p, e):
                 field.mul(field.frobenius(a), field.frobenius(b))
 
 
+def _poly_mul(u, v, modulus, p):
+    """Product of length-e coefficient tuples, reduced by the monic modulus."""
+    e = len(u)
+    out = [0] * (2 * e - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] = (out[i + j] + ui * vj) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = 0
+            for j in range(e):
+                out[k - e + j] = (out[k - e + j] - c * modulus[j]) % p
+    return tuple(out[:e])
+
+
+@functools.lru_cache(maxsize=None)
 def _oracle_tables(field: FqField):
-    """Recompute add/mul from first principles on coefficient tuples."""
+    """Recompute add/mul from first principles on coefficient tuples (once
+    per field: both oracle tests read them)."""
     p, e = field.p, field.e
     if e == 1:
         add = {(a, b): (a + b) % p for a in range(p) for b in range(p)}
@@ -98,38 +117,69 @@ def _oracle_tables(field: FqField):
     def from_poly(c):
         return field.from_coeffs(c)
 
-    def poly_mul(u, v):
-        out = [0] * (2 * e - 1)
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-        # reduce by the monic modulus
-        for k in range(2 * e - 2, e - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(e):
-                    out[k - e + j] = (out[k - e + j] - c * modulus[j]) % p
-        return tuple(out[:e])
-
     add = {}
     mul = {}
     for a in range(field.q):
         for b in range(field.q):
             add[(a, b)] = from_poly(tuple((x + y) % p for x, y in
                                           zip(to_poly(a), to_poly(b))))
-            mul[(a, b)] = from_poly(poly_mul(to_poly(a), to_poly(b)))
+            mul[(a, b)] = from_poly(_poly_mul(to_poly(a), to_poly(b),
+                                              modulus, p))
     return add, mul
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
-                                 (3, 2), (127, 1)])
+EXTENSIONS = [(p, e) for p, e in SUPPORTED if e > 1]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (127, 1)]
+                         + EXTENSIONS)
 def test_tables_match_modular_polynomial_oracle(p, e):
     field = make_field(p, e)
     add, mul = _oracle_tables(field)
     for a, b in itertools.product(field.elements(), repeat=2):
         assert field.add(a, b) == add[(a, b)]
         assert field.mul(a, b) == mul[(a, b)]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS)
+def test_modulus_is_first_tail_where_x_has_order_q_minus_1(p, e):
+    q = p ** e
+    x = (0, 1) + (0,) * (e - 2)
+    one = (1,) + (0,) * (e - 1)
+    for tail in itertools.product(range(p), repeat=e):
+        modulus = tail + (1,)
+        v, order = x, 1
+        while v != one and order < q:
+            v = _poly_mul(v, x, modulus, p)
+            order += 1
+        if order == q - 1:
+            break
+    assert make_field(p, e).modulus == modulus
+
+
+@pytest.mark.parametrize("p,e", SUPPORTED)
+def test_inverse_frobenius_and_powers_match_oracle(p, e):
+    field = make_field(p, e)
+    q = field.q
+    _, mul = _oracle_tables(field)
+    assert field.pow_(0, 0) == 1
+    for k in range(1, 2 * q + 1):
+        assert field.pow_(0, k) == 0
+    for k in range(-q, 0):
+        with pytest.raises(ZeroDivisionError):
+            field.pow_(0, k)
+    assert field.frobenius(0) == 0
+    for a in range(1, q):
+        inverse = next(b for b in range(1, q) if mul[(a, b)] == 1)
+        assert field.inv(a) == inverse
+        powers, inverse_powers = [1], [1]
+        for _ in range(2 * q):
+            powers.append(mul[(powers[-1], a)])
+        for _ in range(q):
+            inverse_powers.append(mul[(inverse_powers[-1], inverse)])
+        assert [field.pow_(a, k) for k in range(2 * q + 1)] == powers
+        assert [field.pow_(a, -k) for k in range(q + 1)] == inverse_powers
+        assert field.frobenius(a) == powers[p]
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 4), (5, 2)])

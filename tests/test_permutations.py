@@ -476,3 +476,41 @@ class TestChainsArePinned:
         assert len(groups) == 320
         assert _chain_digest(groups) == (
             "0acf387f7f03933880e281f5bcfff0b19faaa8b489af2ce5abe23e81ac917a0a")
+
+
+def test_every_library_annotation_resolves():
+    """typing.get_type_hints resolves every function and method that the
+    library's modules define, as a type checker sees them: in the module's
+    globals plus what its `if TYPE_CHECKING:` block imports (numpy, which
+    the slice kernel imports at call time)."""
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+    import typing
+
+    import cycle_census
+
+    unresolved = []
+    for info in pkgutil.iter_modules(cycle_census.__path__):
+        if info.name == "__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"cycle_census.{info.name}")
+        namespace = dict(vars(module))
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                exec(compile(ast.Module(node.body, []), module.__file__, "exec"),
+                     namespace)
+        defined = [obj for obj in vars(module).values()
+                   if getattr(obj, "__module__", None) == module.__name__]
+        for cls in [obj for obj in defined if inspect.isclass(obj)]:
+            for attr in vars(cls).values():
+                attr = getattr(attr, "fget", getattr(attr, "__func__", attr))
+                if inspect.isfunction(attr):
+                    defined.append(attr)
+        for func in filter(inspect.isfunction, defined):
+            try:
+                typing.get_type_hints(func, globalns=namespace)
+            except NameError as exc:
+                unresolved.append(f"{module.__name__}.{func.__qualname__}: {exc}")
+    assert unresolved == []
