@@ -43,7 +43,11 @@ def data_dir() -> Path:
 
 def cyclic_regular(n: int) -> PermGroup:
     """The cyclic group generated by the n-cycle (1,2,...,n)."""
-    return _elementary(*_cyclic(n))
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    _check_degree(n)
+    cycle = Permutation(tuple((i + 1) % n for i in range(n)))
+    return group_from_generators(n, [cycle], _ceiling=n)
 
 
 def holomorph_cyclic(m: int) -> PermGroup:
@@ -52,67 +56,38 @@ def holomorph_cyclic(m: int) -> PermGroup:
     For prime m this is AGL_1(m), the full normalizer of a regular cyclic
     group inside the symmetric group.
     """
-    return _elementary(*_holomorph(m))
-
-
-def symmetric(n: int) -> PermGroup:
-    return _elementary(*_symmetric(n))
-
-
-def alternating(n: int) -> PermGroup:
-    return _elementary(*_alternating(n))
-
-
-# The generators and order of each elementary family, which standard_instances
-# reads before it builds a group: hol2 and s2 repeat c2's, and a3 repeats
-# c3's.  The order is the family's theorem, so the chain build stops there.
-
-def _elementary(gens: list[Permutation], order: int) -> PermGroup:
-    return group_from_generators(gens[0].degree, gens, _ceiling=order)
-
-
-def _cyclic(n: int) -> tuple[list[Permutation], int]:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    _check_degree(n)
-    return [Permutation(tuple((i + 1) % n for i in range(n)))], n
-
-
-def _holomorph(m: int) -> tuple[list[Permutation], int]:
     if m < 2:
         raise ValueError("modulus must be at least 2")
     _check_degree(m)
     translation = Permutation(tuple((i + 1) % m for i in range(m)))
-    return [translation] + [Permutation(tuple((u * i) % m for i in range(m)))
-                            for u in unit_group_generators(m)], m * euler_phi(m)
+    gens = [translation] + [Permutation(tuple((u * i) % m for i in range(m)))
+                            for u in unit_group_generators(m)]
+    return group_from_generators(m, gens, _ceiling=m * euler_phi(m))
 
 
-def _symmetric(n: int) -> tuple[list[Permutation], int]:
+def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n)
-    if n == 1:
-        return [Permutation.identity(1)], 1
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
-    if n == 2:
-        return [cycle], 2
-    return [parse_permutation("(1,2)", n), cycle], math.factorial(n)
+    gens = [cycle] if n <= 2 else [parse_permutation("(1,2)", n), cycle]
+    return group_from_generators(n, gens, _ceiling=math.factorial(n))
 
 
-def _alternating(n: int) -> tuple[list[Permutation], int]:
+def alternating(n: int) -> PermGroup:
     if n < 3:
         raise ValueError("alternating groups need degree at least 3")
     _check_degree(n)
     three = parse_permutation("(1,2,3)", n)
     if n == 3:
-        return [three], 3
-    if n % 2 == 1:
-        long = Permutation(tuple((i + 1) % n for i in range(n)))
+        gens = [three]
+    elif n % 2 == 1:
+        gens = [three, Permutation(tuple((i + 1) % n for i in range(n)))]
     else:
         # (2,3,...,n) is an even (n-1)-cycle
-        long = parse_permutation(
-            "(" + ",".join(str(i) for i in range(2, n + 1)) + ")", n)
-    return [three, long], math.factorial(n) // 2
+        gens = [three, parse_permutation(
+            "(" + ",".join(str(i) for i in range(2, n + 1)) + ")", n)]
+    return group_from_generators(n, gens, _ceiling=math.factorial(n) // 2)
 
 
 def wreath_imprimitive(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -461,33 +436,17 @@ def standard_instances(include_m23: bool = False) -> list[tuple[str, PermGroup]]
     """The fixed catalog sweep: every family at its standard parameters.
 
     Wreath products are taken over all ordered pairs of the degree <= 9
-    instances whose product degree stays <= 18.  An elementary group whose
-    generators repeat an earlier one's is skipped before it is built (hol2
-    and s2 are c2, a3 is c3), and each pgammal extends the pgl built just
-    before it: one chain build per instance.
+    instances whose product degree stays <= 18.  The elementary ranges
+    start past hol2 and s2, which are c2, and past a3, which is c3, and
+    each pgammal extends the pgl built just before it: one chain build
+    per instance.
     """
-    out: list[tuple[str, PermGroup]] = []
-    pool: list[tuple[str, PermGroup]] = []
-    seen_gens = set()
-
-    def add_elementary(name: str, gens: list[Permutation], order: int) -> None:
-        key = tuple(g.images for g in gens)
-        if key in seen_gens:
-            return
-        seen_gens.add(key)
-        group = _elementary(gens, order)
-        out.append((name, group))
-        if 2 <= group.degree <= 9:
-            pool.append((name, group))
-
-    for n in range(1, 25):
-        add_elementary(f"c{n}", *_cyclic(n))
-    for m in range(2, 28):
-        add_elementary(f"hol{m}", *_holomorph(m))
-    for n in range(2, 9):
-        add_elementary(f"s{n}", *_symmetric(n))
-    for n in range(3, 9):
-        add_elementary(f"a{n}", *_alternating(n))
+    out: list[tuple[str, PermGroup]] = (
+        [(f"c{n}", cyclic_regular(n)) for n in range(1, 25)]
+        + [(f"hol{m}", holomorph_cyclic(m)) for m in range(3, 28)]
+        + [(f"s{n}", symmetric(n)) for n in range(3, 9)]
+        + [(f"a{n}", alternating(n)) for n in range(4, 9)])
+    pool = [(name, G) for name, G in out if 2 <= G.degree <= 9]
 
     for iname, inner in pool:
         for oname, outer in pool:

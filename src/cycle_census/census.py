@@ -438,7 +438,8 @@ def run_sweep(instance_cap: int = 200_000,
     catalog instances, keeping the transitive ones of order at most
     subgroup_order_cap, until subgroup_count of them have been censused.
     Refuses (ValueError) a negative subgroup_count and caps below 1, which
-    would otherwise skip every instance or report a failed random phase.
+    would skip every instance or starve the random phase, and a random
+    phase that finds fewer than subgroup_count in 60 * subgroup_count draws.
     """
     for name, value, least in (("subgroup_count", subgroup_count, 0),
                                ("instance_cap", instance_cap, 1),
@@ -477,7 +478,6 @@ def run_sweep(instance_cap: int = 200_000,
         rows.append(_sweep_row(f"rand{produced:03d}<{parent_name}", H,
                                subgroup_order_cap))
     if produced < subgroup_count:
-        rows.append(SweepRow("random-phase", 0, 0, "violation", None,
-                             f"only {produced} random subgroups found in "
-                             f"{max_attempts} attempts"))
+        raise ValueError(f"only {produced} random subgroups found in "
+                         f"{max_attempts} attempts")
     return rows

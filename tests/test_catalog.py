@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -383,8 +384,8 @@ def test_every_listed_family_instance_contains_an_n_cycle(m11, psl2_11, pgl32):
 
 class TestStandardInstances:
     def test_one_chain_build_per_instance(self, monkeypatch):
-        """A duplicate elementary group (hol2, s2, a3) is dropped before any
-        chain is built, and each pgammal extends the pgl built before it."""
+        """The elementary ranges leave out hol2, s2 and a3, which repeat c2
+        and c3, and each pgammal extends the pgl built before it."""
         builds = []
         original = catalog.group_from_generators
 
@@ -400,3 +401,50 @@ class TestStandardInstances:
         names = [name for name, _ in instances]
         assert not {"hol2", "s2", "a3"} & set(names)
         assert names.index("pgammal(2,8)") == names.index("pgl(2,8)") + 1
+
+    def test_elementary_instances_have_distinct_generators(self):
+        """No two elementary instances share a generator tuple: the ranges
+        start past hol2 and s2 (c2's generators) and a3 (c3's)."""
+        elementary = [G for name, G in catalog.standard_instances()
+                      if re.fullmatch(r"(c|hol|s|a)\d+", name)]
+        assert len(elementary) == 24 + 25 + 6 + 5
+        keys = [tuple(G.raw_generators()) for G in elementary]
+        assert len(set(keys)) == len(keys)
+
+    def test_left_out_instances_repeat_earlier_generators(self):
+        c2, c3 = cyclic_regular(2), cyclic_regular(3)
+        assert holomorph_cyclic(2).raw_generators() == c2.raw_generators()
+        assert catalog.symmetric(2).raw_generators() == c2.raw_generators()
+        assert catalog.alternating(3).raw_generators() == c3.raw_generators()
+
+
+def _constructor_records():
+    """The record of every elementary constructor call in its tested range:
+    (degree, order, raw generators, base, transversals and _inverses in
+    insertion order, _strong), or the refusal's type and message."""
+    records = []
+    for builder, top in ((cyclic_regular, 65), (holomorph_cyclic, 65),
+                         (catalog.symmetric, 16), (catalog.alternating, 16)):
+        for n in range(-1, top + 1):
+            try:
+                G = builder(n)
+            except Exception as exc:
+                records.append((builder.__name__, n, type(exc).__name__,
+                                str(exc)))
+                continue
+            records.append((
+                builder.__name__, n, G.degree, G.order,
+                tuple(G.raw_generators()), G.base,
+                tuple(tuple(tr.items()) for tr in G.transversals),
+                tuple(tuple(inv.items()) for inv in G._inverses), G._strong))
+    return records
+
+
+def test_elementary_constructors_are_pinned():
+    """The groups and refusals of the four elementary constructors, taken
+    before their (generators, order) helpers were folded into them."""
+    import hashlib
+    records = _constructor_records()
+    assert len(records) == 2 * 67 + 2 * 18
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "9721994f22cc8cf0bdc1ee7a5bff944b02297acc4eb49aa62f786b74e0a20d76")

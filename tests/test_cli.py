@@ -219,8 +219,8 @@ class TestVerifyCommand:
 
 
 class TestViolationExitCode:
-    """Exit code 2 means a violated identity or a failed random phase, with
-    one line on stderr per violation."""
+    """Exit code 2 means a violated identity, with one line on stderr per
+    violation; a failed random phase is refused with exit code 1."""
 
     @pytest.fixture
     def off_by_one(self, monkeypatch):
@@ -250,16 +250,14 @@ class TestViolationExitCode:
         parent = group_from_generators(3, [Permutation((0, 2, 1))])
         monkeypatch.setattr(catalog, "standard_instances",
                             lambda include_m23=False: [("c2_on_3", parent)])
-        rows = census.run_sweep(instance_cap=1, subgroup_count=1)
-        assert [(r.name, r.status) for r in rows] == [
-            ("c2_on_3", "skipped"), ("random-phase", "violation")]
-        assert rows[-1].detail == "only 0 random subgroups found in 60 attempts"
-        code, _ = run(["verify", "--random-subgroups", "1",
-                       "--instance-cap", "1"])
-        assert code == cli.EXIT_VIOLATION
-        assert capsys.readouterr().err.splitlines() == [
-            "BOUND VIOLATION in random-phase: only 0 random subgroups found "
-            "in 60 attempts"]
+        with pytest.raises(ValueError, match="^only 0 random subgroups "
+                           "found in 60 attempts$"):
+            census.run_sweep(instance_cap=1, subgroup_count=1)
+        code, text = run(["verify", "--random-subgroups", "1",
+                          "--instance-cap", "1"])
+        assert (code, text) == (cli.EXIT_ERROR, "")
+        assert capsys.readouterr().err == (
+            "error: only 0 random subgroups found in 60 attempts\n")
 
 
 class TestModuleEntryPoints:
