@@ -31,7 +31,6 @@ from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded, CycleParseError,
                            DegreeMismatchError, NotTransitiveError, PermGroup,
                            Permutation, contains, format_cycles,
                            group_from_generators, is_transitive,
-                           iterate_elements, parse_permutation,
-                           random_element)
+                           parse_permutation, random_element)
 
 __version__ = "0.1.0"

@@ -409,7 +409,7 @@ def load_named(name: str) -> PermGroup:
     return load_group_spec(data_dir() / f"{name}.grp")
 
 
-def write_group_spec(group: PermGroup, name: str, comment: str = "") -> str:
+def write_group_spec(group: PermGroup, comment: str = "") -> str:
     """Render a group in the group-spec format, with its order annotation."""
     lines = [f"# {part}".rstrip() for part in comment.splitlines()]
     lines += [f"# expected_order {group.order}", f"degree {group.degree}"]

@@ -150,7 +150,7 @@ def cmd_verify(args, out) -> int:
 def cmd_density(args, out) -> int:
     coeffs = density.parse_polynomial(args.poly)
     predicted = None
-    if args.predict:
+    if args.predict is not None:
         group = catalog.family_instance(args.predict)
         if group.degree != len(coeffs) - 1:
             raise ValueError(f"--predict {args.predict} has degree {group.degree}"
@@ -175,8 +175,8 @@ def cmd_density(args, out) -> int:
 
 def cmd_export_spec(args, out) -> int:
     name, group = build_group(args)
-    text = catalog.write_group_spec(group, name, comment=name)
-    if args.out:
+    text = catalog.write_group_spec(group, comment=name)
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}", file=out)

@@ -6,7 +6,8 @@ group-spec files use 1-based points.  Composition is left-to-right:
 
 Groups carry a deterministic stabilizer chain (each base point is the
 smallest point moved by the current stabilizer), so orders, membership
-tests and element enumeration are exact and reproducible across runs.
+tests and the slice kernel's coset listings are exact and reproducible
+across runs.
 Everything is immutable after construction and safe to share between
 threads or worker processes.
 """
@@ -515,8 +516,10 @@ def _slice_blocks(G: PermGroup, prefixes: Sequence[tuple[int, ...]],
     Under each prefix the levels from level on run in nested order, each
     over its sorted orbit points, the deepest innermost: one row per
     element of the stabilizer those levels form.  Prefix t_0[b] from level
-    1 gives the coset slice of the elements sending base[0] to b; the
-    identity from level 0 gives G, and a group with no base its identity.
+    1 gives the coset slice of the elements sending base[0] to b.  No
+    library path lists a whole group: the identity from level 0 gives G
+    (a group with no base, its identity), which the tests compare with
+    their tuple walk.
     The deepest levels are tabled into one array, the deepest whatever its
     size and each level above it while the table stays within
     _SLICE_CELLS bytes: row (beta, r) of T_j[:, table] is
@@ -550,21 +553,6 @@ def _slice_blocks(G: PermGroup, prefixes: Sequence[tuple[int, ...]],
     while batch := list(islice(rows, per_block)):
         yield np.take(np.array(batch, dtype=np.int8), table,
                       axis=1).reshape(-1, n)
-
-
-def iterate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[Permutation]:
-    """All elements of G, each exactly once, in the slice kernel's order.
-
-    Refuses to start (raises CapExceeded) if order(G) > cap, so callers
-    can never silently sample a partial census, and (ValueError) if the
-    degree exceeds MAX_DEGREE.
-    """
-    if G.order > cap:
-        raise CapExceeded(G.order, cap)
-    _check_degree(G.degree)
-    return (Permutation(tuple(row))
-            for block in _slice_blocks(G, [tuple(range(G.degree))], 0)
-            for row in block.tolist())
 
 
 def _stabilizer_gens(G: PermGroup, level: int = 0) -> list[tuple[int, ...]]:

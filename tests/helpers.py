@@ -25,8 +25,9 @@ import numpy as np
 
 from cycle_census.catalog import load_named, standard_instances
 from cycle_census.permutations import (Permutation, _contains_raw,
-                                       _is_full_cycle, group_from_generators,
-                                       is_transitive, random_element)
+                                       _is_full_cycle, _slice_blocks,
+                                       group_from_generators, is_transitive,
+                                       random_element)
 
 
 @functools.cache
@@ -266,6 +267,14 @@ def _iter_raw(G, top_points=None):
             yield from rec(level + 1, compose(tr[beta], suffix))
 
     yield from rec(0, identity)
+
+
+def kernel_rows(G):
+    """The slice kernel's listing of all of G, from level 0 under the
+    identity, as image tuples in the kernel's order: the listing the tests
+    compare with _iter_raw(G)."""
+    for block in _slice_blocks(G, [tuple(range(G.degree))], 0):
+        yield from map(tuple, block.tolist())
 
 
 @functools.cache

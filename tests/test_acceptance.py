@@ -19,10 +19,11 @@ from cycle_census.census import (are_conjugate_n_cycles, n_cycle_classes,
                                  validate_report)
 from cycle_census.density import density_report, parse_polynomial, predicted_density
 from cycle_census.ntheory import euler_phi
-from cycle_census.permutations import iterate_elements
+from cycle_census.permutations import Permutation
 
-from helpers import (catalog_instances, minimal_invariant_partitions,
-                     naive_closure, naive_irreducible)
+from helpers import (catalog_instances, collect_n_cycles,
+                     minimal_invariant_partitions, naive_closure,
+                     naive_irreducible)
 
 
 def report_pass(label, detail=""):
@@ -71,7 +72,7 @@ def test_criterion_3_sharpness_family():
     assert r1.class_count == euler_phi(6) == 2
     assert r1.solvable and r1.structure_verdict == "pass"
     assert r1.tower == (3, 2)
-    sixes = [p for p in iterate_elements(G1, 100) if p.is_n_cycle()]
+    sixes = [Permutation(t) for t in collect_n_cycles(G1)]
     assert any(normalizer_order_of_cycle(G1, s) == 12 for s in sixes)
 
     G2 = catalog.sharpness_group(2)
@@ -79,7 +80,7 @@ def test_criterion_3_sharpness_family():
     assert (r2.degree, r2.order) == (18, 972)
     assert r2.equality and r2.solvable and r2.structure_verdict == "pass"
     assert r2.class_count == euler_phi(18) == 6
-    eighteens = [p for p in iterate_elements(G2, 1000) if p.is_n_cycle()]
+    eighteens = [Permutation(t) for t in collect_n_cycles(G2)]
     assert any(normalizer_order_of_cycle(G2, s) == 18 * euler_phi(18)
                for s in eighteens)
     elapsed = time.time() - start
@@ -98,7 +99,7 @@ def test_criterion_4_pgl_3_2_singer():
     assert class_count == euler_phi(7) // 3 == 2
     units = [k for k in range(1, 7) if math.gcd(k, 7) == 1]
     singer_gens = [sigma ** k for k in units]
-    for tau in (p for p in iterate_elements(G, 10 ** 4) if p.is_n_cycle()):
+    for tau in map(Permutation, collect_n_cycles(G)):
         assert any(are_conjugate_n_cycles(G, s, tau) for s in singer_gens)
     elapsed = time.time() - start
     assert elapsed < 1.0

@@ -10,14 +10,15 @@ from cycle_census.blocks import (BlockSystem, InvalidBlockSystemError,
                                  minimal_block_containing)
 from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        NotTransitiveError,
-                                       Permutation, _contains_raw, _orbits,
+                                       Permutation, _contains_raw,
+                                       _is_full_cycle, _orbits,
                                        group_from_generators,
-                                       iterate_elements, parse_permutation,
-                                       random_element)
+                                       parse_permutation, random_element)
 
 import helpers
-from helpers import (all_partners_minimal_systems, block_kernel_order,
-                     catalog_instances, constituent_elements,
+from helpers import (_iter_raw, all_partners_minimal_systems,
+                     block_kernel_order, catalog_instances,
+                     constituent_elements,
                      finest_partition_joining, minimal_invariant_partitions,
                      random_subgroups)
 
@@ -382,7 +383,7 @@ def test_constituent_transitive_when_group_has_full_cycle():
              catalog.wreath_imprimitive(catalog.cyclic_regular(3),
                                         catalog.cyclic_regular(3))]
     for G in cases:
-        assert any(p.is_n_cycle() for p in iterate_elements(G, 10 ** 4))
+        assert any(map(_is_full_cycle, _iter_raw(G)))
         for system in all_minimal_block_systems(G):
             assert transitive(block_constituent(G, system))
 

@@ -9,14 +9,15 @@ from cycle_census.catalog import (GroupSpecError, cyclic_regular,
                                   holomorph_cyclic, load_group_spec,
                                   parse_group_spec, pgammal, pgl, pgl_order,
                                   sharpness_group, singer_cycle,
-                                  wreath_imprimitive, write_group_spec)
+                                  standard_instances, wreath_imprimitive,
+                                  write_group_spec)
 from cycle_census.census import normalizer_order_of_cycle
 from cycle_census.gf import MAX_Q, make_field
 from cycle_census.ntheory import euler_phi, prime_power
-from cycle_census.permutations import (contains, is_transitive,
-                                       iterate_elements, parse_permutation)
+from cycle_census.permutations import (_is_full_cycle, contains,
+                                       is_transitive, parse_permutation)
 
-from helpers import naive_closure
+from helpers import _iter_raw, collect_n_cycles, naive_closure
 
 PGL_CASES = [(2, 4), (2, 5), (2, 7), (2, 8), (3, 2), (3, 3)]
 
@@ -31,7 +32,7 @@ class TestCyclicRegular:
 
     def test_nine_cycles(self):
         C9 = cyclic_regular(9)
-        nine_cycles = [p for p in iterate_elements(C9, 100) if p.is_n_cycle()]
+        nine_cycles = collect_n_cycles(C9)
         assert len(nine_cycles) == euler_phi(9) == 6
 
 
@@ -340,10 +341,23 @@ class TestGroupSpecFiles:
     def test_write_then_load_roundtrip(self, tmp_path):
         G = catalog.pgl(3, 2)
         path = tmp_path / "pgl32.grp"
-        path.write_text(write_group_spec(G, "pgl32"))
+        path.write_text(write_group_spec(G))
         H = load_group_spec(path)
         assert H.order == G.order and H.degree == G.degree
         assert all(contains(H, g) for g in G.generators)
+
+    def test_every_standard_instance_round_trips(self):
+        """Written out and parsed back, every catalog instance, M23
+        included, builds with its degree, order, base and generator images,
+        and its order annotation reads back."""
+        for name, G in standard_instances(include_m23=True):
+            spec = parse_group_spec(write_group_spec(G, comment=name), name)
+            H = spec.build()
+            assert spec.expected_order == G.order, name
+            assert (H.degree, H.order, H.base) == (G.degree, G.order,
+                                                   G.base), name
+            assert ([h.images for h in H.generators]
+                    == [g.images for g in G.generators]), name
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
         path = tmp_path / "tiny.grp"
@@ -379,7 +393,7 @@ def test_every_listed_family_instance_contains_an_n_cycle(m11, psl2_11, pgl32):
         pgammal(2, 8), pgammal(2, 4), m11, psl2_11,
     ]
     for G in instances:
-        assert any(p.is_n_cycle() for p in iterate_elements(G, 10 ** 5)), G
+        assert any(map(_is_full_cycle, _iter_raw(G))), G
 
 
 class TestStandardInstances:

@@ -17,8 +17,7 @@ from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
 from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        NotTransitiveError, Permutation,
                                        _is_full_cycle, _suborbits, contains,
-                                       group_from_generators,
-                                       is_transitive, iterate_elements,
+                                       group_from_generators, is_transitive,
                                        parse_permutation, random_element)
 
 from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
@@ -96,14 +95,14 @@ class TestClasses:
     def test_every_cycle_conjugate_to_exactly_one_rep(self):
         G = catalog.pgammal(2, 8)
         _, reps = n_cycle_classes(G)
-        cycles = [p for p in iterate_elements(G, 10 ** 4) if p.is_n_cycle()]
+        cycles = [Permutation(t) for t in collect_n_cycles(G)]
         for tau in cycles[::17]:
             hits = [r for r in reps if are_conjugate_n_cycles(G, r, tau)]
             assert len(hits) == 1
 
     def test_orbit_partition_agrees_with_coset_trick(self, sharp1):
         """Cross-check the two conjugacy routes on a full n-cycle set."""
-        cycles = [p for p in iterate_elements(sharp1, 100) if p.is_n_cycle()]
+        cycles = [Permutation(t) for t in collect_n_cycles(sharp1)]
         _, reps = n_cycle_classes(sharp1)
         for tau in cycles:
             assert sum(are_conjugate_n_cycles(sharp1, r, tau) for r in reps) == 1
@@ -134,13 +133,12 @@ class TestNormalizer:
         assert normalizer_order_of_cycle(S7, sigma) == 42
 
     def test_sharpness1_attains_full_normalizer(self, sharp1):
-        sixes = [p for p in iterate_elements(sharp1, 100) if p.is_n_cycle()]
+        sixes = [Permutation(t) for t in collect_n_cycles(sharp1)]
         assert len(sixes) == 12
         assert any(normalizer_order_of_cycle(sharp1, s) == 12 for s in sixes)
 
     def test_divisibility_constraints(self, m11):
-        eleven = next(p for p in iterate_elements(m11, 10 ** 4)
-                      if p.is_n_cycle())
+        eleven = Permutation(next(filter(_is_full_cycle, _iter_raw(m11))))
         order = normalizer_order_of_cycle(m11, eleven)
         n = 11
         assert order % n == 0 and (n * euler_phi(n)) % order == 0
@@ -362,7 +360,7 @@ class TestPglSingerStructure:
         sigma = catalog.singer_cycle(d, q)
         units = [k for k in range(1, n) if math.gcd(k, n) == 1]
         generator_powers = [sigma ** k for k in units]
-        cycles = [p for p in iterate_elements(G, 10 ** 4) if p.is_n_cycle()]
+        cycles = [Permutation(t) for t in collect_n_cycles(G)]
         for tau in cycles:
             assert any(are_conjugate_n_cycles(G, s, tau)
                        for s in generator_powers)

@@ -127,6 +127,17 @@ class TestDensityCommand:
         assert code == 1 and text == ""
         assert "degree 5" in capsys.readouterr().err
 
+    def test_empty_predict_is_an_error(self, capsys, monkeypatch):
+        """An empty --predict is a family code like any other, not an absent
+        flag: it is refused before any prime is classified."""
+        monkeypatch.setattr(density, "density_report", None)   # never reached
+        code, text = run(["density", "--poly", "x^6+x^3+1", "--bound", "1000",
+                          "--predict", ""])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown family code ''")
+        assert err.count("\n") == 1
+
     def test_bound_past_int64_limit_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr(density, "sieve_primes", None)   # never reached
         code, text = run(["density", "--poly", "x^6+x^3+1",
@@ -150,6 +161,14 @@ class TestExportSpec:
         code, text = run(["export-spec", "--family", "cyclic", "--n", "5"])
         assert code == 0
         assert "degree 5" in text and "# expected_order 5" in text
+
+    def test_empty_out_is_an_error(self, capsys):
+        """An empty --out names no file; it does not mean stdout."""
+        code, text = run(["export-spec", "--family", "cyclic", "--n", "5",
+                          "--out", ""])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestWorkersFlag:

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from cycle_census import catalog
 from cycle_census.blocks import (all_minimal_block_systems, block_action,
                                  block_constituent)
+from cycle_census.census import count_n_cycles
 from cycle_census.permutations import (CapExceeded, CycleParseError,
                                        DegreeMismatchError, Permutation,
-                                       _orbits, contains, format_cycles,
-                                       group_from_generators, is_transitive,
-                                       iterate_elements, parse_permutation,
+                                       _is_full_cycle, _orbits, contains,
+                                       format_cycles, group_from_generators,
+                                       is_transitive, parse_permutation,
                                        random_element)
 
 import helpers
-from helpers import _iter_raw, catalog_instances, naive_closure
+from helpers import _iter_raw, catalog_instances, kernel_rows, naive_closure
 
 
 def perm(text, degree):
@@ -154,8 +155,8 @@ class TestCycleWalkAgainstOracles:
                   catalog.pgl(3, 2), catalog.sharpness_group(1),
                   catalog.cyclic_regular(1))
         for G in groups:
-            for p in iterate_elements(G):
-                self._check(p)
+            for t in _iter_raw(G):
+                self._check(Permutation(t))
 
 
 class TestCycleType:
@@ -185,7 +186,7 @@ class TestGroups:
     def test_trivial(self):
         G = group_from_generators(4, [Permutation.identity(4)])
         assert G.order == 1
-        assert list(iterate_elements(G, 10)) == [Permutation.identity(4)]
+        assert list(kernel_rows(G)) == [Permutation.identity(4).images]
 
     def test_m11_order_vs_naive_closure(self, m11):
         closure = naive_closure(11, [g.images for g in m11.generators])
@@ -269,34 +270,36 @@ class TestMembership:
 class TestIteration:
     def test_sym3(self):
         G = group_from_generators(3, [perm("(1,2)", 3), perm("(1,2,3)", 3)])
-        elements = list(iterate_elements(G, 10 ** 6))
+        elements = list(kernel_rows(G))
+        assert elements == list(_iter_raw(G))
         assert len(elements) == 6
-        assert len({e.images for e in elements}) == 6
+        assert len(set(elements)) == 6
 
     def test_m11_within_cap(self, m11):
-        elements = list(iterate_elements(m11, 10 ** 4))
+        elements = list(kernel_rows(m11))
+        assert elements == list(_iter_raw(m11))
         assert len(elements) == 7920
-        assert len({e.images for e in elements}) == 7920
+        assert len(set(elements)) == 7920
 
     def test_m11_cap_exceeded(self, m11):
         with pytest.raises(CapExceeded) as exc:
-            iterate_elements(m11, 10 ** 3)
+            count_n_cycles(m11, 10 ** 3)
         assert exc.value.order == 7920 and exc.value.cap == 1000
 
     def test_no_duplicates_catalog(self):
         for G in (catalog.holomorph_cyclic(12), catalog.pgl(2, 5),
                   catalog.sharpness_group(2), catalog.alternating(6)):
             seen = set()
-            for p in iterate_elements(G, 10 ** 5):
-                assert p.images not in seen
-                seen.add(p.images)
+            for t in kernel_rows(G):
+                assert t not in seen
+                seen.add(t)
             assert len(seen) == G.order
 
     def test_deterministic_order(self):
         G = catalog.pgl(3, 2)
-        first = [p.images for p in iterate_elements(G, 10 ** 4)]
-        second = [p.images for p in iterate_elements(G, 10 ** 4)]
-        assert first == second
+        first = list(kernel_rows(G))
+        second = list(kernel_rows(G))
+        assert first == second == list(_iter_raw(G))
 
 
 def orbits(G):
@@ -386,8 +389,7 @@ def test_ncycle_centralizer_identity():
              catalog.holomorph_cyclic(9), catalog.sharpness_group(1),
              catalog.pgl(3, 2)]
     for G in cases:
-        sigma = next(p.images for p in iterate_elements(G, 10 ** 5)
-                     if p.is_n_cycle())
+        sigma = next(filter(_is_full_cycle, _iter_raw(G)))
         fixers = [t for t in _iter_raw(G)
                   if _conjugate(sigma, t, _inverse(t)) == sigma]
         assert len(fixers) == G.degree
@@ -396,25 +398,25 @@ def test_ncycle_centralizer_identity():
 
 
 def test_iteration_dedup_across_catalog():
-    """Every catalog instance below 1e5 yields exactly order(G) distinct
-    elements, the same as the tuple walk in helpers and in its order; so
-    does the trivial group, which has no base."""
+    """The slice kernel's level-0 listing of every catalog instance below
+    1e5 yields exactly order(G) distinct elements, the same as the tuple
+    walk in helpers and in its order; so does the trivial group, which has
+    no base."""
     checked = 0
     for name, G in catalog_instances():
         if G.order > 10 ** 5:
             continue
         seen = set()
-        for p, t in zip_longest(iterate_elements(G, 10 ** 5), _iter_raw(G)):
-            assert p is not None and p.images == t, name
-            seen.add(p.images)
+        for p, t in zip_longest(kernel_rows(G), _iter_raw(G)):
+            assert p is not None and p == t, name
+            seen.add(p)
         assert len(seen) == G.order, name
-        assert type(p.images[0]) is int, name   # not a numpy integer
+        assert type(p[0]) is int, name   # not a numpy integer
         checked += 1
     assert checked > 150
     trivial = group_from_generators(4, [Permutation.identity(4)])
-    assert list(iterate_elements(trivial)) == [
-        Permutation(t) for t in _iter_raw(trivial)] == [
-        Permutation.identity(4)]
+    assert list(kernel_rows(trivial)) == list(_iter_raw(trivial)) == [
+        Permutation.identity(4).images]
 
 
 def test_base_points_are_smallest_moved_in_increasing_order():
