@@ -58,7 +58,7 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _check_degree, _compose, _conjugate, _contains_raw,
+                           _compose, _conjugate, _contains_raw,
                            _cycle, _full_cycle_mask, _orbits, _slice_blocks,
                            _stabilizer_gens, _suborbits, group_from_generators,
                            is_transitive, random_element)
@@ -133,14 +133,13 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     _second_level_cosets of G relabelled by (base[1] b), each of
     |G|/(n |O_b|) elements, when |O_b| > 1 and |G| > _SLICE_CELLS, and off
     the slice of |G|/n elements sending 0 to b otherwise.  Refused when |G|
-    exceeds the cap or the degree exceeds 64.  Every census entry point is
-    a view over this pass.
+    exceeds the cap (no group above degree 64 is built).  Every census
+    entry point is a view over this pass.
     """
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
-    _check_degree(G.degree)
     top = _top_level(G)
     count, shallow = 0, []
     for b, size in _suborbits(G):

@@ -25,7 +25,8 @@ if TYPE_CHECKING:
 
 DEFAULT_ELEMENT_CAP = 20_000_000
 
-# The slice kernel's rows are int8: every entry point refuses a larger degree.
+# The slice kernel's rows are int8, and the chain builder composes through
+# 256-byte tables: every group build refuses a larger degree.
 MAX_DEGREE = 64
 
 # The slice kernel lists a coset slice in blocks of at most _SLICE_CELLS int8
@@ -97,7 +98,8 @@ class CapExceeded(RuntimeError):
         self.exact = exact
 
 
-# Hot loops work on raw image tuples; Permutation is the public wrapper.
+# Hot loops work on raw image tuples, except the chain builder, which
+# composes bytes (see _build_chain); Permutation is the public wrapper.
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(q.__getitem__, p))
@@ -329,8 +331,11 @@ def group_from_generators(degree: int, generators: Sequence[Permutation], *,
     is refused (CapExceeded, exact=False) as soon as the partial chain
     proves it, without completing the chain.  _ceiling is private: a
     proven upper bound on the order, at which the build may stop early
-    (see _build_chain).
+    (see _build_chain).  A degree above MAX_DEGREE is refused first: the
+    builder's byte tables hold images below 256, and the slice kernel's
+    rows are int8.
     """
+    _check_degree(degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     gens = tuple(generators)
@@ -359,11 +364,22 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     stabilizers (a skipped point is fixed by the whole stabilizer above
     it, so removing its level keeps the chain valid).
 
-    Each strong generator is kept with its inverse and the smallest point
-    it moves (a residue that sifts to level j moves j first), so the
-    generators of level i are those whose first moved point is >= i.
-    Each level keeps the inverses of its representatives beside them;
-    inverses, unpruned, and strong are returned as the build leaves them.
+    The build holds every permutation as bytes of length n, and composes
+    p * q (p first) as p.translate(Q), where Q is q padded to a 256-byte
+    table (q + bytes(range(n, 256)), which bytes.maketrans(identity, q)
+    makes; bytes.maketrans(q, identity) pads q^-1): one C loop, and a
+    bytes key hashes in C too.  This is exact because group_from_generators refuses a
+    degree above MAX_DEGREE = 64, so every image is a byte and the padding
+    fixes the bytes a length-n permutation never holds.  The record is
+    turned back into image tuples once, at the end.
+
+    Each strong generator is kept as (g, padded g, padded g^-1, smallest
+    point g moves) (a residue that sifts to level j moves j first), so the
+    generators of level i are those whose first moved point is >= i; each
+    rebuild keeps the list it filtered for its level.  Each level keeps
+    the inverses of its representatives beside them, padded.  inverses,
+    unpruned, and strong (as (g, g^-1, first)) are returned as the build
+    leaves them.
 
     No proven work is redone.  When the descent reaches level i, every
     level below it (i + 1 ..) has been passed since the last change, so
@@ -398,28 +414,33 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     below |G| that the bound happens to hit would return an incomplete
     chain.
     """
-    identity = tuple(range(degree))
-    strong = []   # (generator, its inverse, the smallest point it moves)
-    for g in dict.fromkeys(raw_gens):
+    identity = bytes(range(degree))
+    table = bytes(range(256))   # the identity, padded
+    strong = []   # (g, padded g, padded g^-1, the smallest point g moves)
+
+    def keep(g, first):
+        strong.append((g, bytes.maketrans(identity, g),
+                       bytes.maketrans(g, identity), first))
+
+    for g in dict.fromkeys(map(bytes, raw_gens)):
         if g != identity:
-            first = next(x for x, y in enumerate(g) if x != y)
-            strong.append((g, _inverse(g), first))
-    transversals: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
-    inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
+            keep(g, next(x for x, y in enumerate(g) if x != y))
+    transversals: list[dict[int, bytes]] = [{} for _ in range(degree)]
+    inverses: list[dict[int, bytes]] = [{} for _ in range(degree)]
+    # the (padded g, padded g^-1) of level i, as its last rebuild found them
+    gens: list[list[tuple[bytes, bytes]]] = [[] for _ in range(degree)]
     fresh = [False] * degree   # level i holds the orbit of all its generators
     # the Schreier generators sifted at level i so far (the identity needs no
     # sift): each lies in the group of the generators of level i + 1
     sifted = [{identity} for _ in range(degree)]
     bound = 1   # the product of the transversal sizes
 
-    def gens_at(i):
-        return [(s, s_inv) for s, s_inv, first in strong if first >= i]
-
     def rebuild(i):
         nonlocal bound
-        gens_i = gens_at(i)
+        gens_i = gens[i] = [(s, s_inv) for _, s, s_inv, first in strong
+                            if first >= i]
         tr = {i: identity}
-        inv = {i: identity}
+        inv = {i: table}
         frontier = [i]
         while frontier:
             nxt = []
@@ -429,8 +450,8 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
                 for s, s_inv in gens_i:
                     delta = s[gamma]
                     if delta not in tr:
-                        tr[delta] = _compose(rep, s)
-                        inv[delta] = _compose(s_inv, rep_inv)
+                        tr[delta] = rep.translate(s)
+                        inv[delta] = s_inv.translate(rep_inv)
                         nxt.append(delta)
             frontier = nxt
         bound = bound // (len(transversals[i]) or 1) * len(tr)
@@ -453,21 +474,19 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
                     rebuild(k)
             break
         tr, inv = transversals[i], inverses[i]
-        gens_i = gens_at(i)
         seen = sifted[i]
         jump = None
         for gamma in sorted(tr):
             rep = tr[gamma]
-            for s, _ in gens_i:
-                schreier = tuple(map(inv[s[gamma]].__getitem__,
-                                     map(s.__getitem__, rep)))
+            for s, _ in gens[i]:
+                schreier = rep.translate(s).translate(inv[s[gamma]])
                 if schreier in seen:
                     continue
                 seen.add(schreier)
                 residue, j = _sift(inverses, schreier, i + 1)
                 if j == degree:
                     continue
-                strong.append((residue, _inverse(residue), j))
+                keep(residue, j)
                 fresh[:j + 1] = [False] * (j + 1)
                 for k in range(i + 1, j + 1):
                     rebuild(k)
@@ -477,14 +496,22 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
                 break
         i = i - 1 if jump is None else jump
 
-    kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
+    def images(level):
+        return {x: tuple(p[:degree]) for x, p in level.items()}
+
+    kept = [(b, images(tr)) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept), tuple(tr for _, tr in kept),
-            tuple(inverses), tuple(strong))
+            tuple(map(images, inverses)),
+            tuple((tuple(g), tuple(g_inv[:degree]), first)
+                  for g, _, g_inv, first in strong))
 
 
-def _sift(inverses, g: tuple[int, ...], start: int = 0):
-    """Sift g through the inverse transversals from level start; returns
-    (residue, level it stopped at), that level len(g) once g is the identity."""
+def _sift(inverses, g: bytes, start: int = 0):
+    """Sift g, held as bytes, through the padded inverse transversals of
+    the chain builder from level start; returns (residue, level it stopped
+    at), that level len(g) once g is the identity.  Each step is one
+    translate through a 256-byte table, exact for n <= 64 < 256 (see
+    _build_chain)."""
     for i in range(start, len(g)):
         beta = g[i]
         if beta == i:
@@ -492,12 +519,21 @@ def _sift(inverses, g: tuple[int, ...], start: int = 0):
         rep_inv = inverses[i].get(beta)
         if rep_inv is None:
             return g, i
-        g = _compose(g, rep_inv)
+        g = g.translate(rep_inv)
     return g, len(g)
 
 
 def _contains_raw(G: PermGroup, g: tuple[int, ...]) -> bool:
-    return _sift(G._inverses, g)[1] == G.degree
+    """Sift the image tuple g through the kept inverse transversals."""
+    for i in range(G.degree):
+        beta = g[i]
+        if beta == i:
+            continue
+        rep_inv = G._inverses[i].get(beta)
+        if rep_inv is None:
+            return False
+        g = _compose(g, rep_inv)
+    return True
 
 
 def contains(G: PermGroup, p: Permutation) -> bool:

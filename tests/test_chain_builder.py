@@ -2,8 +2,9 @@
 order ceiling, and the chain record a group keeps.
 
 The builder filters generators by their first moved point, reads cached
-inverse representatives, can stop at an order cap and stops early at a
-proven order ceiling; none of that may change a chain.  Transversal
+inverse representatives, composes bytes, can stop at an order cap and
+stops early at a proven order ceiling; none of that may change a chain,
+and the record it returns holds image tuples.  Transversal
 representatives, and their dict order, are part of the output
 (random_element and so the sweep's random rows read them), so chains are
 compared item by item in insertion order.  The
@@ -388,6 +389,76 @@ class TestChainRecord:
                     assert _contains_raw(G, g) == want, (label, g)
                     outside += not want
         assert outside == 1982   # of 2 164 products with a transposition
+
+
+def _is_images(t, degree):
+    """t is an image tuple of plain ints, as the builder's record keeps."""
+    return (type(t) is tuple and len(t) == degree
+            and all(type(x) is int for x in t))
+
+
+class TestRecordRepresentation:
+    """The builder composes bytes internally; every record it returns
+    holds image tuples of ints, never bytes, and equals the oracle's chain
+    at the degree edges."""
+
+    def _assert_tuples(self, label, degree, record):
+        base, transversals, inverses, strong = record
+        assert len(inverses) == degree, label
+        for level in (*transversals, *inverses):
+            assert all(_is_images(p, degree) for p in level.values()), label
+        for g, g_inv, first in strong:
+            assert _is_images(g, degree) and _is_images(g_inv, degree), label
+            assert type(first) is int, label
+
+    def test_every_standard_instance(self):
+        checked = 0
+        for name, G in catalog.standard_instances(include_m23=True):
+            self._assert_tuples(name, G.degree, (
+                G.base, G.transversals, G._inverses, G._strong))
+            checked += 1
+        assert checked == 222
+
+    def test_random_phase_pairs(self, drawn):
+        for label, degree, gens, _ in drawn["random_phase"]:
+            self._assert_tuples(label, degree, _build_chain(degree, gens))
+
+    def test_relabelled_conjugates(self):
+        groups = [(name, G) for name, G in catalog_instances()
+                  if G.order > permutations._SLICE_CELLS]
+        groups.append(("m23", catalog.load_named("m23")))
+        relabelled = 0
+        for name, G in groups:
+            for b, size in _suborbits(G):
+                if size == 1 or b == G.base[1]:
+                    continue
+                H = census._relabelled(G, b)
+                self._assert_tuples((name, b), H.degree, (
+                    H.base, H.transversals, H._inverses, H._strong))
+                relabelled += 1
+        assert relabelled == 59
+
+    @pytest.mark.parametrize("degree, gens", [
+        (1, [(0,)]),
+        (2, [(0, 1)]),
+        (2, [(1, 0)]),
+        (2, [(0, 1), (1, 0), (1, 0)]),
+    ])
+    def test_small_degrees_equal_the_oracle(self, degree, gens):
+        chain = _build_chain(degree, gens)
+        assert _items(chain) == _items(build_chain(degree, gens))
+        self._assert_tuples(gens, degree, chain)
+
+    @pytest.mark.parametrize("family", [catalog.cyclic_regular,
+                                        catalog.holomorph_cyclic,
+                                        catalog.symmetric])
+    def test_degree_64_equals_the_oracle(self, family):
+        """The largest degree, where every image is still a byte; S64's
+        oracle build is the slowest of the three (about 3 s)."""
+        G = family(64)
+        chain = _build_chain(64, G.raw_generators())
+        assert _items(chain) == _items(build_chain(64, G.raw_generators()))
+        self._assert_tuples(family.__name__, 64, chain)
 
 
 class TestOrderCap:

@@ -138,10 +138,9 @@ class TestCountsAgainstEnumeration:
 
     def test_degree_above_64_is_refused(self):
         """Rows are int8, which would wrap points past 127 into negative
-        indices; the census refuses any degree above the documented 64,
-        before listing anything."""
+        indices; no group above the documented degree 64 is built, so no
+        census can list one."""
         shift = Permutation(tuple(range(1, 65)) + (0,))
-        G = group_from_generators(65, [shift])
         with pytest.raises(ValueError, match="degree 65 exceeds"):
-            count_n_cycles(G)
+            count_n_cycles(group_from_generators(65, [shift]))
 
