@@ -12,7 +12,7 @@ from .blocks import (BlockSystem, InvalidBlockSystemError,
                      all_minimal_block_systems, block_action,
                      block_constituent, derived_series,
                      minimal_block_containing)
-from .catalog import (GroupSpec, GroupSpecError, alternating, cyclic_regular,
+from .catalog import (GroupSpecError, alternating, cyclic_regular,
                       duality_extension, family_instance, holomorph_cyclic,
                       load_group_spec, load_named, parse_group_spec, pgammal,
                       pgl, sharpness_group, singer_cycle, standard_instances,

@@ -4,8 +4,9 @@ Covers regular cyclic groups, holomorphs of cyclic groups, symmetric and
 alternating groups, imprimitive wreath products, projective linear groups
 PGL_d(q) and their field-automorphism extensions, Singer cycles, the
 point-hyperplane duality extension of PGL_3(q), the sharp family of
-degree 2*3^k, and loading of validated generator files for the sporadic
-entries (M11, M23, PSL2(11) on 11 points).  Every permutation of the
+degree 2*3^k, and the group-spec reader, which parses a generator file
+for the sporadic entries (M11, M23, PSL2(11) on 11 points) straight to
+its group and checks the file's order annotation.  Every permutation of the
 projective points but the Frobenius map is a matrix over GF(q) acting on
 the normalized points of GF(q)^d; a Singer cycle is a companion matrix.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .gf import MAX_Q, FqField, make_field
@@ -321,32 +321,17 @@ def sharpness_group(k: int) -> PermGroup:
 
 # group-spec files --------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed group-spec text: a named generator list with optional order."""
-
-    name: str
-    degree: int
-    generators: tuple[Permutation, ...]
-    expected_order: int | None
-
-    def build(self) -> PermGroup:
-        group = group_from_generators(self.degree, self.generators)
-        if self.expected_order is not None and group.order != self.expected_order:
-            raise GroupSpecError(
-                f"{self.name}: constructed order {group.order} "
-                f"does not match expected_order {self.expected_order}")
-        return group
-
-
-def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
-    """Parse the group-spec format.
+def parse_group_spec(text: str, name: str = "<string>") -> PermGroup:
+    """Parse the group-spec format and return the group it describes.
 
     Grammar: optional comment lines starting with '#'; one line
     "degree N"; one line "gen <cycles>" per generator, the space optional;
     blank lines are ignored.  A keyword is a whole word: "degrees 3" is an
-    unrecognized line.  A comment of the exact form "# expected_order N"
-    declares the order the constructed group must have.
+    unrecognized line.  A comment of the exact form "# expected_order N",
+    at most one per file, declares the order the built group must have.
+    Every syntax error is raised at its line, before the group is built;
+    the annotation is a claim to check, not a proven bound, so the build
+    gets no ceiling from it.
     """
     degree = None
     expected = None
@@ -362,6 +347,8 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["expected_order"]:
+                if expected is not None:
+                    raise error("duplicate expected_order annotation")
                 if len(parts) != 2 or not parts[1].isdecimal():
                     raise error("malformed expected_order annotation")
                 expected = _decimal(parts[1], error)
@@ -393,15 +380,17 @@ def parse_group_spec(text: str, name: str = "<string>") -> GroupSpec:
         raise GroupSpecError(f"{name}: missing degree line")
     if not gens:
         raise GroupSpecError(f"{name}: no generators")
-    return GroupSpec(name=name, degree=degree, generators=tuple(gens),
-                     expected_order=expected)
+    group = group_from_generators(degree, gens)
+    if expected is not None and group.order != expected:
+        raise GroupSpecError(f"{name}: constructed order {group.order} "
+                             f"does not match expected_order {expected}")
+    return group
 
 
 def load_group_spec(path) -> PermGroup:
     """Load and validate a .grp file; order mismatches fail loudly."""
     path = Path(path)
-    spec = parse_group_spec(path.read_text(), name=path.name)
-    return spec.build()
+    return parse_group_spec(path.read_text(), name=path.name)
 
 
 def load_named(name: str) -> PermGroup:
@@ -410,8 +399,16 @@ def load_named(name: str) -> PermGroup:
 
 
 def write_group_spec(group: PermGroup, comment: str = "") -> str:
-    """Render a group in the group-spec format, with its order annotation."""
-    lines = [f"# {part}".rstrip() for part in comment.splitlines()]
+    """Render a group in the group-spec format, with its order annotation.
+
+    A comment line whose first word is expected_order would read back as
+    a second annotation, so it is refused (ValueError).
+    """
+    parts = comment.splitlines()
+    if any(part.split()[:1] == ["expected_order"] for part in parts):
+        raise ValueError("a comment line may not start with expected_order, "
+                         "the order annotation's word")
+    lines = [f"# {part}".rstrip() for part in parts]
     lines += [f"# expected_order {group.order}", f"degree {group.degree}"]
     lines += [f"gen {format_cycles(g)}" for g in group.generators]
     return "\n".join(lines) + "\n"

@@ -417,6 +417,12 @@ class SweepRow:
     report: CensusReport | None
     detail: str = ""
 
+    def to_json_dict(self) -> dict:
+        """The row as `verify --format json` prints it."""
+        return {"name": self.name, "degree": self.degree, "order": self.order,
+                "status": self.status, "detail": self.detail,
+                "report": self.report.to_json_dict() if self.report else None}
+
 
 def _sweep_row(name: str, group: PermGroup, cap: int) -> SweepRow:
     report, violations = _verdict_full(group, cap=cap)

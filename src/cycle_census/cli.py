@@ -113,14 +113,8 @@ def cmd_verify(args, out) -> int:
                             seed=args.seed, include_m23=args.include_m23)
     violations = [r for r in rows if r.status == "violation"]
     if args.format == "json":
-        payload = []
-        for r in rows:
-            payload.append({
-                "name": r.name, "degree": r.degree, "order": r.order,
-                "status": r.status, "detail": r.detail,
-                "report": r.report.to_json_dict() if r.report else None,
-            })
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps([r.to_json_dict() for r in rows], indent=2),
+              file=out)
     else:
         header = (f"{'name':<24} {'deg':>4} {'order':>10} {'#ncyc':>7} "
                   f"{'cls':>4} {'phi':>4} {'subs':>6} {'bound':>8} eq struct")

@@ -271,23 +271,35 @@ class TestGroupSpecFiles:
     def test_parse_error_non_bijective(self):
         text = "degree 3\ngen (1,2)(2,3)\n"
         with pytest.raises(GroupSpecError):
-            parse_group_spec(text).build()
+            parse_group_spec(text)
 
     def test_order_mismatch_rejected(self):
         text = "# expected_order 99\ndegree 3\ngen (1,2,3)\n"
         with pytest.raises(GroupSpecError, match="expected_order"):
-            parse_group_spec(text).build()
+            parse_group_spec(text)
 
     def test_order_annotation_is_the_exact_word(self):
         """Only "# expected_order N" declares an order; any other comment,
         even one that starts with that word, is a plain comment."""
         for comment in ("# expected_orders 5", "# expected_order_is_unknown",
                         "#expected_orderly"):
-            spec = parse_group_spec(f"{comment}\ndegree 3\ngen (1,2,3)\n")
-            assert spec.expected_order is None
-            assert spec.build().order == 3
-        spec = parse_group_spec("#expected_order 3\ndegree 3\ngen (1,2,3)\n")
-        assert spec.expected_order == 3
+            text = f"{comment}\ndegree 3\ngen (1,2,3)\n"
+            assert parse_group_spec(text).order == 3
+        # the space after '#' is optional: a wrong order is refused
+        text = "#expected_order {}\ndegree 3\ngen (1,2,3)\n"
+        assert parse_group_spec(text.format(3)).order == 3
+        with pytest.raises(GroupSpecError, match="^<string>: constructed "
+                           "order 3 does not match expected_order 4$"):
+            parse_group_spec(text.format(4))
+
+    def test_duplicate_order_annotation(self):
+        """A second annotation is refused at its own line, before any
+        build, whether or not it agrees with the first."""
+        for second in ("# expected_order 7", "# expected_order 3"):
+            with pytest.raises(GroupSpecError, match="^<string>:4: duplicate "
+                               "expected_order annotation$"):
+                parse_group_spec(f"degree 3\ngen (1,2,3)\n"
+                                 f"# expected_order 3\n{second}\n")
 
     def test_missing_degree(self):
         with pytest.raises(GroupSpecError):
@@ -302,7 +314,7 @@ class TestGroupSpecFiles:
             with pytest.raises(GroupSpecError,
                                match=f"^<string>:{lineno}: unrecognized line"):
                 parse_group_spec(text)
-        assert parse_group_spec("degree 3\ngen(1,2,3)\n").build().order == 3
+        assert parse_group_spec("degree 3\ngen(1,2,3)\n").order == 3
 
     def test_degree_above_64(self):
         with pytest.raises(GroupSpecError, match="degree 65 exceeds"):
@@ -318,7 +330,7 @@ class TestGroupSpecFiles:
         """Superscripts pass str.isdigit but not int(); each is refused as
         a GroupSpecError, never a bare ValueError."""
         with pytest.raises(GroupSpecError, match=message):
-            parse_group_spec(text).build()
+            parse_group_spec(text)
 
     @pytest.mark.parametrize("text, message", [
         (f"degree {'9' * 5000}\ngen (1,2)\n", "^<string>:1: a number of 5000 "),
@@ -334,7 +346,7 @@ class TestGroupSpecFiles:
         with its file:line (a generator's, with its character position),
         short enough for one line: the number is never quoted."""
         with pytest.raises(GroupSpecError, match=message) as exc:
-            parse_group_spec(text).build()
+            parse_group_spec(text)
         assert "exceeds the 4300-digit limit" in str(exc.value)
         assert len(str(exc.value)) < 200
 
@@ -349,15 +361,34 @@ class TestGroupSpecFiles:
     def test_every_standard_instance_round_trips(self):
         """Written out and parsed back, every catalog instance, M23
         included, builds with its degree, order, base and generator images,
-        and its order annotation reads back."""
+        and its order annotation reads back: raised by one, it is refused."""
         for name, G in standard_instances(include_m23=True):
-            spec = parse_group_spec(write_group_spec(G, comment=name), name)
-            H = spec.build()
-            assert spec.expected_order == G.order, name
+            text = write_group_spec(G, comment=name)
+            H = parse_group_spec(text, name)
             assert (H.degree, H.order, H.base) == (G.degree, G.order,
                                                    G.base), name
             assert ([h.images for h in H.generators]
                     == [g.images for g in G.generators]), name
+            line = f"\n# expected_order {G.order}\n"
+            assert text.count(line) == 1, name
+            wrong = text.replace(line, f"\n# expected_order {G.order + 1}\n")
+            with pytest.raises(GroupSpecError, match=re.escape(
+                    f"{name}: constructed order {G.order} does not match "
+                    f"expected_order {G.order + 1}")):
+                parse_group_spec(wrong, name)
+
+    def test_writer_refuses_an_annotation_in_its_comment(self):
+        """A comment line whose first word is expected_order would read
+        back as a second, or malformed, annotation; any other is kept."""
+        G = cyclic_regular(3)
+        for comment in ("expected_order", "c3\n  expected_order 3",
+                        "expected_order 4 sets it"):
+            with pytest.raises(ValueError, match="expected_order"):
+                write_group_spec(G, comment=comment)
+        for comment in ("expected_orders", "c3, expected_order 3",
+                        "#expected_order 4"):
+            text = write_group_spec(G, comment=comment)
+            assert parse_group_spec(text).order == 3
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
         path = tmp_path / "tiny.grp"

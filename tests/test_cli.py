@@ -84,6 +84,22 @@ class TestCensusCommand:
         assert code == 1 and text == ""
         assert "degree 65 exceeds supported maximum 64" in capsys.readouterr().err
 
+    def test_refused_spec_files(self, tmp_path, capsys):
+        """A wrong annotation and a second one are each one error line;
+        the second names its line."""
+        for body, message in (
+                ("# expected_order 99\n",
+                 "error: bad.grp: constructed order 3 does not match "
+                 "expected_order 99"),
+                ("# expected_order 3\n# expected_order 7\n",
+                 "error: bad.grp:4: duplicate expected_order annotation")):
+            path = tmp_path / "bad.grp"
+            path.write_text("degree 3\ngen (1,2,3)\n" + body)
+            code, text = run(["census", "--family", "spec",
+                              "--spec-file", str(path)])
+            assert code == 1 and text == ""
+            assert capsys.readouterr().err.splitlines() == [message]
+
 
 class TestDensityCommand:
     def test_json_roundtrip(self):
