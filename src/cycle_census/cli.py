@@ -1,7 +1,7 @@
 """Command-line interface: census, catalog, verify, density, export-spec.
 
 Exit codes: 0 success, 1 usage or data errors (including a refused
-enumeration), 2 a violated census identity, which would mean either a
+census), 2 a violated census identity, which would mean either a
 bug or a counterexample and is treated as a build-breaking event.
 
 FAMILIES is the one list of group families: each entry names the builder,
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, default_format="text"):
         _add_int(p, "--cap", default=DEFAULT_ELEMENT_CAP,
-                 help="maximum group order for exhaustive enumeration")
+                 help="largest group order a census accepts")
         p.add_argument("--format", choices=("text", "json"),
                        default=default_format)
 
@@ -275,7 +275,7 @@ def main(argv=None, out=None) -> int:
     try:
         return args.func(args, out)
     except CapExceeded as exc:
-        print(f"error: {exc}; raise --cap to enumerate anyway", file=sys.stderr)
+        print(f"error: {exc}; raise --cap to census it anyway", file=sys.stderr)
         return EXIT_ERROR
     except census.CensusInvariantError as exc:
         print(f"CENSUS INVARIANT VIOLATION: {exc}", file=sys.stderr)

@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and factorization(n) == [(n, 1)]
 
 
 def factorization(n: int) -> list[tuple[int, int]]:

@@ -89,7 +89,7 @@ class CapExceeded(RuntimeError):
 
     def __init__(self, order: int, cap: int, exact: bool = True):
         if exact:
-            message = f"group order {order} exceeds the enumeration cap {cap}"
+            message = f"group order {order} exceeds the census cap {cap}"
         else:
             message = f"group order is at least {order}, above the order cap {cap}"
         super().__init__(message)
@@ -300,9 +300,9 @@ class PermGroup:
     i-th stabilizer to a coset representative (as a raw image tuple)
     carrying base[i] to that point.  order is the product of the
     transversal sizes.  _inverses[i] holds the inverse representatives of
-    level i of the builder's chain, for every point i (pruned levels hold
-    i alone), and _strong the strong generators as (g, g^-1, smallest
-    point g moves).  Do not mutate any field.
+    level i of the builder's chain, for every point i ({} unless i is a
+    base point), and _strong the strong generators as (g, smallest point
+    g moves).  Do not mutate any field.
     """
 
     degree: int
@@ -311,7 +311,7 @@ class PermGroup:
     transversals: tuple[dict[int, tuple[int, ...]], ...]
     order: int
     _inverses: tuple[dict[int, tuple[int, ...]], ...]
-    _strong: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+    _strong: tuple[tuple[tuple[int, ...], int], ...]
 
     def raw_generators(self) -> list[tuple[int, ...]]:
         return [g.images for g in self.generators]
@@ -373,13 +373,13 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     fixes the bytes a length-n permutation never holds.  The record is
     turned back into image tuples once, at the end.
 
-    Each strong generator is kept as (g, padded g, padded g^-1, smallest
+    Each strong generator is kept as (padded g, padded g^-1, smallest
     point g moves) (a residue that sifts to level j moves j first), so the
     generators of level i are those whose first moved point is >= i; each
     rebuild keeps the list it filtered for its level.  Each level keeps
-    the inverses of its representatives beside them, padded.  inverses,
-    unpruned, and strong (as (g, g^-1, first)) are returned as the build
-    leaves them.
+    the inverses of its representatives beside them, padded.  The record
+    keeps what the library reads: inverses, one level per point, {} where
+    pruned (the sift skips a fixed point), and strong as (g, first).
 
     No proven work is redone.  When the descent reaches level i, every
     level below it (i + 1 ..) has been passed since the last change, so
@@ -416,10 +416,10 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     """
     identity = bytes(range(degree))
     table = bytes(range(256))   # the identity, padded
-    strong = []   # (g, padded g, padded g^-1, the smallest point g moves)
+    strong = []   # (padded g, padded g^-1, the smallest point g moves)
 
     def keep(g, first):
-        strong.append((g, bytes.maketrans(identity, g),
+        strong.append((bytes.maketrans(identity, g),
                        bytes.maketrans(g, identity), first))
 
     for g in dict.fromkeys(map(bytes, raw_gens)):
@@ -437,7 +437,7 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
 
     def rebuild(i):
         nonlocal bound
-        gens_i = gens[i] = [(s, s_inv) for _, s, s_inv, first in strong
+        gens_i = gens[i] = [(s, s_inv) for s, s_inv, first in strong
                             if first >= i]
         tr = {i: identity}
         inv = {i: table}
@@ -501,9 +501,8 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
 
     kept = [(b, images(tr)) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept), tuple(tr for _, tr in kept),
-            tuple(map(images, inverses)),
-            tuple((tuple(g), tuple(g_inv[:degree]), first)
-                  for g, _, g_inv, first in strong))
+            tuple(images(inv) if len(inv) > 1 else {} for inv in inverses),
+            tuple((tuple(s[:degree]), first) for s, _, first in strong))
 
 
 def _sift(inverses, g: bytes, start: int = 0):
@@ -599,7 +598,7 @@ def _stabilizer_gens(G: PermGroup, level: int = 0) -> list[tuple[int, ...]]:
     base[level], and these generate the pointwise stabilizer of
     0..base[level].  For transitive G of degree > 1, level 0 gives G_0
     and level 1 gives G_{0,b}, b = base[1]."""
-    return [g for g, _, first in G._strong if first > G.base[level]]
+    return [g for g, first in G._strong if first > G.base[level]]
 
 
 def _suborbits(G: PermGroup) -> list[tuple[int, int]]:

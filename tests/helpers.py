@@ -10,8 +10,8 @@ apart from the chain builder under the normal-closure oracle (the builder
 is checked against build_chain here) and the membership sift under the
 normal-closure and normalizer oracles.  catalog_instances builds the
 standard catalog once for the tests that only read it, random_subgroups
-the seeded random subgroups, and m23_slice walks M23's one depth-1 slice
-once.
+the seeded random subgroups, seeded_pairs the seeded random pairs of
+three fixed parents, and m23_slice walks M23's one depth-1 slice once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import random
 
 import numpy as np
 
-from cycle_census.catalog import load_named, standard_instances
+from cycle_census.catalog import (load_named, pgammal, standard_instances,
+                                  symmetric, wreath_imprimitive)
 from cycle_census.permutations import (Permutation, _contains_raw,
                                        _is_full_cycle, _slice_blocks,
                                        group_from_generators, is_transitive,
@@ -53,6 +54,22 @@ def random_subgroups(count):
         if H.order <= 10 ** 5 and is_transitive(H):
             groups.append(H)
     return tuple(groups)
+
+
+@functools.cache
+def seeded_pairs():
+    """The first 60 draws of seed 99, kept or not: (parent, g1, g2), the
+    parent drawn from S8, PGammaL(2,8) and S3 wr S4, then two random
+    elements of it."""
+    rng = random.Random(99)
+    parents = [symmetric(8), pgammal(2, 8),
+               wreath_imprimitive(symmetric(3), symmetric(4))]
+    pairs = []
+    for _ in range(60):
+        parent = parents[rng.randrange(len(parents))]
+        pairs.append((parent, random_element(parent, rng),
+                      random_element(parent, rng)))
+    return tuple(pairs)
 
 
 def compose(p, q):

@@ -17,7 +17,7 @@ from cycle_census.ntheory import euler_phi, prime_power
 from cycle_census.permutations import (_is_full_cycle, contains,
                                        is_transitive, parse_permutation)
 
-from helpers import _iter_raw, collect_n_cycles, naive_closure
+from helpers import _iter_raw, collect_n_cycles, inverse, naive_closure
 
 PGL_CASES = [(2, 4), (2, 5), (2, 7), (2, 8), (3, 2), (3, 3)]
 
@@ -466,7 +466,9 @@ class TestStandardInstances:
 def _constructor_records():
     """The record of every elementary constructor call in its tested range:
     (degree, order, raw generators, base, transversals and _inverses in
-    insertion order, _strong), or the refusal's type and message."""
+    insertion order, _strong), or the refusal's type and message.  The
+    record is hashed in the shape it was pinned in: each empty inverse
+    level as {point: identity}, each strong generator as (g, g^-1, first)."""
     records = []
     for builder, top in ((cyclic_regular, 65), (holomorph_cyclic, 65),
                          (catalog.symmetric, 16), (catalog.alternating, 16)):
@@ -477,11 +479,14 @@ def _constructor_records():
                 records.append((builder.__name__, n, type(exc).__name__,
                                 str(exc)))
                 continue
+            identity = tuple(range(G.degree))
             records.append((
                 builder.__name__, n, G.degree, G.order,
                 tuple(G.raw_generators()), G.base,
                 tuple(tuple(tr.items()) for tr in G.transversals),
-                tuple(tuple(inv.items()) for inv in G._inverses), G._strong))
+                tuple(tuple(inv.items()) or ((x, identity),)
+                      for x, inv in enumerate(G._inverses)),
+                tuple((g, inverse(g), first) for g, first in G._strong)))
     return records
 
 

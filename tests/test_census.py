@@ -23,7 +23,7 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
 from helpers import (_iter_raw, catalog_instances, collect_n_cycles,
                      conjugacy_orbits, m23_slice, naive_closure,
                      normalizer_order_by_relabeling, random_subgroups,
-                     wreath_n_cycle_count)
+                     seeded_pairs, wreath_n_cycle_count)
 
 
 class TestEulerPhi:
@@ -162,17 +162,7 @@ class TestNormalizer:
         assert checked == 474
 
     def test_random_subgroups_match_relabeling(self):
-        rng = random.Random(20240809)
-        parents = [G for _, G in catalog_instances()]
-        checked = 0
-        while checked < 40:
-            parent = parents[rng.randrange(len(parents))]
-            H = group_from_generators(
-                parent.degree,
-                [random_element(parent, rng), random_element(parent, rng)])
-            if H.order > 10 ** 5 or not is_transitive(H):
-                continue
-            checked += 1
+        for H in random_subgroups(40):
             assert not self._mismatches(H)[1], H.generators
 
     def test_degree_one(self):
@@ -271,15 +261,8 @@ class TestExtremal:
             return sweep_row(name, group, cap)
         monkeypatch.setattr(census, "_sweep_row", recording)
         census.run_sweep(instance_cap=2 * 10 ** 7)
-        rng = random.Random(99)
-        parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
-                   catalog.wreath_imprimitive(catalog.symmetric(3),
-                                              catalog.symmetric(4))]
-        for k in range(60):
-            parent = parents[rng.randrange(len(parents))]
-            H = group_from_generators(
-                parent.degree,
-                [random_element(parent, rng), random_element(parent, rng)])
+        for k, (parent, g1, g2) in enumerate(seeded_pairs()):
+            H = group_from_generators(parent.degree, [g1, g2])
             if H.order <= 10 ** 5 and is_transitive(H):
                 groups.append((f"seeded{k}", H))
         passed = 0
@@ -789,23 +772,18 @@ class TestSweepAtTheCensusCap:
 class TestRandomSubgroupInvariants:
     def test_class_bound_on_random_subgroups(self):
         """Random 2-generator transitive subgroups never break the bound."""
-        rng = random.Random(99)
-        parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
-                   catalog.wreath_imprimitive(catalog.symmetric(3),
-                                              catalog.symmetric(4))]
-        from cycle_census.permutations import random_element, is_transitive
         checked = 0
-        while checked < 25:
-            parent = parents[rng.randrange(len(parents))]
-            H = group_from_generators(
-                parent.degree,
-                [random_element(parent, rng), random_element(parent, rng)])
+        for parent, g1, g2 in seeded_pairs():
+            H = group_from_generators(parent.degree, [g1, g2])
             if H.order > 10 ** 5 or not is_transitive(H):
                 continue
             checked += 1
             report = theorem_verdict(H)
             assert validate_report(report) == []
             assert report.class_count <= report.phi_n
+            if checked == 25:
+                break
+        assert checked == 25
 
 
 class TestConstituentChoice:

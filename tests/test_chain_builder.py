@@ -23,11 +23,11 @@ import pytest
 from cycle_census import catalog, census, permutations
 from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
                                        _contains_raw, _conjugate, _orbits,
-                                       _stabilizer_gens, _suborbits,
+                                       _stabilizer_gens, _suborbits, contains,
                                        group_from_generators, random_element)
 
 from helpers import (_sift_raw, build_chain, catalog_instances, compose,
-                     inverse, is_identity)
+                     inverse, is_identity, seeded_pairs)
 
 
 def _items(chain):
@@ -100,19 +100,10 @@ def _random_phase_cases():
 
 
 def _seeded_subgroup_cases():
-    """The first 60 pairs drawn by test_census's random-subgroup invariant
-    test (seed 99), kept or not, with their parent's order."""
-    rng = random.Random(99)
-    parents = [catalog.symmetric(8), catalog.pgammal(2, 8),
-               catalog.wreath_imprimitive(catalog.symmetric(3),
-                                          catalog.symmetric(4))]
-    cases = []
-    for k in range(60):
-        parent = parents[rng.randrange(len(parents))]
-        pair = [random_element(parent, rng).images,
-                random_element(parent, rng).images]
-        cases.append((f"seeded{k}", parent.degree, pair, parent.order))
-    return cases
+    """The 60 seeded pairs test_census draws (seed 99), kept or not, with
+    their parent's order."""
+    return [(f"seeded{k}", parent.degree, [g1.images, g2.images], parent.order)
+            for k, (parent, g1, g2) in enumerate(seeded_pairs())]
 
 
 @pytest.fixture(scope="module")
@@ -329,14 +320,13 @@ class TestChainRecord:
             assert len(G._inverses) == G.degree, label
             levels = dict(zip(G.base, G.transversals))
             for point, inverses in enumerate(G._inverses):
-                # a pruned level holds its point alone
-                tr = levels.get(point, {point: tuple(range(G.degree))})
+                # a pruned level keeps nothing
+                tr = levels.get(point, {})
                 assert {x: inverse(rep) for x, rep in tr.items()} == inverses, label
 
-    def test_strong_generators_carry_inverse_and_first_moved_point(self, groups):
+    def test_strong_generators_carry_their_first_moved_point(self, groups):
         for label, G in groups:
-            for g, g_inv, first in G._strong:
-                assert is_identity(compose(g, g_inv)), label
+            for g, first in G._strong:
                 assert first == min(x for x in range(G.degree) if g[x] != x), label
             assert bool(G._strong) == bool(G.base), label
 
@@ -391,6 +381,56 @@ class TestChainRecord:
         assert outside == 1982   # of 2 164 products with a transposition
 
 
+def _group_record(G):
+    return G.base, G.transversals, G._inverses, G._strong
+
+
+@pytest.fixture(scope="module")
+def records(drawn):
+    """(label, degree, record) of every standard instance, M23 included,
+    every random-phase pair, and the relabelled conjugate of every suborbit
+    a census counts at depth 2 in a group above one block."""
+    above = [(name, G) for name, G in catalog_instances()
+             if G.order > permutations._SLICE_CELLS]
+    above.append(("m23", catalog.load_named("m23")))
+    return {
+        "standard": [(name, G.degree, _group_record(G)) for name, G
+                     in catalog.standard_instances(include_m23=True)],
+        "random_phase": [(label, degree, _build_chain(degree, gens))
+                         for label, degree, gens, _ in drawn["random_phase"]],
+        "relabelled": [((name, b), G.degree,
+                        _group_record(census._relabelled(G, b)))
+                       for name, G in above for b, size in _suborbits(G)
+                       if size > 1 and b != G.base[1]],
+    }
+
+
+class TestTrimmedRecord:
+    """The record keeps only what the library reads: one inverse level per
+    point, empty unless the point is a base point, and each strong
+    generator with the smallest point it moves."""
+
+    @pytest.mark.parametrize("kind", ["standard", "random_phase", "relabelled"])
+    def test_levels_and_strong_generators(self, records, kind):
+        for label, degree, (base, transversals, inverses, strong) in records[kind]:
+            assert len(inverses) == degree, label
+            levels = dict(zip(base, transversals))
+            for point, level in enumerate(inverses):
+                assert list(level.items()) == [
+                    (x, inverse(rep))
+                    for x, rep in levels.get(point, {}).items()], (label, point)
+            for g, first in strong:
+                assert first == min(x for x in range(degree) if g[x] != x), label
+
+    @pytest.mark.parametrize("gens", [[(1, 2, 0)], [(1, 0, 2)]])
+    def test_a_moved_non_base_point_is_refused(self, gens):
+        """(2,3) moves only points that C3 and <(1,2)> of degree 3 give no
+        base level; the sift finds no representative for it."""
+        G = group_from_generators(3, [Permutation(g) for g in gens])
+        assert G.base == (0,)
+        assert not contains(G, Permutation((0, 2, 1)))
+
+
 def _is_images(t, degree):
     """t is an image tuple of plain ints, as the builder's record keeps."""
     return (type(t) is tuple and len(t) == degree
@@ -407,36 +447,23 @@ class TestRecordRepresentation:
         assert len(inverses) == degree, label
         for level in (*transversals, *inverses):
             assert all(_is_images(p, degree) for p in level.values()), label
-        for g, g_inv, first in strong:
-            assert _is_images(g, degree) and _is_images(g_inv, degree), label
+        for g, first in strong:
+            assert _is_images(g, degree), label
             assert type(first) is int, label
 
-    def test_every_standard_instance(self):
-        checked = 0
-        for name, G in catalog.standard_instances(include_m23=True):
-            self._assert_tuples(name, G.degree, (
-                G.base, G.transversals, G._inverses, G._strong))
-            checked += 1
-        assert checked == 222
+    def test_every_standard_instance(self, records):
+        for label, degree, record in records["standard"]:
+            self._assert_tuples(label, degree, record)
+        assert len(records["standard"]) == 222
 
-    def test_random_phase_pairs(self, drawn):
-        for label, degree, gens, _ in drawn["random_phase"]:
-            self._assert_tuples(label, degree, _build_chain(degree, gens))
+    def test_random_phase_pairs(self, records):
+        for label, degree, record in records["random_phase"]:
+            self._assert_tuples(label, degree, record)
 
-    def test_relabelled_conjugates(self):
-        groups = [(name, G) for name, G in catalog_instances()
-                  if G.order > permutations._SLICE_CELLS]
-        groups.append(("m23", catalog.load_named("m23")))
-        relabelled = 0
-        for name, G in groups:
-            for b, size in _suborbits(G):
-                if size == 1 or b == G.base[1]:
-                    continue
-                H = census._relabelled(G, b)
-                self._assert_tuples((name, b), H.degree, (
-                    H.base, H.transversals, H._inverses, H._strong))
-                relabelled += 1
-        assert relabelled == 59
+    def test_relabelled_conjugates(self, records):
+        for label, degree, record in records["relabelled"]:
+            self._assert_tuples(label, degree, record)
+        assert len(records["relabelled"]) == 59
 
     @pytest.mark.parametrize("degree, gens", [
         (1, [(0,)]),
@@ -478,7 +505,7 @@ class TestOrderCap:
             census.count_n_cycles(m11, cap=100)
         assert info.value.exact
         assert str(info.value) == (
-            "group order 7920 exceeds the enumeration cap 100")
+            "group order 7920 exceeds the census cap 100")
 
     def test_group_within_the_cap(self, m11):
         G = group_from_generators(11, m11.generators, order_cap=m11.order)

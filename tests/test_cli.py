@@ -415,7 +415,7 @@ class TestOutputsArePinned:
         ["export-spec", "--family", "pgl", "--d", "2", "--q", "3"],
         ["catalog"],
     ]
-    DIGEST = "ff14ef3bfbad3dc9fbc9d82c820bd6b12618771bda2edfd60fef1bdcee2df367"
+    DIGEST = "7b0babb0d50969f942b1bf2fddf7c7c169c3088b19259e037ec4569b71a2f70f"
 
     def test_outputs_match_the_pinned_digest(self, tmp_path, capsys):
         (tmp_path / "c4.grp").write_text(
