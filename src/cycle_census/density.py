@@ -12,12 +12,16 @@ group-predicted density.
 The per-prime reference implementation is scalar: f of degree n is
 irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1 for
 every prime l dividing n.  Density reports skip the primes dividing the
-integer Res(f, f') and test the rest in numpy, all at once: X^p with one
-reduction mod f a bit, X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q
-of rows X^(ip) mod f, a screen for X^(p^n) = X and no X^(p^(n/l)) = X,
-then Berlekamp: a squarefree f mod p has dim ker(Q - I) irreducible
-factors (von zur Gathen and Gerhard, Modern Computer Algebra, 14.8).  The
-tests cross-check the two routes, which decide by different criteria.
+integer Res(f, f') and test the rest in numpy, all at once: X^p from the
+monomial X^(p >> k0) < X^n, one reduction mod f a lower bit, X^(p^k) as
+X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f, a screen
+for X^(p^n) = X and no X^(p^(n/l)) = X, then Berlekamp: a squarefree f
+mod p has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
+Modern Computer Algebra, 14.8).  The tests cross-check the two routes,
+which decide by different criteria.  A reduction folds X^n = -sum c_j X^j
+in, top slot first: with a monic f's own integers c_j, unreduced, where a
+simulation of the fold's bounds (_fold_fits) stays within 2^63 - 1, else
+with the residues of c_j / lc(f), each slot reduced mod p before its fold.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ class DensityReport(_JsonReport):
 
 # primes -------------------------------------------------------------------
 
-def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, ascending (Eratosthenes on a numpy bool array)."""
+def _sieve(bound: int) -> np.ndarray:
+    """All primes <= bound as an ascending int64 array (Eratosthenes)."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
     flags = np.ones(bound + 1, dtype=bool)
@@ -87,7 +91,12 @@ def sieve_primes(bound: int) -> list[int]:
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p::p] = False
-    return np.nonzero(flags)[0].tolist()
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def sieve_primes(bound: int) -> list[int]:
+    """All primes <= bound, ascending, as Python ints."""
+    return _sieve(bound).tolist()
 
 
 # scalar polynomial arithmetic over GF(p) -----------------------------------
@@ -208,34 +217,37 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 #
 # Polynomials are held coefficient-major, shape (slots, primes) int64: array
 # row i is coefficient i, a contiguous vector over the primes (one column
-# each).
-# Residues lie in [0, p); each step states the largest magnitude it reaches,
-# none above n * (p - 1)^2 (see _INT64_MAX).  density_report hands the
-# kernel blocks of _BLOCK_CELLS // (n + 1)^2 primes, which bounds the
-# n x n x rows Frobenius matrix and keeps a block's working set in cache.
+# each).  Residues lie in [0, p); each step states the largest magnitude it
+# reaches, none above n * (p - 1)^2 (see _INT64_MAX) but the integer fold's
+# (see _fold_fits).  density_report hands the kernel blocks of
+# _BLOCK_CELLS // (n + 1)^2 primes, which bounds the n x n x rows Frobenius
+# matrix and keeps a block's working set in cache.
 _BLOCK_CELLS = 1 << 18
 
 
-def _reduce(acc, f, support, ps):
-    """acc mod the monic X^n + f, one % p a slot, top first, subtracting only
-    in the support: the runs of slots where the integer f is nonzero (other
-    slots are 0 mod every p).  A slot starts as a sum of at most n products
-    of residues and takes at most n more before its % p: within +-n(p-1)^2."""
+def _reduce(acc, f, support, ps, wrap):
+    """acc mod the monic X^n + f, top first, subtracting only in the support:
+    the runs of slots where the integer f is nonzero (other slots are 0 mod
+    every p).  f is f's own integers, shape (n, 1), within _fold_fits, or
+    its residues, and then wrap reduces a slot before its fold: it starts
+    within n(p - 1)^2 and takes at most n more products, +-n(p - 1)^2."""
     n = len(f)
     for k in range(len(acc) - 1, n - 1, -1):
-        acc[k] %= ps
+        if wrap:
+            acc[k] %= ps
         for run in support:
             acc[k - n:k][run] -= acc[k] * f[run]
     return acc[:n] % ps
 
 
-def _mulmod(a, b, f, support, ps):
-    """a * b mod the monic X^n + f; slot k sums at most n products."""
+def _mulmod(a, b, f, support, ps, wrap):
+    """a * b mod the monic X^n + f (see _reduce); slot k sums at most n
+    products, within the n(p - 1)^2 that _fold_fits starts from."""
     n = len(a)
     acc = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
     for i in range(n):
         acc[i:i + n] += a[i] * b
-    return _reduce(acc, f, support, ps)
+    return _reduce(acc, f, support, ps, wrap)
 
 
 def _rows_independent(a, ps):
@@ -310,6 +322,22 @@ def _bad_primes(resultant, ps):
     return _residues((resultant,), ps)[0] == 0
 
 
+def _fold_fits(coeffs, p_max) -> bool:
+    """Whether _reduce may fold with the monic f's own integers up to p_max:
+    no slot of 2n, each from n(p_max - 1)^2, passes 2^63 - 1 when slot k,
+    top first and unreduced, adds its bound times |c_j| to slot k - n + j."""
+    if coeffs[-1] != 1:
+        return False
+    n = len(coeffs) - 1
+    bound = [n * (p_max - 1) ** 2] * (2 * n)
+    for k in range(2 * n - 1, n - 1, -1):
+        if bound[k] > _INT64_MAX:   # bounds only grow: stop before big ints
+            return False
+        for j, c in enumerate(coeffs[:-1]):
+            bound[k - n + j] += bound[k] * abs(c)
+    return max(bound) <= _INT64_MAX
+
+
 def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     """Vectorized irreducibility test for the (good) primes in ps: the
     distinct-degree screen, then Berlekamp's rank of Q - I on the primes
@@ -318,11 +346,12 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
-    bits = range(int(ps.max()).bit_length() - 1, -1, -1)
-    f = _residues(coeffs, ps)
+    p_max = int(ps.max())
+    wrap = not _fold_fits(coeffs, p_max)   # X^n = -sum c_j X^j mod (f, p)
+    f = _residues(coeffs, ps) if wrap else np.array(coeffs, np.int64)[:, None]
     if coeffs[-1] != 1:   # Fermat: lc^(p-2) inverts lc; products <= (p-1)^2
         inv = np.ones_like(ps)
-        for k in bits:
+        for k in range(p_max.bit_length() - 1, -1, -1):
             inv = inv * inv % ps
             inv = np.where(ps - 2 >> k & 1 == 1, inv * f[-1] % ps, inv)
         f = f * inv % ps
@@ -332,23 +361,25 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     one = np.zeros((n, len(ps)), dtype=np.int64)
     one[0] = 1
     x = np.roll(one, 1, axis=0)
-    # X^p, one _reduce a bit: the square (cross terms once, doubled) summed one
+    # X^p from the monomial X^(p >> k0), k0 least with p_max >> k0 < n, one
+    # _reduce a lower bit: the square (cross terms once, doubled) summed one
     # slot up gives X times it in slots 0..2n-1 and itself in slots 1..2n
-    xp = one
-    for k in bits:
+    k0 = next(k for k in range(p_max.bit_length() + 1) if p_max >> k < n)
+    odd = ps >> np.arange(k0)[:, None] & 1 == 1   # bit k of each p
+    xp = (np.arange(n)[:, None] == ps >> k0).astype(np.int64)
+    for k in range(k0 - 1, -1, -1):
         acc = np.zeros((2 * n + 1, len(ps)), dtype=np.int64)
         for i in range(n - 1):
             acc[2 * i + 2:i + n + 1] += xp[i] * xp[i + 1:]
         acc *= 2
         acc[1::2] += xp * xp
-        xp = _reduce(np.where(ps >> k & 1 == 1, acc[:-1], acc[1:]),
-                     f, support, ps)
+        xp = _reduce(np.where(odd[k], acc[:-1], acc[1:]), f, support, ps, wrap)
 
     # Frobenius matrix Q[i] = X^(ip) mod f.  Since h^p = h(X^p) over GF(p),
     # X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)): n products per slot.
     Q = [one, xp]
     while len(Q) < n:
-        Q.append(_mulmod(Q[-1], xp, f, support, ps))
+        Q.append(_mulmod(Q[-1], xp, f, support, ps, wrap))
     Q = np.stack(Q)
     powers = {1: xp}
     for k in range(2, n + 1):
@@ -406,7 +437,7 @@ def density_report(coeffs, bound: int, floor: int = 0,
         limit = 1 + isqrt(_INT64_MAX // n)
         raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
                          f"whose degree-{n} arithmetic fits in int64")
-    primes = np.array(sieve_primes(bound), dtype=np.int64)
+    primes = _sieve(bound)
     primes = primes[np.searchsorted(primes, floor, side="right"):]
 
     resultant = _separability_resultant(coeffs)

@@ -99,34 +99,42 @@ class TestIrreducibility:
             assert got == naive_irreducible(coeffs, p)
 
 
+def _int64_limit(n):
+    """The largest bound density_report accepts at degree n."""
+    return 1 + math.isqrt((2 ** 63 - 1) // n)
+
+
+def _largest_primes(p, count):
+    """The count largest primes <= p, descending, found by is_prime."""
+    primes = []
+    while len(primes) < count:
+        if is_prime(p):
+            primes.append(p)
+        p -= 1
+    return primes
+
+
+def _assert_batch_equals_scalar(coeffs, primes):
+    reductions = [reduce_mod_p(coeffs, p) for p in primes]
+    good = [r for r in reductions if isinstance(r, PolyModP)]
+    batch = _batch_irreducible(coeffs, np.array([r.p for r in good],
+                                                dtype=np.int64))
+    assert list(batch) == [is_irreducible_mod_p(r) for r in good], coeffs
+
+
 class TestBatchAgainstScalar:
     @pytest.mark.parametrize("coeffs", sorted(SUITE_POLYS) + [
         (2, 3, 0, 5), (1, 1, 1, 1, 1, 1, 1), (-4, 0, 1, 0, 2)])
     def test_batch_equals_scalar(self, coeffs):
-        primes = sieve_primes(2000)
-        scalar = []
-        good = []
-        for p in primes:
-            fp = reduce_mod_p(coeffs, p)
-            if isinstance(fp, BadReduction):
-                continue
-            good.append(p)
-            scalar.append(is_irreducible_mod_p(fp))
-        batch = _batch_irreducible(tuple(coeffs),
-                                   np.array(good, dtype=np.int64))
-        assert list(batch) == scalar
+        _assert_batch_equals_scalar(coeffs, sieve_primes(2000))
 
     def test_batch_equals_scalar_just_below_int64_limit(self):
         """The 50 largest primes that density_report admits for a sextic:
         6 * (p - 1)^2 <= 2^63 - 1.  3x^6 + 2x^5 + 7 is sparse and not monic;
         its x^5 term reaches the top slot of the fused X^p step."""
-        p = 1 + math.isqrt((2 ** 63 - 1) // 6)
+        p = _int64_limit(6)
         assert 6 * (p - 1) ** 2 <= 2 ** 63 - 1 < 6 * p ** 2
-        primes = []
-        while len(primes) < 50:
-            if is_prime(p):
-                primes.append(p)
-            p -= 1
+        primes = _largest_primes(p, 50)
         for coeffs in [(1, 0, 0, 1, 0, 0, 1), (7, 0, 0, 0, 0, 2, 3)]:
             scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p))
                       for p in primes]
@@ -158,12 +166,7 @@ class TestBatchAgainstScalar:
     def test_big_coefficient_residues_at_the_largest_primes(self):
         """Limb reduction at the 20 largest primes of the degree-1 limit,
         where r * 2^31 + limb comes closest to 2^63."""
-        p = 1 + math.isqrt(2 ** 63 - 1)
-        primes = []
-        while len(primes) < 20:
-            if is_prime(p):
-                primes.append(p)
-            p -= 1
+        primes = _largest_primes(_int64_limit(1), 20)
         coeffs = (-(10 ** 40 + 7), 2 ** 127 - 1, -(2 ** 63))
         assert density._residues(coeffs, np.array(primes, dtype=np.int64)
                                  ).T.tolist() == [[c % p for c in coeffs]
@@ -177,7 +180,7 @@ class TestBatchAgainstScalar:
 
     def test_refuses_bound_past_int64_limit(self, monkeypatch):
         """Refused before the sieve, which would need gigabytes here."""
-        monkeypatch.setattr(density, "sieve_primes", None)
+        monkeypatch.setattr(density, "_sieve", None)
         with pytest.raises(ValueError, match="fits in int64"):
             density_report((1, 0, 0, 1, 0, 0, 1), bound=3 * 10 ** 9)
         with pytest.raises(ValueError, match="fits in int64"):
@@ -231,6 +234,111 @@ class TestBatchAgainstScalar:
             assert report.primes_tested + report.primes_skipped == len(primes)
 
 
+# x^6+x^3+1, x^6-x+1, 2x^5-3x+7, x^18-2x^9-2 and x^6+10^6x+1, whose integer
+# fold would overflow at every prime the tests below take, so a missing
+# bound check shows in its comparison with the scalar route
+FOLD_POLYS = [(1, 0, 0, 1, 0, 0, 1), (1, -1, 0, 0, 0, 0, 1), (7, -3, 0, 0, 0, 2),
+              (-2,) + (0,) * 8 + (-2,) + (0,) * 8 + (1,),
+              (1, 10 ** 6, 0, 0, 0, 0, 1)]
+
+
+class TestFoldChoice:
+    """_reduce folds with f's own integer coefficients when _fold_fits
+    bounds every slot of the unreduced fold below 2^63, and otherwise with
+    f's residues, reducing each slot before it is folded."""
+
+    def test_residue_fold_at_the_int64_limit(self):
+        """The 30 largest primes density_report accepts for each degree,
+        where no integer fold fits."""
+        for coeffs in FOLD_POLYS:
+            primes = _largest_primes(_int64_limit(len(coeffs) - 1), 30)
+            assert not density._fold_fits(coeffs, primes[0])
+            _assert_batch_equals_scalar(coeffs, primes)
+
+    def test_integer_fold_where_it_fits(self):
+        """The 30 largest primes below 5 * 10^8: x^6+x^3+1 and x^6-x+1 fold
+        their integers, the others their residues; below a third of its
+        limit x^18-2x^9-2 folds its integers too."""
+        below = _largest_primes(5 * 10 ** 8, 30)
+        for coeffs, fits in zip(FOLD_POLYS, (True, True, False, False, False)):
+            assert density._fold_fits(coeffs, below[0]) == fits
+            _assert_batch_equals_scalar(coeffs, below)
+        primes = _largest_primes(_int64_limit(18) // 3, 30)
+        assert density._fold_fits(FOLD_POLYS[3], primes[0])
+        _assert_batch_equals_scalar(FOLD_POLYS[3], primes)
+
+    def test_the_simulated_bound_decides(self):
+        """x^6+x^3+1's slots reach 4 n (p - 1)^2, so its integer fold runs
+        to 2 * 10^6 and stops at the last p with 24 (p - 1)^2 <= 2^63 - 1,
+        far below its limit; x^6+10^6x+1's does not reach 2 * 10^6."""
+        sextic, wide = FOLD_POLYS[0], FOLD_POLYS[4]
+        edge = 1 + math.isqrt((2 ** 63 - 1) // 24)
+        assert density._fold_fits(sextic, 2_000_000)
+        assert density._fold_fits(sextic, edge)
+        assert not density._fold_fits(sextic, edge + 1)
+        assert not density._fold_fits(sextic, _int64_limit(6))
+        primes = _largest_primes(2_000_000, 30)
+        assert not density._fold_fits(wide, primes[0])
+        _assert_batch_equals_scalar(wide, primes)
+
+    def test_the_kernel_folds_as_decided(self, monkeypatch):
+        """_batch_irreducible hands every _reduce call the decision of
+        _fold_fits for its block."""
+        wraps = []
+        reduce = density._reduce
+
+        def recording(acc, f, support, ps, wrap):
+            wraps.append(wrap)
+            return reduce(acc, f, support, ps, wrap)
+        monkeypatch.setattr(density, "_reduce", recording)
+        sextic = FOLD_POLYS[0]
+        for p, wrap in [(1_999_993, False), (_largest_primes(_int64_limit(6),
+                                                             1)[0], True)]:
+            wraps.clear()
+            _batch_irreducible(sextic, np.array([p], dtype=np.int64))
+            assert wraps and set(wraps) == {wrap}
+
+
+def _substitute(coeffs, s, a):
+    """f(s x + a), ascending, by Horner in Python ints."""
+    out = (coeffs[-1],)
+    for c in reversed(coeffs[:-1]):
+        out = _int_mul(out, (a, s))
+        out = (out[0] + c,) + out[1:]
+    return out
+
+
+def _counts(report):
+    return report.primes_tested, report.primes_skipped, report.inert_count
+
+
+class TestRingAutomorphisms:
+    """f(-x) and f(x + a) keep f's degree, its leading coefficient up to
+    sign and its discriminant, and reduce mod p to the same substitution in
+    f mod p, an automorphism of GF(p)[x]: every prime keeps its class,
+    skipped, inert or split.  Under x + 12345 the coefficients reach 21 to
+    74 digits and the residue fold runs, where the monic f itself folds its
+    integers: each such relation checks one fold against the other, past
+    the scalar route's reach."""
+
+    @pytest.mark.parametrize("coeffs", [
+        FOLD_POLYS[0], FOLD_POLYS[2], FOLD_POLYS[3], (1, 1) + (0,) * 10 + (1,)])
+    def test_substitutions_keep_every_class(self, coeffs):
+        want = _counts(density_report(coeffs, bound=10 ** 5))
+        for s, a in [(-1, 0), (1, 1), (1, -3), (1, 12345)]:
+            g = _substitute(coeffs, s, a)
+            assert _counts(density_report(g, bound=10 ** 5)) == want, (s, a)
+        assert not density._fold_fits(g, 2)   # so at no prime
+
+    def test_shift_of_x6_x3_1_to_two_million(self):
+        sextic = FOLD_POLYS[0]
+        shifted = _substitute(sextic, 1, 12345)
+        assert max(len(str(c)) for c in shifted) == 25
+        assert density._fold_fits(sextic, 2_000_000)
+        assert _counts(density_report(shifted, bound=2_000_000)) == \
+            _counts(density_report(sextic, bound=2_000_000)) == (148932, 1, 49707)
+
+
 def _sparse_polys():
     """Per degree 2..12: x^n + a, b x^n + a and a trinomial (monic at even n,
     not at odd n), seeded; then x^7 + 2x and 3x^5 - x, without a constant
@@ -257,11 +365,7 @@ class TestSparseReduction:
 
     @pytest.mark.parametrize("coeffs", _sparse_polys())
     def test_batch_equals_scalar(self, coeffs):
-        reductions = [reduce_mod_p(coeffs, p) for p in sieve_primes(3000)]
-        good = [r for r in reductions if isinstance(r, PolyModP)]
-        batch = _batch_irreducible(coeffs, np.array([r.p for r in good],
-                                                    dtype=np.int64))
-        assert list(batch) == [is_irreducible_mod_p(r) for r in good]
+        _assert_batch_equals_scalar(coeffs, sieve_primes(3000))
 
 
 class TestSurvivorProduct:
