@@ -58,8 +58,8 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _compose, _conjugate, _contains_raw,
-                           _cycle, _full_cycle_mask, _orbits, _slice_blocks,
+                           _conjugate, _contains_raw, _cycle,
+                           _full_cycle_mask, _orbits, _sift, _slice_blocks,
                            _stabilizer_gens, _suborbits, group_from_generators,
                            is_transitive, random_element)
 
@@ -165,13 +165,13 @@ def _relabelled(G: PermGroup, b: int) -> PermGroup:
         _ceiling=G.order)
 
 
-def _top_level(G: PermGroup) -> dict[int, tuple[int, ...]]:
+def _top_level(G: PermGroup) -> dict[int, bytes]:
     """Level 0 of a transitive group's chain: t_0[b] sends 0 to b.  Degree
     1 has no base, and its one representative is the identity."""
-    return G.transversals[0] if G.base else {0: (0,)}
+    return G.transversals[0] if G.base else {0: b"\x00"}
 
 
-def _second_level_cosets(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
+def _second_level_cosets(G: PermGroup) -> list[tuple[bytes, int]]:
     """(p, |O_b| |O_c|) for the suborbit O_b of b = base[1], one pair per
     orbit O_c of G_{0,b} on the points an n-cycle can send b to after 0,
     with p = t_0[b] o t_1[c'], c = min O_c and c' = t_0[b]^-1(c).
@@ -184,9 +184,10 @@ def _second_level_cosets(G: PermGroup) -> list[tuple[tuple[int, ...], int]]:
     here, since G_0 moves b.
     """
     b = G.base[1]
-    t0, t0_inv = G.transversals[0][b], G._inverses[0][b]
+    t0 = G.transversals[0][b] + bytes(range(G.degree, 256))   # padded
+    t0_inv = G._inverses[0][b]
     level1 = G.transversals[1]
-    return [(_compose(level1[t0_inv[orbit[0]]], t0), len(level1) * len(orbit))
+    return [(level1[t0_inv[orbit[0]]].translate(t0), len(level1) * len(orbit))
             for orbit in _orbits(G.degree, _stabilizer_gens(G, 1))
             if orbit[0] and t0_inv[orbit[0]] in level1]
 
@@ -231,14 +232,16 @@ def are_conjugate_n_cycles(G: PermGroup, sigma: Permutation,
 
 
 def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    x0 = [0] * len(s)
+    """Steps the candidates sigma^k * x0 as bytes, sifting each."""
+    n = len(s)
+    x0 = bytearray(n)
     for a, b in zip(_cycle(s, 0), _cycle(t, 0)):
         x0[a] = b
-    cand = tuple(x0)
-    for _ in range(len(s)):
-        if _contains_raw(G, cand):
+    cand, s, pad = bytes(x0), bytes(s), bytes(range(n, 256))
+    for _ in range(n):
+        if _sift(G._inverses, cand)[1] == n:
             return True
-        cand = _compose(s, cand)
+        cand = s.translate(cand + pad)
     return False
 
 

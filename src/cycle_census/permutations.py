@@ -98,8 +98,8 @@ class CapExceeded(RuntimeError):
         self.exact = exact
 
 
-# Hot loops work on raw image tuples, except the chain builder, which
-# composes bytes (see _build_chain); Permutation is the public wrapper.
+# Permutation, the public wrapper, holds an image tuple, and these compose
+# tuples; a group's chain record holds bytes (see _build_chain).
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(q.__getitem__, p))
@@ -297,21 +297,22 @@ class PermGroup:
     """A permutation group with its stabilizer chain.
 
     transversals[i] maps each point of the orbit of base[i] under the
-    i-th stabilizer to a coset representative (as a raw image tuple)
+    i-th stabilizer to a coset representative (its n images as bytes)
     carrying base[i] to that point.  order is the product of the
     transversal sizes.  _inverses[i] holds the inverse representatives of
-    level i of the builder's chain, for every point i ({} unless i is a
-    base point), and _strong the strong generators as (g, smallest point
-    g moves).  Do not mutate any field.
+    level i, as the builder's padded tables, for every point i ({} unless
+    i is a base point), and _strong the strong generators as (g as bytes,
+    smallest point g moves), all as _build_chain held them.  Do not
+    mutate any field.
     """
 
     degree: int
     generators: tuple[Permutation, ...]
     base: tuple[int, ...]
-    transversals: tuple[dict[int, tuple[int, ...]], ...]
+    transversals: tuple[dict[int, bytes], ...]
     order: int
-    _inverses: tuple[dict[int, tuple[int, ...]], ...]
-    _strong: tuple[tuple[tuple[int, ...], int], ...]
+    _inverses: tuple[dict[int, bytes], ...]
+    _strong: tuple[tuple[bytes, int], ...]
 
     def raw_generators(self) -> list[tuple[int, ...]]:
         return [g.images for g in self.generators]
@@ -370,16 +371,17 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
     makes; bytes.maketrans(q, identity) pads q^-1): one C loop, and a
     bytes key hashes in C too.  This is exact because group_from_generators refuses a
     degree above MAX_DEGREE = 64, so every image is a byte and the padding
-    fixes the bytes a length-n permutation never holds.  The record is
-    turned back into image tuples once, at the end.
+    fixes the bytes a length-n permutation never holds.
 
     Each strong generator is kept as (padded g, padded g^-1, smallest
     point g moves) (a residue that sifts to level j moves j first), so the
     generators of level i are those whose first moved point is >= i; each
     rebuild keeps the list it filtered for its level.  Each level keeps
     the inverses of its representatives beside them, padded.  The record
-    keeps what the library reads: inverses, one level per point, {} where
-    pruned (the sift skips a fixed point), and strong as (g, first).
+    is returned as built, and keeps what the library reads: transversals
+    as bytes of length n, inverses as padded tables, one level per point,
+    {} where pruned (the sift skips a fixed point), and strong as (g,
+    first), g cut to length n.
 
     No proven work is redone.  When the descent reaches level i, every
     level below it (i + 1 ..) has been passed since the last change, so
@@ -496,13 +498,10 @@ def _build_chain(degree, raw_gens, order_cap=None, ceiling=None):
                 break
         i = i - 1 if jump is None else jump
 
-    def images(level):
-        return {x: tuple(p[:degree]) for x, p in level.items()}
-
-    kept = [(b, images(tr)) for b, tr in enumerate(transversals) if len(tr) > 1]
+    kept = [(b, tr) for b, tr in enumerate(transversals) if len(tr) > 1]
     return (tuple(b for b, _ in kept), tuple(tr for _, tr in kept),
-            tuple(images(inv) if len(inv) > 1 else {} for inv in inverses),
-            tuple((tuple(s[:degree]), first) for s, _, first in strong))
+            tuple(inv if len(inv) > 1 else {} for inv in inverses),
+            tuple((s[:degree], first) for s, _, first in strong))
 
 
 def _sift(inverses, g: bytes, start: int = 0):
@@ -510,7 +509,7 @@ def _sift(inverses, g: bytes, start: int = 0):
     the chain builder from level start; returns (residue, level it stopped
     at), that level len(g) once g is the identity.  Each step is one
     translate through a 256-byte table, exact for n <= 64 < 256 (see
-    _build_chain)."""
+    _build_chain).  Membership (_contains_raw) is this sift too."""
     for i in range(start, len(g)):
         beta = g[i]
         if beta == i:
@@ -522,17 +521,9 @@ def _sift(inverses, g: bytes, start: int = 0):
     return g, len(g)
 
 
-def _contains_raw(G: PermGroup, g: tuple[int, ...]) -> bool:
-    """Sift the image tuple g through the kept inverse transversals."""
-    for i in range(G.degree):
-        beta = g[i]
-        if beta == i:
-            continue
-        rep_inv = G._inverses[i].get(beta)
-        if rep_inv is None:
-            return False
-        g = _compose(g, rep_inv)
-    return True
+def _contains_raw(G: PermGroup, g: Sequence[int]) -> bool:
+    """Membership of the images g (a tuple or bytes): the builder's sift."""
+    return _sift(G._inverses, bytes(g))[1] == G.degree
 
 
 def contains(G: PermGroup, p: Permutation) -> bool:
@@ -543,10 +534,10 @@ def contains(G: PermGroup, p: Permutation) -> bool:
     return _contains_raw(G, p.images)
 
 
-def _slice_blocks(G: PermGroup, prefixes: Sequence[tuple[int, ...]],
+def _slice_blocks(G: PermGroup, prefixes: Sequence[Sequence[int]],
                   level: int) -> Iterator[np.ndarray]:
     """The rows p o t_level[.] o t_(level+1)[.] o ... for each prefix p in
-    turn, as int8 blocks of shape (rows, n).
+    turn (a tuple or bytes), as int8 blocks of shape (rows, n).
 
     Under each prefix the levels from level on run in nested order, each
     over its sorted orbit points, the deepest innermost: one row per
@@ -562,35 +553,38 @@ def _slice_blocks(G: PermGroup, prefixes: Sequence[tuple[int, ...]],
     it.  The table is intp because it is the index of every gather, and
     numpy converts an index of any other dtype to intp on each call: an
     int8 table would cost eight times its size per block.  The levels
-    above the table are walked under each prefix as tuples
-    p o t_level[.] o ..., and each block is q[table] for as many of these
-    tuples q as fit in _SLICE_CELLS int8 cells (at least one).  Rows are
-    int8, so callers refuse a degree above MAX_DEGREE.
+    above the table are walked under each prefix as bytes
+    p o t_level[.] o ..., each step a translate through p padded, and each
+    block is q[table] for as many of these q as fit in _SLICE_CELLS int8
+    cells (at least one), read from their joined bytes.  Rows are int8,
+    so callers refuse a degree above MAX_DEGREE.
     """
     import numpy as np   # at call time: see _SLICE_CELLS
     n = G.degree
+    pad = bytes(range(n, 256))
     levels = [[tr[beta] for beta in sorted(tr)] for tr in G.transversals[level:]]
     table = np.arange(n, dtype=np.intp)[None]
     while levels and (len(table) == 1
                       or len(levels[-1]) * table.nbytes <= _SLICE_CELLS):
-        table = np.take(np.array(levels.pop(), dtype=np.intp), table,
-                        axis=1).reshape(-1, n)
+        reps = np.frombuffer(b"".join(levels.pop()), np.uint8).reshape(-1, n)
+        table = np.take(reps.astype(np.intp), table, axis=1).reshape(-1, n)
     per_block = max(1, _SLICE_CELLS // table.size)
 
-    def walk(depth: int, p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def walk(depth: int, p: bytes) -> Iterator[bytes]:
         if depth == len(levels):
             yield p
             return
+        padded = p + pad
         for rep in levels[depth]:
-            yield from walk(depth + 1, _compose(rep, p))
+            yield from walk(depth + 1, rep.translate(padded))
 
-    rows = (q for p in prefixes for q in walk(0, p))
+    rows = (q for p in prefixes for q in walk(0, bytes(p)))
     while batch := list(islice(rows, per_block)):
-        yield np.take(np.array(batch, dtype=np.int8), table,
-                      axis=1).reshape(-1, n)
+        block = np.frombuffer(b"".join(batch), np.int8).reshape(-1, n)
+        yield np.take(block, table, axis=1).reshape(-1, n)
 
 
-def _stabilizer_gens(G: PermGroup, level: int = 0) -> list[tuple[int, ...]]:
+def _stabilizer_gens(G: PermGroup, level: int = 0) -> list[bytes]:
     """Generators of the stabilizer of base[0], ..., base[level]: the strong
     generators whose smallest moved point lies above base[level].  Each
     base point is the smallest point its stabilizer moves, so the
@@ -645,8 +639,9 @@ def is_transitive(G: PermGroup) -> bool:
 
 def random_element(G: PermGroup, rng) -> Permutation:
     """Uniform random element via independent transversal choices."""
-    e = tuple(range(G.degree))
+    e = bytes(range(G.degree))
+    pad = bytes(range(G.degree, 256))
     for tr in G.transversals:
         points = sorted(tr)
-        e = _compose(tr[points[rng.randrange(len(points))]], e)
-    return Permutation(e)
+        e = tr[points[rng.randrange(len(points))]].translate(e + pad)
+    return Permutation(tuple(e))

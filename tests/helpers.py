@@ -547,6 +547,28 @@ def build_chain(degree, raw_gens):
             tuple(tr for _, tr in kept))
 
 
+def chain_record(G):
+    """What G keeps of its chain build, as _build_chain returns it."""
+    return G.base, G.transversals, G._inverses, G._strong
+
+
+def tuple_record(record):
+    """A chain record (base, transversals, inverses, strong) in the tuple
+    form the pinned digests and the oracle's chains were taken in: every
+    representative and strong generator as an image tuple, every padded
+    inverse table cut to its n images.  The record keeps one inverse level
+    per point, so n is their number."""
+    base, transversals, inverses, strong = record
+    n = len(inverses)
+
+    def images(level):
+        return {x: tuple(p[:n]) for x, p in level.items()}
+
+    return (base, tuple(map(images, transversals)),
+            tuple(map(images, inverses)),
+            tuple((tuple(g), first) for g, first in strong))
+
+
 def _sift_raw(G, g):
     """The residue of g sifted through G's chain, each representative
     inverted where it is used, as the library sifted before its groups kept

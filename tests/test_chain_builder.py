@@ -3,14 +3,16 @@ order ceiling, and the chain record a group keeps.
 
 The builder filters generators by their first moved point, reads cached
 inverse representatives, composes bytes, can stop at an order cap and
-stops early at a proven order ceiling; none of that may change a chain,
-and the record it returns holds image tuples.  Transversal
-representatives, and their dict order, are part of the output
-(random_element and so the sweep's random rows read them), so chains are
-compared item by item in insertion order.  The
-inverse transversals and strong generators the group keeps are checked
-against the representatives, and membership against the sift that
-inverts them.
+stops early at a proven order ceiling; none of that may change a chain.
+The record it returns, and a group keeps, is the builder's own: bytes
+representatives and strong generators, padded inverse tables.  It is
+compared with the oracle's chains and the pinned digests in tuple form
+(helpers.tuple_record).  Transversal representatives, and their dict
+order, are part of the output (random_element and so the sweep's random
+rows read them), so chains are compared item by item in insertion order.
+The inverse transversals and strong generators the group keeps are
+checked against the representatives, and membership against the sift
+that inverts them.
 """
 
 import hashlib
@@ -26,11 +28,14 @@ from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
                                        _stabilizer_gens, _suborbits, contains,
                                        group_from_generators, random_element)
 
-from helpers import (_sift_raw, build_chain, catalog_instances, compose,
-                     inverse, is_identity, seeded_pairs)
+from helpers import (_sift_raw, build_chain, catalog_instances, chain_record,
+                     compose, inverse, is_identity, seeded_pairs,
+                     tuple_record)
 
 
 def _items(chain):
+    """Base and transversal items of a chain in tuple form: the oracle's,
+    or the builder's through tuple_record."""
     base, transversals = chain[:2]
     return base, [list(tr.items()) for tr in transversals]
 
@@ -131,14 +136,15 @@ def test_case_counts(cases):
 @pytest.mark.parametrize("kind", ["catalog", "random_phase", "seeded"])
 def test_chains_equal_the_oracle(cases, kind):
     for label, degree, gens, want in cases[kind]:
-        assert _items(_build_chain(degree, gens)) == _items(want), label
+        chain = tuple_record(_build_chain(degree, gens))
+        assert _items(chain) == _items(want), label
 
 
 @pytest.mark.parametrize("kind", ["catalog", "random_phase"])
 def test_a_cap_at_the_order_changes_nothing(cases, kind):
     for label, degree, gens, want in cases[kind]:
         chain = _build_chain(degree, gens, order_cap=_order(want))
-        assert _items(chain) == _items(want), label
+        assert _items(tuple_record(chain)) == _items(want), label
 
 
 @pytest.mark.parametrize("kind", ["catalog", "random_phase"])
@@ -202,8 +208,8 @@ class TestOrderCeiling:
         for (label, degree, gens, _), (name, G) in zip(
                 drawn["catalog"], catalog.standard_instances()):
             assert label == name
-            record = (G.base, G.transversals, G._inverses, G._strong)
-            assert _record(record) == _record(_build_chain(degree, gens)), name
+            assert _record(chain_record(G)) == _record(
+                _build_chain(degree, gens)), name
 
     def test_the_cap_refuses_the_same_pairs_at_the_same_bound(self, drawn):
         """The random phase's pairs under the sweep's order cap of 10^5,
@@ -247,8 +253,7 @@ class TestOrderCeiling:
                             for x in range(G.degree))
                 full = _build_chain(G.degree, [_conjugate(g, tau, tau)
                                                for g in G.raw_generators()])
-                record = (H.base, H.transversals, H._inverses, H._strong)
-                assert _record(record) == _record(full), (name, b)
+                assert _record(chain_record(H)) == _record(full), (name, b)
                 relabelled += 1
         assert relabelled == 59
 
@@ -317,9 +322,10 @@ class TestChainRecord:
 
     def test_stored_inverses_invert_the_representatives(self, groups):
         for label, G in groups:
-            assert len(G._inverses) == G.degree, label
-            levels = dict(zip(G.base, G.transversals))
-            for point, inverses in enumerate(G._inverses):
+            base, transversals, stored, _ = tuple_record(chain_record(G))
+            assert len(stored) == G.degree, label
+            levels = dict(zip(base, transversals))
+            for point, inverses in enumerate(stored):
                 # a pruned level keeps nothing
                 tr = levels.get(point, {})
                 assert {x: inverse(rep) for x, rep in tr.items()} == inverses, label
@@ -381,10 +387,6 @@ class TestChainRecord:
         assert outside == 1982   # of 2 164 products with a transposition
 
 
-def _group_record(G):
-    return G.base, G.transversals, G._inverses, G._strong
-
-
 @pytest.fixture(scope="module")
 def records(drawn):
     """(label, degree, record) of every standard instance, M23 included,
@@ -394,12 +396,12 @@ def records(drawn):
              if G.order > permutations._SLICE_CELLS]
     above.append(("m23", catalog.load_named("m23")))
     return {
-        "standard": [(name, G.degree, _group_record(G)) for name, G
+        "standard": [(name, G.degree, chain_record(G)) for name, G
                      in catalog.standard_instances(include_m23=True)],
         "random_phase": [(label, degree, _build_chain(degree, gens))
                          for label, degree, gens, _ in drawn["random_phase"]],
         "relabelled": [((name, b), G.degree,
-                        _group_record(census._relabelled(G, b)))
+                        chain_record(census._relabelled(G, b)))
                        for name, G in above for b, size in _suborbits(G)
                        if size > 1 and b != G.base[1]],
     }
@@ -412,7 +414,8 @@ class TestTrimmedRecord:
 
     @pytest.mark.parametrize("kind", ["standard", "random_phase", "relabelled"])
     def test_levels_and_strong_generators(self, records, kind):
-        for label, degree, (base, transversals, inverses, strong) in records[kind]:
+        for label, degree, record in records[kind]:
+            base, transversals, inverses, strong = tuple_record(record)
             assert len(inverses) == degree, label
             levels = dict(zip(base, transversals))
             for point, level in enumerate(inverses):
@@ -431,38 +434,48 @@ class TestTrimmedRecord:
         assert not contains(G, Permutation((0, 2, 1)))
 
 
-def _is_images(t, degree):
-    """t is an image tuple of plain ints, as the builder's record keeps."""
-    return (type(t) is tuple and len(t) == degree
-            and all(type(x) is int for x in t))
+def _is_images(p, degree):
+    """p is bytes of length degree holding a permutation of 0..degree-1."""
+    return type(p) is bytes and sorted(p) == list(range(degree))
 
 
 class TestRecordRepresentation:
-    """The builder composes bytes internally; every record it returns
-    holds image tuples of ints, never bytes, and equals the oracle's chain
-    at the degree edges."""
+    """The record a build returns, and a group keeps, is the builder's:
+    representatives and strong generators as bytes of length n, every
+    inverse as a 256-byte table that inverts its representative on
+    0..n-1 and fixes n..255.  It equals the oracle's chain at the degree
+    edges."""
 
-    def _assert_tuples(self, label, degree, record):
+    def _assert_bytes(self, label, degree, record):
         base, transversals, inverses, strong = record
         assert len(inverses) == degree, label
-        for level in (*transversals, *inverses):
+        identity, pad = bytes(range(degree)), bytes(range(degree, 256))
+        levels = dict(zip(base, transversals))
+        for level in transversals:
             assert all(_is_images(p, degree) for p in level.values()), label
+        for point, level in enumerate(inverses):
+            reps = levels.get(point, {})
+            assert level.keys() == reps.keys(), (label, point)
+            for x, table in level.items():
+                assert type(table) is bytes and len(table) == 256, label
+                assert table[degree:] == pad, (label, point, x)
+                assert reps[x].translate(table) == identity, (label, point, x)
         for g, first in strong:
             assert _is_images(g, degree), label
             assert type(first) is int, label
 
     def test_every_standard_instance(self, records):
         for label, degree, record in records["standard"]:
-            self._assert_tuples(label, degree, record)
+            self._assert_bytes(label, degree, record)
         assert len(records["standard"]) == 222
 
     def test_random_phase_pairs(self, records):
         for label, degree, record in records["random_phase"]:
-            self._assert_tuples(label, degree, record)
+            self._assert_bytes(label, degree, record)
 
     def test_relabelled_conjugates(self, records):
         for label, degree, record in records["relabelled"]:
-            self._assert_tuples(label, degree, record)
+            self._assert_bytes(label, degree, record)
         assert len(records["relabelled"]) == 59
 
     @pytest.mark.parametrize("degree, gens", [
@@ -473,8 +486,8 @@ class TestRecordRepresentation:
     ])
     def test_small_degrees_equal_the_oracle(self, degree, gens):
         chain = _build_chain(degree, gens)
-        assert _items(chain) == _items(build_chain(degree, gens))
-        self._assert_tuples(gens, degree, chain)
+        assert _items(tuple_record(chain)) == _items(build_chain(degree, gens))
+        self._assert_bytes(gens, degree, chain)
 
     @pytest.mark.parametrize("family", [catalog.cyclic_regular,
                                         catalog.holomorph_cyclic,
@@ -484,8 +497,9 @@ class TestRecordRepresentation:
         oracle build is the slowest of the three (about 3 s)."""
         G = family(64)
         chain = _build_chain(64, G.raw_generators())
-        assert _items(chain) == _items(build_chain(64, G.raw_generators()))
-        self._assert_tuples(family.__name__, 64, chain)
+        assert _items(tuple_record(chain)) == _items(
+            build_chain(64, G.raw_generators()))
+        self._assert_bytes(family.__name__, 64, chain)
 
 
 class TestOrderCap:

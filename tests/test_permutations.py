@@ -17,7 +17,8 @@ from cycle_census.permutations import (CapExceeded, CycleParseError,
                                        random_element)
 
 import helpers
-from helpers import _iter_raw, catalog_instances, kernel_rows, naive_closure
+from helpers import (_iter_raw, catalog_instances, chain_record, kernel_rows,
+                     naive_closure, tuple_record)
 
 
 def perm(text, degree):
@@ -440,10 +441,12 @@ def test_base_points_are_smallest_moved_in_increasing_order():
 
 
 def _chain_digest(groups):
-    """sha256 of every (base, transversal items in insertion order)."""
+    """sha256 of every (base, transversal items in insertion order), the
+    representatives in the tuple form they were pinned in."""
     import hashlib
-    chains = [(G.base, tuple(tuple(tr.items()) for tr in G.transversals))
-              for G in groups]
+    records = [tuple_record(chain_record(G)) for G in groups]
+    chains = [(base, tuple(tuple(tr.items()) for tr in transversals))
+              for base, transversals, _, _ in records]
     return hashlib.sha256(repr(chains).encode()).hexdigest()
 
 
