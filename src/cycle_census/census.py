@@ -13,10 +13,10 @@ constant on each G_0-orbit O_b, and the slice of elements sending 0 to b
 has |G|/n elements.  One level deeper, the number N(0, b, c) of n-cycles
 sending 0 to b and b to c is constant on each orbit of G_{0,b}, and the
 elements doing so form one coset of G_{0,b} (Sims's orbit weighting;
-Seress, Permutation Group Algorithms, 2003, ch. 9).  A suborbit with
-|O_b| > 1 whose slice spans more than one block is counted there, one
-coset per G_{0,b}-orbit, in G relabelled by the transposition (base[1] b),
-whose chain holds G_{0,b} (Seress 5.4); any other on its slice.
+Seress, Permutation Group Algorithms, 2003, ch. 9).  When the slices span
+more than one block, a full wreath product is counted from its two
+factors (see count_n_cycles), and any other group counts the suborbit of
+b = base[1], whose G_{0,b} its chain holds, one coset per G_{0,b}-orbit:
 M23 lists one coset of 20 160 elements instead of a slice of 443 520.
 The n-cycles are counted, never stored.  The class count then follows
 from the class-size identity |class| = |G|/n, since the centralizer of an
@@ -37,10 +37,11 @@ one entry per row.
 
 Conjugacy of two n-cycles sigma, tau is decidable with n membership
 tests: every relabeling carrying sigma to tau lies in the coset <sigma>x0
-for any one such relabeling x0.  Class representatives are found with
-that test inside the orbit-minimum slices, and the normalizer follows from
-it by an exact identity, |N_G(<sigma>)| = n * #{u prime to n : sigma^u
-conjugate to sigma in G}.  Every view (counts, classes, verdicts) reads the
+for any one such relabeling x0, which for sigma in G lies in G or misses
+it, so one test decides.  Class representatives are found with that test
+inside the orbit-minimum slices, and the normalizer follows from it by an
+exact identity, |N_G(<sigma>)| = n * #{u prime to n : sigma^u conjugate
+to sigma in G}.  Every view (counts, classes, verdicts) reads the
 one full report theorem_verdict(G, cap).  The test suite checks counts,
 classes, representatives and normalizers against full enumeration.
 """
@@ -58,8 +59,8 @@ from .blocks import (all_minimal_block_systems, block_action,
 from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
-                           _conjugate, _contains_raw, _cycle,
-                           _full_cycle_mask, _orbits, _sift, _slice_blocks,
+                           _contains_raw, _cycle, _full_cycle_mask, _orbits,
+                           _sift, _slice_blocks,
                            _stabilizer_gens, _suborbits, group_from_generators,
                            is_transitive, random_element)
 
@@ -129,40 +130,33 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
     N(0, b), the number of n-cycles sending 0 to b, is constant on each
     orbit O_b of G_0, so the count is the sum of |O_b| N(0, b) over b =
-    min O_b.  Each suborbit takes one rule: its share is read off the
-    _second_level_cosets of G relabelled by (base[1] b), each of
-    |G|/(n |O_b|) elements, when |O_b| > 1 and |G| > _SLICE_CELLS, and off
-    the slice of |G|/n elements sending 0 to b otherwise.  Refused when |G|
-    exceeds the cap (no group above degree 64 is built).  Every census
-    entry point is a view over this pass.
+    min O_b.  Above _SLICE_CELLS elements, base[1]'s share is read off the
+    _second_level_cosets of G, each of |G|/(n |O_b|) elements, any other
+    off the slice of |G|/n elements sending 0 to b.  But first, a minimal
+    system of r blocks of s points with constituent K and block action H,
+    |K|^r |H| = |G|, makes G the full wreath product K wr H it embeds in
+    (Krasner-Kaloujnine): #r-cycles(H) |K|^(r-1) #s-cycles(K).  Refused
+    when |G| exceeds the cap.  Every census entry point is a view over it.
     """
     if not is_transitive(G):
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
+    deep = G.order > permutations._SLICE_CELLS
+    if deep:
+        for system in all_minimal_block_systems(G):
+            K, H = block_constituent(G, system), block_action(G, system)
+            if K.order ** system.r * H.order == G.order:
+                return (count_n_cycles(H, G.order) * K.order ** (system.r - 1)
+                        * count_n_cycles(K, G.order))
     top = _top_level(G)
     count, shallow = 0, []
     for b, size in _suborbits(G):
-        if size > 1 and G.order > permutations._SLICE_CELLS:
-            H = _relabelled(G, b)
-            count += _weighted_count(H, _second_level_cosets(H), 2)
+        if deep and b == G.base[1]:   # |G| > n, so G_0 moves base[1]
+            count += _weighted_count(G, _second_level_cosets(G), 2)
         else:
             shallow.append((top[b], size))
     return count + _weighted_count(G, shallow, 1)
-
-
-def _relabelled(G: PermGroup, b: int) -> PermGroup:
-    """G conjugated by tau = (base[1] b), b moved by G_0; G for b = base[1].
-    tau fixes 0 and the points below base[1] (G_0 fixes them; b lies above),
-    so H.base[1] = base[1] and H's level 1 is tau(O_b), the same count.
-    H is a conjugate of G, so its chain build stops at |G|."""
-    a = G.base[1]
-    if b == a:
-        return G
-    tau = tuple(b if x == a else a if x == b else x for x in range(G.degree))
-    return group_from_generators(G.degree, [
-        Permutation(_conjugate(g, tau, tau)) for g in G.raw_generators()],
-        _ceiling=G.order)
 
 
 def _top_level(G: PermGroup) -> dict[int, bytes]:
@@ -222,23 +216,27 @@ def are_conjugate_n_cycles(G: PermGroup, sigma: Permutation,
     """Whether two n-cycles are conjugate inside G.
 
     Tests the n candidate conjugators sigma^k * x0 for membership, where
-    x0 is the relabeling matching up the two cycles.
+    x0 is the relabeling matching up the two cycles: x0 alone for sigma in
+    G, as the candidates then all lie in G or all miss it.
     """
     if not (sigma.is_n_cycle() and tau.is_n_cycle()):
         raise ValueError("both permutations must be full cycles")
     if sigma.degree != G.degree or tau.degree != G.degree:
         raise ValueError("degree mismatch with the group")
-    return _are_conjugate_raw(G, sigma.images, tau.images)
+    s = sigma.images
+    steps = 1 if _contains_raw(G, s) else G.degree
+    return _are_conjugate_raw(G, s, tau.images, steps)
 
 
-def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    """Steps the candidates sigma^k * x0 as bytes, sifting each."""
+def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...],
+                       steps: int = 1) -> bool:
+    """Sifts the candidates sigma^k * x0, k < steps, stepped as bytes."""
     n = len(s)
     x0 = bytearray(n)
     for a, b in zip(_cycle(s, 0), _cycle(t, 0)):
         x0[a] = b
     cand, s, pad = bytes(x0), bytes(s), bytes(range(n, 256))
-    for _ in range(n):
+    for _ in range(steps):
         if _sift(G._inverses, cand)[1] == n:
             return True
         cand = s.translate(cand + pad)

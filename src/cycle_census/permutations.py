@@ -119,11 +119,12 @@ def _conjugate(x: tuple[int, ...], g: tuple[int, ...], ginv: tuple[int, ...]) ->
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """A bijection of {0..n-1} stored as its image sequence."""
+    """A bijection of {0..n-1} stored as its image tuple (of any sequence)."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
         if n < 1:
             raise ValueError("permutation degree must be at least 1")

@@ -11,7 +11,9 @@ is checked against build_chain here) and the membership sift under the
 normal-closure and normalizer oracles.  catalog_instances builds the
 standard catalog once for the tests that only read it, random_subgroups
 the seeded random subgroups, seeded_pairs the seeded random pairs of
-three fixed parents, and m23_slice walks M23's one depth-1 slice once.
+three fixed parents, m23_slice walks M23's one depth-1 slice once, and
+relabelled conjugates a group by a transposition, built with its order as
+the ceiling.
 """
 
 from __future__ import annotations
@@ -386,6 +388,13 @@ def conjugacy_orbits(G, cycles):
     return classes
 
 
+def conjugate_by_enumeration(G, sigma, tau):
+    """Whether g^-1 * sigma * g = tau for some g of G, sigma and tau any
+    image tuples of its degree, trying every element of the tuple walk."""
+    return any(compose(compose(inverse(g), sigma), g) == tau
+               for g in _iter_raw(G))
+
+
 # cycles and normalizers, as the library computed them before -------------
 
 def cycles(t):
@@ -550,6 +559,18 @@ def build_chain(degree, raw_gens):
 def chain_record(G):
     """What G keeps of its chain build, as _build_chain returns it."""
     return G.base, G.transversals, G._inverses, G._strong
+
+
+def relabelled(G, b):
+    """G conjugated by the transposition tau = (base[1] b), for b moved by
+    G_0 other than base[1], built with |G| as its ceiling: a conjugate
+    whose chain stops early, as the chain-builder tests need.  tau is an
+    involution, so each generator g becomes tau * g * tau."""
+    a = G.base[1]
+    tau = tuple(b if x == a else a if x == b else x for x in range(G.degree))
+    return group_from_generators(
+        G.degree, [Permutation(compose(compose(tau, g), tau))
+                   for g in G.raw_generators()], _ceiling=G.order)
 
 
 def tuple_record(record):

@@ -139,9 +139,11 @@ class TestOneClosurePerSuborbit:
             assert got == self.oracle(G), name
 
     def test_groups_the_towers_visit(self, monkeypatch):
-        """Every group the structure towers of the sweep at the census cap
-        ask for minimal systems: catalog groups that attain the bound, and
-        the block-action images below them."""
+        """Every group the structure towers and the wreath identity of the
+        sweep at the census cap ask for minimal systems: catalog groups
+        that attain the bound, the block-action images below them, and
+        every census of more than _SLICE_CELLS elements, factors of a full
+        wreath product included."""
         visited = []
         original = census.all_minimal_block_systems
 
@@ -151,7 +153,7 @@ class TestOneClosurePerSuborbit:
             return systems
         monkeypatch.setattr(census, "all_minimal_block_systems", recording)
         census.run_sweep(instance_cap=DEFAULT_ELEMENT_CAP)
-        assert len(visited) == 209
+        assert len(visited) == 243
         for H, systems in visited:
             assert [s.blocks for s in systems] == self.oracle(H), H.generators
 

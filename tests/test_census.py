@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from cycle_census import catalog, census, permutations
-from cycle_census.blocks import all_minimal_block_systems
+from cycle_census.blocks import (all_minimal_block_systems, block_action,
+                                 block_constituent)
 from cycle_census.census import (CensusReport, are_conjugate_n_cycles,
                                  count_n_cycles, cyclic_transitive_count,
                                  euler_phi, extremal_structure_check,
@@ -21,7 +22,8 @@ from cycle_census.permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                                        parse_permutation, random_element)
 
 from helpers import (_iter_raw, catalog_instances, collect_n_cycles, compose,
-                     conjugacy_orbits, inverse, m23_slice, naive_closure,
+                     conjugacy_orbits, conjugate_by_enumeration, cycle_type,
+                     inverse, m23_slice, naive_closure,
                      normalizer_order_by_relabeling, random_subgroups,
                      seeded_pairs, wreath_n_cycle_count)
 
@@ -106,6 +108,45 @@ class TestClasses:
         _, reps = n_cycle_classes(sharp1)
         for tau in cycles:
             assert sum(are_conjugate_n_cycles(sharp1, r, tau) for r in reps) == 1
+
+
+class TestConjugacyOutsideTheGroup:
+    """are_conjugate_n_cycles with sigma outside G: the relabelings carrying
+    sigma to tau, the coset <sigma> x0, may meet G in some of their n
+    elements only, so each candidate sigma^k * x0 is tested.  Checked
+    against trying every element of G, for 211 random n-cycles sigma
+    outside the 120 catalog instances of order at most 2000, each paired
+    with one G-conjugate and one random n-cycle: 223 of the 422 pairs are
+    conjugate."""
+
+    @staticmethod
+    def _n_cycle(rng, n):
+        points = rng.sample(range(n), n)
+        images = [0] * n
+        for i, x in enumerate(points):
+            images[x] = points[(i + 1) % n]
+        return tuple(images)
+
+    def test_against_every_element(self):
+        rng = random.Random(3511)
+        checked, conjugate = 0, 0
+        for name, G in catalog_instances():
+            if G.order > 2000:
+                continue
+            elements = list(_iter_raw(G))
+            for _ in range(2):
+                sigma = self._n_cycle(rng, G.degree)
+                if contains(G, Permutation(sigma)):
+                    continue
+                g = rng.choice(elements)
+                for tau in (compose(compose(inverse(g), sigma), g),
+                            self._n_cycle(rng, G.degree)):
+                    want = conjugate_by_enumeration(G, sigma, tau)
+                    assert are_conjugate_n_cycles(
+                        G, Permutation(sigma), Permutation(tau)) == want, name
+                    checked += 1
+                    conjugate += want
+        assert (checked, conjugate) == (422, 223)
 
 
 class TestSubgroupCounts:
@@ -514,9 +555,12 @@ class TestSuborbitCensusAgainstEnumeration:
     all of G and partitions the n-cycles by breadth-first conjugation.  The
     count is also taken with the slice kernel's block budget at 64 cells,
     where most blocks hold a single prefix, and where every group of order
-    above 64 counts each suborbit O_b of more than one point at depth 2,
-    one coset of G_{0,b} per G_{0,b}-orbit in G relabelled by (base[1] b);
-    a group of order at most 64 and a suborbit of one point take depth 1."""
+    above 64 takes the deep rules: a full wreath product of a minimal
+    system is counted from its factors (79 of the 132 catalog instances of
+    order 65 to 2*10^5), and any other group counts the suborbit of
+    base[1] at depth 2, one coset of G_{0,b} per G_{0,b}-orbit, and every
+    other suborbit on its slice (the other 53); a group of order at most 64
+    takes depth 1 throughout."""
 
     @staticmethod
     def _mismatch(G):
@@ -547,6 +591,13 @@ class TestSuborbitCensusAgainstEnumeration:
             checked += 1
             assert self._mismatch(G) is None, name
         assert checked == 179
+
+    def test_both_deep_rules_run_at_64_cells(self):
+        mid = [G for _, G in catalog_instances() if 64 < G.order <= 200_000]
+        full = [G for G in mid if any(
+            block_constituent(G, s).order ** s.r * block_action(G, s).order
+            == G.order for s in all_minimal_block_systems(G))]
+        assert (len(mid), len(full)) == (132, 79)
 
     def test_random_subgroups(self):
         for H in random_subgroups(40):
@@ -580,10 +631,10 @@ class TestSecondLevelCosets:
     """The depth-2 count of the suborbit of b = base[1], taken whatever the
     group's size, against the n-cycles of its depth-1 slice _iter_raw(G, [b])
     weighted by |O_b|, on the catalog instances of order <= 2*10^5, the
-    random subgroups and M23; then the same for every suborbit O_b of more
-    than one point, counted in G relabelled by tau = (base[1] b), whose
-    order, first two base points and level 1, tau(O_b), are checked too.
-    Groups with no base[1] (regular groups and degree 1) have no depth 2."""
+    random subgroups and M23.  A census of more than _SLICE_CELLS elements
+    that is not a full wreath product counts that suborbit so, on G's own
+    chain, and every other suborbit on its slice.  Groups with no base[1]
+    (regular groups and degree 1) have no depth 2."""
 
     @staticmethod
     def _check(G, slice_=None):
@@ -613,94 +664,21 @@ class TestSecondLevelCosets:
         assert G.base[1] == 1   # m23_slice() is _iter_raw(G, [1])
         assert self._check(G, int(m23_slice()[1].sum()))
 
-    @staticmethod
-    def _relabelled_mismatches(G, n_cycles=None, orbits=None):
-        """The suborbits b, |O_b| > 1, whose relabelled group H does not keep
-        G's order and first two base points, does not have tau(O_b) as its
-        level 1, lists more than |O_b| cosets at depth 2, or whose depth-2
-        count is not |O_b| times the n-cycles of _iter_raw(G, [b]).  O_b is
-        read off _iter_raw(G, [0]), the elements of G_0, unless orbits maps
-        b to it; n_cycles, when given, maps b to the n-cycle count of its
-        slice."""
-        a = G.base[1]
-        suborbits = [b for b, size in _suborbits(G) if size > 1]
-        if orbits is None:
-            orbits = {b: set() for b in suborbits}
-            for g in _iter_raw(G, [0]):
-                for b, orbit in orbits.items():
-                    orbit.add(g[b])
-        bad = []
-        for b in suborbits:
-            tau = {a: b, b: a}
-            H = census._relabelled(G, b)
-            cosets = census._second_level_cosets(H)
-            deep = census._weighted_count(H, cosets, 2)
-            slice_ = (n_cycles[b] if n_cycles is not None
-                      else sum(map(_is_full_cycle, _iter_raw(G, [b]))))
-            if (H.order != G.order or H.base[:2] != G.base[:2]
-                    or set(H.transversals[1])
-                    != {tau.get(x, x) for x in orbits[b]}
-                    or len(cosets) > len(orbits[b])
-                    or deep != len(orbits[b]) * slice_):
-                bad.append(b)
-        return bad
-
-    def test_every_suborbit_of_the_catalog_instances(self):
-        groups = [(name, G) for name, G in catalog_instances()
-                  if G.order <= 200_000 and len(G.base) > 1]
-        relabelled = sum(b != G.base[1] for _, G in groups
-                         for b, size in _suborbits(G) if size > 1)
-        assert relabelled == 170
-        assert {name: bad for name, G in groups
-                if (bad := self._relabelled_mismatches(G))} == {}
-
-    def test_every_suborbit_of_the_random_subgroups(self):
-        groups = [H for H in random_subgroups(40) if len(H.base) > 1]
-        relabelled = sum(b != H.base[1] for H in groups
-                         for b, size in _suborbits(H) if size > 1)
-        assert relabelled == 53
-        assert [H.generators for H in groups
-                if self._relabelled_mismatches(H)] == []
-
-    def test_every_suborbit_of_m23(self):
-        """G_0 is M22, transitive on the 22 points other than 0: one
-        suborbit, base[1]'s, which needs no relabelling."""
+    def test_m23_census_builds_no_chain(self, monkeypatch):
+        """M23 is primitive, so its census looks for a full wreath product
+        in vain, then counts its one suborbit, base[1]'s, on its own chain:
+        no chain is built."""
         G = catalog.load_named("m23")
         assert _suborbits(G) == [(1, 22)]
-        assert self._relabelled_mismatches(
-            G, {1: int(m23_slice()[1].sum())}, {1: set(range(1, 23))}) == []
-
-    def test_base1_is_not_relabelled(self, monkeypatch):
-        """base[1]'s suborbit is counted in G itself: a census of M23, whose
-        one suborbit is base[1]'s, builds no chain."""
-        G = catalog.load_named("m23")
-        assert census._relabelled(G, G.base[1]) is G
         builds = []
-        original = census.group_from_generators
+        original = permutations._build_chain
 
         def recording(*args, **kwargs):
             builds.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(census, "group_from_generators", recording)
+        monkeypatch.setattr(permutations, "_build_chain", recording)
         assert theorem_verdict(G).n_cycle_count == 887_040
         assert builds == []
-
-    def test_several_suborbits_list_fewer_rows(self, monkeypatch):
-        """a4_wr_hol4 (order 165 888) has three suborbits, each counted at
-        depth 2: 12 096 rows, where the census listed 27 648 when only
-        base[1]'s went deeper."""
-        G = dict(catalog_instances())["a4_wr_hol4"]
-        assert len(_suborbits(G)) == 3
-        rows = []
-        original = census._full_cycle_mask
-
-        def counting(block):
-            rows.append(len(block))
-            return original(block)
-        monkeypatch.setattr(census, "_full_cycle_mask", counting)
-        assert count_n_cycles(G) == wreath_n_cycle_count(
-            catalog.alternating(4), catalog.holomorph_cyclic(4))
-        assert sum(rows) == 12_096
 
     def test_m23_census_lists_one_coset(self, monkeypatch):
         rows = []
@@ -712,6 +690,94 @@ class TestSecondLevelCosets:
         monkeypatch.setattr(census, "_full_cycle_mask", counting)
         assert theorem_verdict(catalog.load_named("m23")).n_cycle_count == 887_040
         assert sum(rows) == 20_160
+
+
+class TestWreathIdentity:
+    """Above _SLICE_CELLS elements, a group with a minimal block system of
+    r blocks whose constituent K and block action H have |K|^r |H| = |G|
+    is the full wreath product K wr H, counted as #r-cycles(H) |K|^(r-1)
+    #s-cycles(K) from two more censuses; any other group keeps the slice
+    kernel."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Lists filled by the census from now on: (degree, order) of every
+        group count_n_cycles is called on, and the length of every block
+        of rows the kernel tests for n-cycles."""
+        calls, rows = [], []
+        count, mask = census.count_n_cycles, census._full_cycle_mask
+
+        def counting(H, cap=DEFAULT_ELEMENT_CAP):
+            calls.append((H.degree, H.order))
+            return count(H, cap)
+
+        def listing(block):
+            rows.append(len(block))
+            return mask(block)
+        monkeypatch.setattr(census, "count_n_cycles", counting)
+        monkeypatch.setattr(census, "_full_cycle_mask", listing)
+        return calls, rows
+
+    def test_a_full_wreath_product_is_counted_from_its_factors(
+            self, monkeypatch):
+        """a4_wr_hol4 (order 165 888, three suborbits) is counted from hol4
+        on its 4 blocks and A4 on the block of 0, in 7 rows.  Without its
+        block systems the kernel lists 27 648 rows, base[1]'s suborbit at
+        depth 2 and the other two on their slices."""
+        G = dict(catalog_instances())["a4_wr_hol4"]
+        want = wreath_n_cycle_count(catalog.alternating(4),
+                                    catalog.holomorph_cyclic(4))
+        calls, rows = self._record(monkeypatch)
+        assert census.count_n_cycles(G) == want
+        assert calls == [(16, 165_888), (4, 8), (4, 12)]
+        assert sum(rows) == 7
+        calls.clear()
+        rows.clear()
+        monkeypatch.setattr(census, "all_minimal_block_systems",
+                            lambda H: ())
+        assert census.count_n_cycles(G) == want
+        assert calls == [(16, 165_888)]
+        assert sum(rows) == 27_648
+
+    @staticmethod
+    def _sign(t):
+        return (-1) ** (len(t) - len(cycle_type(t)))
+
+    def test_an_index_2_subgroup_of_a_wreath_product_is_refused(
+            self, monkeypatch):
+        """The kernel of sgn(block permutation) * sgn(g) on S4 wr S4, from
+        the Schreier generators of the transversal {1, t}, t an odd
+        generator: its constituent and block action are S4 as in the whole
+        wreath product, so their orders multiply to twice its order and
+        the identity is refused.  Every 16-cycle has a 4-cycle on the
+        blocks, both odd, so it lies in the kernel: the count is the
+        wreath product's."""
+        W = catalog.wreath_imprimitive(catalog.symmetric(4),
+                                       catalog.symmetric(4))
+
+        def chi(g):   # point x lies in block x // 4
+            blocks = tuple(g[4 * j] // 4 for j in range(4))
+            return self._sign(blocks) * self._sign(g)
+        gens = W.raw_generators()
+        t = next(g for g in gens if chi(g) == -1)
+        t_inv = inverse(t)
+        schreier = [h for g in gens
+                    for h in ((g, compose(compose(t, g), t_inv))
+                              if chi(g) == 1 else
+                              (compose(g, t_inv), compose(t, g)))]
+        G = group_from_generators(16, [Permutation(h) for h in schreier])
+        assert G.order == 3_981_312 == W.order // 2
+        assert _suborbits(G) == [(1, 3), (4, 12)]
+        systems = all_minimal_block_systems(G)
+        assert systems
+        for system in systems:
+            K = block_constituent(G, system)
+            H = block_action(G, system)
+            assert K.order ** system.r * H.order == 2 * G.order
+        calls, _ = self._record(monkeypatch)
+        assert census.count_n_cycles(G) == 497_664 == wreath_n_cycle_count(
+            catalog.symmetric(4), catalog.symmetric(4))
+        assert calls == [(16, 3_981_312)]
 
 
 class TestSweepRowsArePinned:

@@ -29,7 +29,7 @@ from cycle_census.permutations import (CapExceeded, Permutation, _build_chain,
                                        group_from_generators, random_element)
 
 from helpers import (_sift_raw, build_chain, catalog_instances, chain_record,
-                     compose, inverse, is_identity, seeded_pairs,
+                     compose, inverse, is_identity, relabelled, seeded_pairs,
                      tuple_record)
 
 
@@ -233,29 +233,30 @@ class TestOrderCeiling:
             "a185072492af8ea8bbf2177a698e651a43ea2ffc8ee15fdfdad94fa9ecdf7e49")
 
     def test_relabelled_conjugates_keep_the_full_records(self):
-        """The relabelled conjugate of every suborbit a census counts at
-        depth 2, built with |G| as the ceiling, for every group above one
-        block: M23 and the 11 wreath products above the default cap of
-        2*10^7, which the default sweep skips, included."""
+        """The conjugate by (base[1] b) of every group above one block, for
+        each other suborbit O_b of more than one point, built with |G| as
+        the ceiling (helpers.relabelled): M23 and the 11 wreath products
+        above the default cap of 2*10^7, which the default sweep skips,
+        included."""
         groups = [(name, G) for name, G in catalog_instances()
                   if G.order > permutations._SLICE_CELLS]
         groups.append(("m23", catalog.load_named("m23")))
         assert len(groups) == 46
         assert sum(G.order > 2 * 10 ** 7 for _, G in groups) == 11
-        relabelled = 0
+        built = 0
         for name, G in groups:
             a = G.base[1]
             for b, size in _suborbits(G):
                 if size == 1 or b == a:
                     continue
-                H = census._relabelled(G, b)
+                H = relabelled(G, b)
                 tau = tuple(b if x == a else a if x == b else x
                             for x in range(G.degree))
                 full = _build_chain(G.degree, [_conjugate(g, tau, tau)
                                                for g in G.raw_generators()])
                 assert _record(chain_record(H)) == _record(full), (name, b)
-                relabelled += 1
-        assert relabelled == 59
+                built += 1
+        assert built == 59
 
     def test_the_stop_skips_sifts(self, monkeypatch):
         """On a wreath product, and on a random pair that generates its
@@ -390,8 +391,9 @@ class TestChainRecord:
 @pytest.fixture(scope="module")
 def records(drawn):
     """(label, degree, record) of every standard instance, M23 included,
-    every random-phase pair, and the relabelled conjugate of every suborbit
-    a census counts at depth 2 in a group above one block."""
+    every random-phase pair, and the conjugate by (base[1] b) of every
+    group above one block, for each other suborbit O_b of more than one
+    point, built with |G| as the ceiling (helpers.relabelled)."""
     above = [(name, G) for name, G in catalog_instances()
              if G.order > permutations._SLICE_CELLS]
     above.append(("m23", catalog.load_named("m23")))
@@ -401,7 +403,7 @@ def records(drawn):
         "random_phase": [(label, degree, _build_chain(degree, gens))
                          for label, degree, gens, _ in drawn["random_phase"]],
         "relabelled": [((name, b), G.degree,
-                        chain_record(census._relabelled(G, b)))
+                        chain_record(relabelled(G, b)))
                        for name, G in above for b, size in _suborbits(G)
                        if size > 1 and b != G.base[1]],
     }

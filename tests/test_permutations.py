@@ -125,6 +125,18 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("images", [b"\x01\x02\x00", [1, 2, 0]])
+    def test_images_are_kept_as_a_tuple(self, images):
+        """Bytes (a chain record entry) and a list are stored as the tuple
+        of their images: the same Permutation, with the same hash."""
+        p, q = Permutation(images), Permutation((1, 2, 0))
+        assert type(p.images) is tuple and p.images == (1, 2, 0)
+        assert p == q and hash(p) == hash(q)
+
+    def test_not_a_bijection_in_bytes(self):
+        with pytest.raises(ValueError):
+            Permutation(b"\x00\x00\x01")
+
     def test_pow(self):
         c = perm("(1,2,3,4,5)", 5)
         assert c ** 5 == Permutation.identity(5)
