@@ -11,12 +11,14 @@ group-predicted density.
 
 The per-prime reference implementation is scalar: f of degree n is
 irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1 for
-every prime l dividing n.  Density reports skip the primes dividing the
-integer Res(f, f') and test the rest in numpy, all at once: X^p from the
-monomial X^(p >> k0) < X^n, one reduction mod f a lower bit, X^(p^k) as
-X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f, a screen
-for X^(p^n) = X and no X^(p^(n/l)) = X, then Berlekamp: a squarefree f
-mod p has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
+every prime l dividing n (the distinct-degree criterion).  It reaches
+X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f,
+in Python ints: O(n^3) a prime.  Density reports skip the primes dividing
+the integer Res(f, f') and test the rest in numpy, all at once, sharing
+no code with the scalar route: X^p from the monomial X^(p >> k0) < X^n,
+one reduction mod f a lower bit, X^(p^k) from Q, a screen for
+X^(p^n) = X and no X^(p^(n/l)) = X, then Berlekamp: a squarefree f mod p
+has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
 Modern Computer Algebra, 14.8).  The tests cross-check the two routes,
 which decide by different criteria.  A reduction folds X^n = -sum c_j X^j
 in, top slot first: with a monic f's own integers c_j, unreduced, where a
@@ -129,38 +131,21 @@ def _pmod(a, m, p):
 
 
 def _pgcd(a, b, p):
+    """A gcd of a and b over GF(p), not made monic: callers read its degree."""
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
     return a
 
 
-def _pcompose_mod(g, h, m, p):
-    """g(h) mod m, Horner from the top coefficient."""
-    out: list[int] = []
-    for c in reversed(g):
-        out = _pmul(out, h, p) if out else []
-        if not out:
-            out = [0]
-        out[0] = (out[0] + c) % p
-        out = _pmod(_trim(out), m, p) if len(out) >= len(m) else _trim(out)
-    return out
-
-
 def _xpow_p_mod(m, p):
-    """X^p mod m by square and multiply."""
+    """X^p mod m: p's bits from the top, a square each, times X (a shift)
+    on a set bit."""
     result = [1]
-    square = [0, 1]
-    k = p
-    while k:
-        if k & 1:
-            result = _pmod(_pmul(result, square, p), m, p)
-        k >>= 1
-        if k:
-            square = _pmod(_pmul(square, square, p), m, p)
+    for bit in bin(p)[2:]:
+        result = _pmod(_pmul(result, result, p), m, p)
+        if bit == "1":
+            result = _pmod([0] + result, m, p)
     return result
 
 
@@ -176,39 +161,40 @@ def reduce_mod_p(coeffs, p: int) -> PolyModP | BadReduction:
     if coeffs[-1] % p == 0:
         return BadReduction("leading coefficient vanishes mod p")
     fbar = [c % p for c in coeffs]
-    deriv = _trim([(i * c) % p for i, c in enumerate(fbar)][1:])
-    g = _pgcd(fbar, deriv, p) if deriv else list(fbar)
-    if len(g) - 1 >= 1:
+    deriv = [(i * c) % p for i, c in enumerate(fbar)][1:]
+    if len(_pgcd(fbar, deriv, p)) > 1:
         return BadReduction("repeated factors mod p")
     return PolyModP(p=p, coeffs=tuple(fbar))
 
 
 def is_irreducible_mod_p(fp: PolyModP) -> bool:
-    """Distinct-degree irreducibility test over GF(p)."""
+    """Distinct-degree irreducibility test over GF(p).
+
+    X^(p^k) mod f walks the Frobenius matrix Q of rows X^(ip) mod f: since
+    h^p = h(X^p) over GF(p), X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)).
+    """
     n = fp.degree
     if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
     if n == 1:
         return True
-    p = fp.p
-    inv_lead = pow(fp.coeffs[-1], -1, p)
-    m = [(c * inv_lead) % p for c in fp.coeffs]
-    x = [0, 1]
-    t = _xpow_p_mod(m, p)          # X^(p^1)
-    powers = {1: t}
-    cur = t
-    for k in range(2, n + 1):
-        cur = _pcompose_mod(cur, t, m, p)
-        powers[k] = cur
-    if _trim(list(powers[n])) != x:
+    p, m, x = fp.p, fp.coeffs, [0, 1]
+    Q = [[1], _xpow_p_mod(m, p)]
+    while len(Q) < n:
+        Q.append(_pmod(_pmul(Q[-1], Q[1], p), m, p))
+    powers = [x]   # powers[k] = X^(p^k) mod f
+    for _ in range(n):
+        acc = [0] * n
+        for h, row in zip(powers[-1], Q):
+            for j, c in enumerate(row):
+                acc[j] += h * c
+        powers.append(_trim([c % p for c in acc]))
+    if powers[n] != x:
         return False
     for ell in prime_divisors(n):
-        g = list(powers[n // ell])
-        while len(g) < 2:
-            g.append(0)
+        g = powers[n // ell] + [0, 0]
         g[1] = (g[1] - 1) % p
-        g = _trim(g)
-        if len(_pgcd(g, m, p)) - 1 >= 1:
+        if len(_pgcd(g, m, p)) > 1:
             return False
     return True
 
@@ -433,8 +419,8 @@ def density_report(coeffs, bound: int, floor: int = 0,
         raise ValueError("the polynomial must have degree at least 1")
     n = len(coeffs) - 1
     _check_degree(n)
-    if n * (bound - 1) ** 2 > _INT64_MAX:
-        limit = 1 + isqrt(_INT64_MAX // n)
+    limit = 1 + isqrt(_INT64_MAX // n)
+    if bound > limit:
         raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
                          f"whose degree-{n} arithmetic fits in int64")
     primes = _sieve(bound)

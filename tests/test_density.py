@@ -15,7 +15,7 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   reduce_mod_p, sieve_primes)
 from cycle_census.ntheory import is_prime, multiplicative_order
 
-from helpers import naive_irreducible, sylvester_resultant
+from helpers import naive_irreducible, poly_mul, sylvester_resultant
 
 # discriminant prime factors of the suite polynomials, precomputed: the
 # only primes that may ever be skipped for good reduction reasons
@@ -119,7 +119,9 @@ def _assert_batch_equals_scalar(coeffs, primes):
     good = [r for r in reductions if isinstance(r, PolyModP)]
     batch = _batch_irreducible(coeffs, np.array([r.p for r in good],
                                                 dtype=np.int64))
-    assert list(batch) == [is_irreducible_mod_p(r) for r in good], coeffs
+    scalar = [is_irreducible_mod_p(r) for r in good]
+    assert list(batch) == scalar, coeffs
+    return scalar
 
 
 class TestBatchAgainstScalar:
@@ -186,6 +188,14 @@ class TestBatchAgainstScalar:
         with pytest.raises(ValueError, match="fits in int64"):
             density_report((1, 0, 0, 1, 0, 0, 1), bound=1_239_850_264)
 
+    @pytest.mark.parametrize("bound", [-5_000_000_000, -1, 0, 1])
+    def test_refuses_bound_below_two(self, bound):
+        """A bound below 2 reaches the sieve's refusal, however negative:
+        n (bound - 1)^2 of a large negative bound passes 2^63 - 1 too, but
+        it is no bound past the int64 limit."""
+        with pytest.raises(ValueError, match="bound must be at least 2"):
+            density_report((1, 0, 1), bound=bound)
+
     @pytest.mark.parametrize("degree", range(2, 9))
     def test_batch_equals_scalar_random(self, degree):
         """Seeded random f of each degree, monic and not, over the good
@@ -201,6 +211,16 @@ class TestBatchAgainstScalar:
                       for p in good]
             batch = _batch_irreducible(coeffs, np.array(good, dtype=np.int64))
             assert list(batch) == scalar, coeffs
+
+    @pytest.mark.parametrize("degree, lead, bound", [
+        (32, 1, 300), (32, -7, 300), (64, 1, 250)])
+    def test_batch_equals_scalar_past_degree_18(self, degree, lead, bound):
+        """Seeded dense f of degree 32, monic and not, and of degree 64, the
+        largest accepted, over the good primes <= bound: fewer primes than
+        the random test above takes, and each case has inert primes."""
+        rng = random.Random(degree)
+        coeffs = tuple(rng.randrange(-99, 100) for _ in range(degree)) + (lead,)
+        assert any(_assert_batch_equals_scalar(coeffs, sieve_primes(bound)))
 
     def test_blocks_do_not_change_reports(self, monkeypatch):
         """Reports are identical in many small blocks, and when two worker
@@ -384,7 +404,7 @@ class TestSurvivorProduct:
                 if g not in factors and is_irreducible_mod_p(PolyModP(p, g)):
                     break
             factors.add(g)
-            f = density._pmul(f, list(g), p)
+            f = poly_mul(f, g, p)
         assert not is_irreducible_mod_p(PolyModP(p, tuple(f)))
         assert not _batch_irreducible(tuple(f), np.array([p]))[0]
 
