@@ -20,10 +20,12 @@ one reduction mod f a lower bit, X^(p^k) from Q, a screen for
 X^(p^n) = X and no X^(p^(n/l)) = X, then Berlekamp: a squarefree f mod p
 has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
 Modern Computer Algebra, 14.8).  The tests cross-check the two routes,
-which decide by different criteria.  A reduction folds X^n = -sum c_j X^j
-in, top slot first: with a monic f's own integers c_j, unreduced, where a
-simulation of the fold's bounds (_fold_fits) stays within 2^63 - 1, else
-with the residues of c_j / lc(f), each slot reduced mod p before its fold.
+which decide by different criteria.  The kernel takes f = sum c_j X^j as
+its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which factors
+as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
+p | lc gives p | Res(f, f'), so the kernel sees no such p.  It folds
+X^n = -sum g_j X^j in with g's own integers where a simulation of the
+unreduced fold (_fold_fits) stays within 2^63 - 1, else with residues.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from multiprocessing import get_context
+from operator import index
 
 import numpy as np
 
 from .census import _JsonReport, count_n_cycles
 from .ntheory import euler_phi, prime_divisors
-from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, PermGroup,
-                           _check_degree, _decimal, _digit_limit)
+from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, ParseError,
+                           PermGroup, _check_degree, _decimal, _digit_limit)
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ _BLOCK_CELLS = 1 << 18
 def _reduce(acc, f, support, ps, wrap):
     """acc mod the monic X^n + f, top first, subtracting only in the support:
     the runs of slots where the integer f is nonzero (other slots are 0 mod
-    every p).  f is f's own integers, shape (n, 1), within _fold_fits, or
+    every p).  f is g's own integers, shape (n, 1), within _fold_fits, or
     its residues, and then wrap reduces a slot before its fold: it starts
     within n(p - 1)^2 and takes at most n more products, +-n(p - 1)^2."""
     n = len(f)
@@ -309,11 +312,9 @@ def _bad_primes(resultant, ps):
 
 
 def _fold_fits(coeffs, p_max) -> bool:
-    """Whether _reduce may fold with the monic f's own integers up to p_max:
+    """Whether _reduce may fold with the monic g's own integers up to p_max:
     no slot of 2n, each from n(p_max - 1)^2, passes 2^63 - 1 when slot k,
-    top first and unreduced, adds its bound times |c_j| to slot k - n + j."""
-    if coeffs[-1] != 1:
-        return False
+    top first and unreduced, adds its bound times |g_j| to slot k - n + j."""
     n = len(coeffs) - 1
     bound = [n * (p_max - 1) ** 2] * (2 * n)
     for k in range(2 * n - 1, n - 1, -1):
@@ -325,22 +326,18 @@ def _fold_fits(coeffs, p_max) -> bool:
 
 
 def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
-    """Vectorized irreducibility test for the (good) primes in ps: the
-    distinct-degree screen, then Berlekamp's rank of Q - I on the primes
-    that pass it.  Its memory grows as n^2 len(ps), so callers pass blocks
-    of primes."""
+    """Vectorized irreducibility test for the (good) primes in ps, on f's
+    monic form g (see the module docstring): the distinct-degree screen,
+    then Berlekamp's rank of Q - I on the primes that pass it.  Its memory
+    grows as n^2 len(ps), so callers pass blocks of primes."""
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
+    coeffs = tuple(c * coeffs[-1] ** (n - 1 - j)
+                   for j, c in enumerate(coeffs[:-1])) + (1,)
     p_max = int(ps.max())
-    wrap = not _fold_fits(coeffs, p_max)   # X^n = -sum c_j X^j mod (f, p)
+    wrap = not _fold_fits(coeffs, p_max)   # X^n = -sum g_j X^j mod (g, p)
     f = _residues(coeffs, ps) if wrap else np.array(coeffs, np.int64)[:, None]
-    if coeffs[-1] != 1:   # Fermat: lc^(p-2) inverts lc; products <= (p-1)^2
-        inv = np.ones_like(ps)
-        for k in range(p_max.bit_length() - 1, -1, -1):
-            inv = inv * inv % ps
-            inv = np.where(ps - 2 >> k & 1 == 1, inv * f[-1] % ps, inv)
-        f = f * inv % ps
     f = f[:-1]
     support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
                re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
@@ -410,11 +407,13 @@ def density_report(coeffs, bound: int, floor: int = 0,
 
     Callers are responsible for f being irreducible over the rationals;
     the report is purely an exact count of what happens mod each prime.
-    A degree above 64 is refused, as the census refuses one.
+    A degree above 64 is refused, as the census refuses one, and so is a
+    coefficient, bound or floor that is no integer (TypeError).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    coeffs = tuple(_trim(list(coeffs)))
+    coeffs = tuple(_trim([index(c) for c in coeffs]))
+    bound, floor = index(bound), index(floor)
     if len(coeffs) < 2:
         raise ValueError("the polynomial must have degree at least 1")
     n = len(coeffs) - 1
@@ -453,12 +452,8 @@ _TERM_RE = re.compile(
     r"(?:\*\s*)?(?P<var>[xX](?:\^(?P<exp>\d+))?)?")
 
 
-class PolynomialParseError(ValueError):
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at character {position})"
-        super().__init__(message)
-        self.position = position
+class PolynomialParseError(ParseError):
+    """Malformed polynomial text."""
 
 
 def parse_polynomial(text: str) -> tuple[int, ...]:

@@ -62,14 +62,18 @@ def _decimal(digits: str, refuse) -> int:
     return int(digits)
 
 
-class CycleParseError(ValueError):
-    """Malformed cycle notation; carries the offending character index."""
+class ParseError(ValueError):
+    """Malformed input text; carries the offending character index."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at character {position})"
         super().__init__(message)
         self.position = position
+
+
+class CycleParseError(ParseError):
+    """Malformed cycle notation."""
 
 
 class DegreeMismatchError(ValueError):

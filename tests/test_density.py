@@ -303,7 +303,10 @@ class TestFoldChoice:
 
     def test_the_kernel_folds_as_decided(self, monkeypatch):
         """_batch_irreducible hands every _reduce call the decision of
-        _fold_fits for its block."""
+        _fold_fits for its block, taken on f's monic form: 2x^5-3x+7 folds
+        as x^5-24x+112, whose integers fit at 999 983; at the largest prime
+        of each degree's limit the residue fold runs.  Every fold agrees
+        with the scalar route."""
         wraps = []
         reduce = density._reduce
 
@@ -311,11 +314,13 @@ class TestFoldChoice:
             wraps.append(wrap)
             return reduce(acc, f, support, ps, wrap)
         monkeypatch.setattr(density, "_reduce", recording)
-        sextic = FOLD_POLYS[0]
-        for p, wrap in [(1_999_993, False), (_largest_primes(_int64_limit(6),
-                                                             1)[0], True)]:
+        for coeffs, p, wrap in [
+                (FOLD_POLYS[0], 1_999_993, False),
+                (FOLD_POLYS[0], _largest_primes(_int64_limit(6), 1)[0], True),
+                (FOLD_POLYS[2], 999_983, False),
+                (FOLD_POLYS[2], _largest_primes(_int64_limit(5), 1)[0], True)]:
             wraps.clear()
-            _batch_irreducible(sextic, np.array([p], dtype=np.int64))
+            _assert_batch_equals_scalar(coeffs, [p])
             assert wraps and set(wraps) == {wrap}
 
 
@@ -597,6 +602,20 @@ class TestReports:
             monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
             assert density_report(coeffs, bound=5000, workers=workers) == whole
         assert sizes == [3, 2]
+
+    def test_numpy_integers_are_read_exactly(self):
+        """int64 coefficients, bound and floor give the tuple's report, in
+        Python ints; a float coefficient or bound is refused."""
+        coeffs = (3, 10 ** 12, 0, 7 * 10 ** 11)
+        want = density_report(coeffs, bound=5000, floor=7)
+        have = density_report(np.array(coeffs), bound=np.int64(5000),
+                              floor=np.int64(7))
+        assert have == want and json.dumps(have.to_json_dict())
+        assert {type(c) for c in have.polynomial} == {int}
+        with pytest.raises(TypeError):
+            density_report((1.0, 0, 1), bound=100)
+        with pytest.raises(TypeError):
+            density_report((1, 0, 1), bound=100.0)
 
     def test_json_roundtrip(self):
         import json
