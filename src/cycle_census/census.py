@@ -425,8 +425,18 @@ class SweepRow:
                 "report": self.report.to_json_dict() if self.report else None}
 
 
-def _sweep_row(name: str, group: PermGroup, cap: int) -> SweepRow:
-    report, violations = _verdict_full(group, cap=cap)
+def _sweep_row(name: str, group: PermGroup, cap: int, memo: dict,
+               reuse: bool = False) -> SweepRow:
+    """One censused row.  memo maps (degree, order) to the censused groups'
+    (generator images, report, violations), which reuse reads (run_sweep)."""
+    entries = memo.setdefault((group.degree, group.order), [])
+    known = (e for e in entries if all(_contains_raw(group, g) for g in e[0]))
+    entry = next(known, None) if reuse else None
+    if entry is None:
+        entry = (tuple(bytes(g.images) for g in group.generators),
+                 *_verdict_full(group, cap=cap))
+        entries.append(entry)
+    _, report, violations = entry
     status = "violation" if violations else "ok"
     return SweepRow(name, group.degree, group.order, status, report,
                     "; ".join(violations))
@@ -446,6 +456,11 @@ def run_sweep(instance_cap: int = 200_000,
     Refuses (ValueError) a negative subgroup_count and caps below 1, which
     would skip every instance or starve the random phase, and a random
     phase that finds fewer than subgroup_count in 60 * subgroup_count draws.
+
+    Every report field is an invariant of the group as a set, so a random
+    subgroup H takes the report of a group K of its degree and order
+    censused before when K's generators all sift into H: K <= H and
+    |K| = |H| give K = H (Lagrange).  Catalog rows are each censused.
     """
     for name, value, least in (("subgroup_count", subgroup_count, 0),
                                ("instance_cap", instance_cap, 1),
@@ -453,6 +468,7 @@ def run_sweep(instance_cap: int = 200_000,
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     rows: list[SweepRow] = []
+    memo: dict = {}
     instances = catalog.standard_instances(include_m23=include_m23)
 
     for name, group in instances:
@@ -460,7 +476,7 @@ def run_sweep(instance_cap: int = 200_000,
             rows.append(SweepRow(name, group.degree, group.order, "skipped",
                                  None, f"order above sweep cap {instance_cap}"))
         else:
-            rows.append(_sweep_row(name, group, instance_cap))
+            rows.append(_sweep_row(name, group, instance_cap, memo))
 
     rng = random.Random(seed)
     produced = 0
@@ -482,7 +498,7 @@ def run_sweep(instance_cap: int = 200_000,
             continue   # refused as soon as its partial chain passed the cap
         produced += 1
         rows.append(_sweep_row(f"rand{produced:03d}<{parent_name}", H,
-                               subgroup_order_cap))
+                               subgroup_order_cap, memo, True))
     if produced < subgroup_count:
         raise ValueError(f"only {produced} random subgroups found in "
                          f"{max_attempts} attempts")

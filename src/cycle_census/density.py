@@ -25,7 +25,8 @@ its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which factors
 as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
 p | lc gives p | Res(f, f'), so the kernel sees no such p.  It folds
 X^n = -sum g_j X^j in with g's own integers where a simulation of the
-unreduced fold (_fold_fits) stays within 2^63 - 1, else with residues.
+unreduced fold (_fold_fits) stays within 2^63 - 1, else with residues
+(c_j mod p) (lc mod p)^(n-1-j), which read only f's own integers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from multiprocessing import get_context
 from operator import index
 
 import numpy as np
@@ -333,12 +333,18 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
-    coeffs = tuple(c * coeffs[-1] ** (n - 1 - j)
-                   for j, c in enumerate(coeffs[:-1])) + (1,)
+    lc = coeffs[-1]
+    monic = tuple(c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
     p_max = int(ps.max())
-    wrap = not _fold_fits(coeffs, p_max)   # X^n = -sum g_j X^j mod (g, p)
-    f = _residues(coeffs, ps) if wrap else np.array(coeffs, np.int64)[:, None]
-    f = f[:-1]
+    wrap = not _fold_fits(monic + (1,), p_max)   # X^n = -sum g_j X^j
+    if wrap:   # g_j mod p from f's residues: each product below (p - 1)^2
+        f, power = _residues(coeffs, ps), 1
+        for j in range(n - 2, -1, -1):
+            power = power * f[n] % ps   # lc^(n-1-j) mod p
+            f[j] = f[j] * power % ps
+        f = f[:-1]
+    else:
+        f = np.array(monic, np.int64)[:, None]
     support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
                re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
     one = np.zeros((n, len(ps)), dtype=np.int64)
@@ -389,6 +395,12 @@ def _classify_block(args):
 
 
 # reports --------------------------------------------------------------------
+
+def get_context(method: str):
+    """multiprocessing.get_context, imported when a pool first starts."""
+    import multiprocessing
+    return multiprocessing.get_context(method)
+
 
 # Every kernel intermediate is bounded by n * (p - 1)^2; past 2^63 - 1 it
 # would wrap silently, so such bounds are refused (degree 6: ~1.24 * 10^9).

@@ -297,9 +297,9 @@ class TestExtremal:
         groups = []
         sweep_row = census._sweep_row
 
-        def recording(name, group, cap):
+        def recording(name, group, *rest):
             groups.append((name, group))
-            return sweep_row(name, group, cap)
+            return sweep_row(name, group, *rest)
         monkeypatch.setattr(census, "_sweep_row", recording)
         census.run_sweep(instance_cap=2 * 10 ** 7)
         for k, (parent, g1, g2) in enumerate(seeded_pairs()):
@@ -548,6 +548,63 @@ class TestSweepRandomPhase:
         random_rows = [r for r in rows if r.name.startswith("rand")]
         assert [(r.name, r.order) for r in random_rows] == expected
         assert all(r.status == "ok" for r in random_rows)
+
+
+class TestSweepReusesEqualGroups:
+    """A random subgroup equal to a group the sweep censused before takes
+    that group's report instead of a census of its own."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        verdict_full = census._verdict_full
+
+        def counting(G, cap):
+            calls.append(G)
+            return verdict_full(G, cap)
+        monkeypatch.setattr(census, "_verdict_full", counting)
+        return calls, verdict_full
+
+    @pytest.mark.parametrize("seed, censuses", [
+        (1, 251), (2, 258), (3, 257), (20240809, 251)])
+    def test_every_row_is_its_own_groups_census(self, monkeypatch, seed,
+                                                 censuses):
+        calls, verdict_full = self._counting(monkeypatch)
+        groups = {}
+        sweep_row = census._sweep_row
+
+        def recording(name, group, *rest):
+            groups[name] = group
+            return sweep_row(name, group, *rest)
+        monkeypatch.setattr(census, "_sweep_row", recording)
+        rows = census.run_sweep(instance_cap=200_000, subgroup_count=200,
+                                subgroup_order_cap=100_000, seed=seed)
+        assert len(calls) == censuses
+        censused = [r for r in rows if r.status != "skipped"]
+        assert len(censused) == len(groups) == 379
+        for row in censused:
+            report, violations = verdict_full(groups[row.name], 200_000)
+            assert (row.report, row.detail) == (
+                report, "; ".join(violations)), row.name
+
+    def test_same_order_different_group_is_censused(self, monkeypatch):
+        calls, _ = self._counting(monkeypatch)
+        c4 = group_from_generators(4, [parse_permutation("(1,2,3,4)", 4)])
+        v4 = group_from_generators(4, [parse_permutation("(1,2)(3,4)", 4),
+                                       parse_permutation("(1,3)(2,4)", 4)])
+        c4_again = group_from_generators(4, [parse_permutation("(1,4,3,2)", 4)])
+        for first, second in ((c4, v4), (v4, c4)):
+            memo = {}
+            rows = [census._sweep_row(name, G, 100, memo, reuse=True)
+                    for name, G in (("a", first), ("b", second))]
+            assert [r.report.n_cycle_count for r in rows] == [
+                count_n_cycles(first), count_n_cycles(second)]
+        assert sorted(count_n_cycles(G) for G in (c4, v4)) == [0, 2]
+        assert len(calls) == 4
+        again = census._sweep_row("c", c4_again, 100, memo, reuse=True)
+        assert len(calls) == 4 and again.report == rows[1].report   # c4's
+        census._sweep_row("d", c4_again, 100, memo)   # a catalog row
+        assert len(calls) == 5
 
 
 class TestSuborbitCensusAgainstEnumeration:

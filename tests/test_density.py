@@ -213,13 +213,19 @@ class TestBatchAgainstScalar:
             assert list(batch) == scalar, coeffs
 
     @pytest.mark.parametrize("degree, lead, bound", [
-        (32, 1, 300), (32, -7, 300), (64, 1, 250)])
+        (32, 1, 300), (32, -7, 300), (64, 1, 250),
+        pytest.param(64, 2 ** 67 - 25, 250, id="64-67bit-250")])
     def test_batch_equals_scalar_past_degree_18(self, degree, lead, bound):
         """Seeded dense f of degree 32, monic and not, and of degree 64, the
         largest accepted, over the good primes <= bound: fewer primes than
-        the random test above takes, and each case has inert primes."""
+        the random test above takes, and each case has inert primes.  The
+        coefficients lie below max(100, |lead|) in size: the 67-bit f is not
+        monic, and its kernel folds residues, c_j mod p scaled by a power of
+        lc mod p."""
         rng = random.Random(degree)
-        coeffs = tuple(rng.randrange(-99, 100) for _ in range(degree)) + (lead,)
+        size = max(100, abs(lead))
+        coeffs = tuple(rng.randrange(1 - size, size)
+                       for _ in range(degree)) + (lead,)
         assert any(_assert_batch_equals_scalar(coeffs, sieve_primes(bound)))
 
     def test_blocks_do_not_change_reports(self, monkeypatch):
