@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .permutations import (NotTransitiveError, PermGroup, Permutation,
-                           _compose, _conjugate, _contains_raw, _inverse,
-                           _orbits, _stabilizer_gens, _suborbits,
-                           group_from_generators, is_transitive)
+                           _contains_raw, _orbits, _stabilizer_gens,
+                           _suborbits, group_from_generators, is_transitive)
 
 
 class InvalidBlockSystemError(ValueError):
@@ -75,7 +74,7 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
 
     Returns None when that partition is the one-block partition (the pair
     generates no proper block).  G is transitive, so base[0] = 0 and
-    G._inverses[0] is the level of point 0: t_0[a]^-1 maps a, b to 0, b'.
+    t_0[a] sends 0 to a: its inverse maps a, b to 0, b' = t_0[a]^-1(b).
     """
     if not is_transitive(G):
         raise NotTransitiveError("block systems are defined for transitive groups")
@@ -84,7 +83,7 @@ def minimal_block_containing(G: PermGroup, a: int, b: int) -> BlockSystem | None
         raise ValueError(f"points must lie in 0..{n - 1}, got {a} and {b}")
     if a == b:
         raise ValueError("points must be distinct")
-    block = _block_through_0(G, G._inverses[0][a][b])
+    block = _block_through_0(G, G.transversals[0][a].index(b))
     return None if len(block) == n else _system(G, block)
 
 
@@ -173,18 +172,18 @@ def _normal_closure(G: PermGroup, seeds) -> PermGroup:
     group = group_from_generators(degree, [Permutation.identity(degree)])
     gens: list[Permutation] = []
 
-    def join(x: tuple[int, ...]) -> None:
+    def join(x: Permutation) -> None:
         nonlocal group
-        if not _contains_raw(group, x):
-            gens.append(Permutation(x))
+        if not _contains_raw(group, x.images):
+            gens.append(x)
             group = group_from_generators(degree, gens)
 
     for s in seeds:
         join(s)
-    outer = [(g, _inverse(g)) for g in G.raw_generators()]
+    outer = [(g, g.inverse()) for g in G.generators]
     for x in gens:   # grows while it is walked: new generators are conjugated too
         for g, ginv in outer:
-            join(_conjugate(x.images, g, ginv))
+            join(ginv * x * g)
     return group
 
 
@@ -198,11 +197,8 @@ def derived_series(G: PermGroup) -> tuple[tuple[int, ...], bool]:
     orders = [G.order]
     current = G
     while orders[-1] > 1:
-        raw = current.raw_generators()
-        inverses = [_inverse(a) for a in raw]
-        commutators = [_compose(_compose(ainv, binv), _compose(a, b))
-                       for a, ainv in zip(raw, inverses)
-                       for b, binv in zip(raw, inverses)]
+        pairs = [(a, a.inverse()) for a in current.generators]
+        commutators = [ainv * binv * a * b for a, ainv in pairs for b, binv in pairs]
         current = _normal_closure(current, commutators)
         orders.append(current.order)
         if current.order == orders[-2]:

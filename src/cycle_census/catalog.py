@@ -43,8 +43,6 @@ def data_dir() -> Path:
 
 def cyclic_regular(n: int) -> PermGroup:
     """The cyclic group generated by the n-cycle (1,2,...,n)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     _check_degree(n)
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
     return group_from_generators(n, [cycle], _ceiling=n)
@@ -66,8 +64,6 @@ def holomorph_cyclic(m: int) -> PermGroup:
 
 
 def symmetric(n: int) -> PermGroup:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     _check_degree(n)
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
     gens = [cycle] if n <= 2 else [parse_permutation("(1,2)", n), cycle]

@@ -60,9 +60,9 @@ from .ntheory import euler_phi, is_prime
 from .permutations import (DEFAULT_ELEMENT_CAP, CapExceeded,
                            NotTransitiveError, PermGroup, Permutation,
                            _contains_raw, _cycle, _full_cycle_mask, _orbits,
-                           _sift, _slice_blocks,
-                           _stabilizer_gens, _suborbits, group_from_generators,
-                           is_transitive, random_element)
+                           _slice_blocks, _stabilizer_gens, _suborbits,
+                           group_from_generators, is_transitive,
+                           random_element)
 
 __all__ = [
     "CensusReport", "CensusInvariantError", "euler_phi", "count_n_cycles",
@@ -142,13 +142,17 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         raise NotTransitiveError("the census requires a transitive group")
     if G.order > cap:
         raise CapExceeded(G.order, cap)
+    return _count(G)
+
+
+def _count(G: PermGroup) -> int:
+    """count_n_cycles past its checks, which a wreath's factors K, H pass."""
     deep = G.order > permutations._SLICE_CELLS
     if deep:
         for system in all_minimal_block_systems(G):
             K, H = block_constituent(G, system), block_action(G, system)
             if K.order ** system.r * H.order == G.order:
-                return (count_n_cycles(H, G.order) * K.order ** (system.r - 1)
-                        * count_n_cycles(K, G.order))
+                return _count(H) * K.order ** (system.r - 1) * _count(K)
     top = _top_level(G)
     count, shallow = 0, []
     for b, size in _suborbits(G):
@@ -159,16 +163,16 @@ def count_n_cycles(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     return count + _weighted_count(G, shallow, 1)
 
 
-def _top_level(G: PermGroup) -> dict[int, bytes]:
+def _top_level(G: PermGroup) -> dict[int, bytes | tuple[int, ...]]:
     """Level 0 of a transitive group's chain: t_0[b] sends 0 to b.  Degree
     1 has no base, and its one representative is the identity."""
-    return G.transversals[0] if G.base else {0: b"\x00"}
+    return G.transversals[0] if G.base else {0: (0,)}
 
 
 def _second_level_cosets(G: PermGroup) -> list[tuple[bytes, int]]:
     """(p, |O_b| |O_c|) for the suborbit O_b of b = base[1], one pair per
     orbit O_c of G_{0,b} on the points an n-cycle can send b to after 0,
-    with p = t_0[b] o t_1[c'], c = min O_c and c' = t_0[b]^-1(c).
+    with p = t_0[b] o t_1[c'], c = min O_c and c' = t_0[b]^-1(c) (c1 below).
 
     The elements sending 0 to b and b to c are p o G_{0,b}, which levels 2
     and on of the chain list.  Conjugation by G_{0,b} moves c along O_c,
@@ -177,13 +181,11 @@ def _second_level_cosets(G: PermGroup) -> list[tuple[bytes, int]]:
     count.  c = 0 is left out: it closes the 2-cycle (0 b), and n > 2
     here, since G_0 moves b.
     """
-    b = G.base[1]
-    t0 = G.transversals[0][b] + bytes(range(G.degree, 256))   # padded
-    t0_inv = G._inverses[0][b]
+    t0 = G.transversals[0][G.base[1]]
     level1 = G.transversals[1]
-    return [(level1[t0_inv[orbit[0]]].translate(t0), len(level1) * len(orbit))
+    return [(bytes(t0[x] for x in level1[c1]), len(level1) * len(orbit))
             for orbit in _orbits(G.degree, _stabilizer_gens(G, 1))
-            if orbit[0] and t0_inv[orbit[0]] in level1]
+            if orbit[0] and (c1 := t0.index(orbit[0])) in level1]
 
 
 def _weighted_count(G: PermGroup, weighted, level: int) -> int:
@@ -230,16 +232,14 @@ def are_conjugate_n_cycles(G: PermGroup, sigma: Permutation,
 
 def _are_conjugate_raw(G: PermGroup, s: tuple[int, ...], t: tuple[int, ...],
                        steps: int = 1) -> bool:
-    """Sifts the candidates sigma^k * x0, k < steps, stepped as bytes."""
-    n = len(s)
-    x0 = bytearray(n)
+    """Tests the candidates sigma^k * x0, k < steps, for membership."""
+    x0 = [0] * len(s)
     for a, b in zip(_cycle(s, 0), _cycle(t, 0)):
         x0[a] = b
-    cand, s, pad = bytes(x0), bytes(s), bytes(range(n, 256))
     for _ in range(steps):
-        if _sift(G._inverses, cand)[1] == n:
+        if _contains_raw(G, x0):
             return True
-        cand = s.translate(cand + pad)
+        x0 = [x0[i] for i in s]
     return False
 
 

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import lcm, prod
+from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -39,6 +40,8 @@ _SLICE_CELLS = 1 << 17
 
 
 def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     if n > MAX_DEGREE:
         shown = n if n < 10 ** 18 else "above 10^18"   # keeps the line short
         raise ValueError(f"degree {shown} exceeds supported maximum {MAX_DEGREE}")
@@ -102,33 +105,15 @@ class CapExceeded(RuntimeError):
         self.exact = exact
 
 
-# Permutation, the public wrapper, holds an image tuple, and these compose
-# tuples; a group's chain record holds bytes (see _build_chain).
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(q.__getitem__, p))
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _conjugate(x: tuple[int, ...], g: tuple[int, ...], ginv: tuple[int, ...]) -> tuple[int, ...]:
-    """g^-1 * x * g under left-to-right composition."""
-    return tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
-
-
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """A bijection of {0..n-1} stored as its image tuple (of any sequence)."""
+    """A bijection of {0..n-1} stored as its image tuple (of any sequence
+    of integers, each read with operator.index)."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", tuple(map(index, self.images)))
         n = len(self.images)
         if n < 1:
             raise ValueError("permutation degree must be at least 1")
@@ -150,10 +135,13 @@ class Permutation:
         if self.degree != other.degree:
             raise DegreeMismatchError(
                 f"cannot compose degree {self.degree} with degree {other.degree}")
-        return Permutation(_compose(self.images, other.images))
+        return Permutation(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
+        inv = [0] * self.degree
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Permutation(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         """Each point moves k steps along its cycle (backwards for k < 0)."""
@@ -342,8 +330,6 @@ def group_from_generators(degree: int, generators: Sequence[Permutation], *,
     rows are int8.
     """
     _check_degree(degree)
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
     gens = tuple(generators)
     if not gens:
         raise ValueError("generator sequence must be nonempty")

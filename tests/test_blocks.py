@@ -409,3 +409,21 @@ def test_image_times_kernel_equals_group_order_across_catalog():
             assert image.order * block_kernel_order(G, system) == G.order, name
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BlockSystem(4, ((0, 1), (1, 2))), ValueError,
+     "^blocks do not partition the point set$"),
+    (lambda: BlockSystem(3, ((0, 1), (2,))), ValueError,
+     "^blocks are not of equal size$"),
+    (lambda: minimal_block_containing(catalog.cyclic_regular(6), 2, 2),
+     ValueError, "^points must be distinct$"),
+    (lambda: all_minimal_block_systems(group_from_generators(
+        4, [parse_permutation("(1,2)", 4)])),
+     NotTransitiveError, "^block systems are defined for transitive groups$"),
+    (lambda: block_action(catalog.cyclic_regular(6),
+                          BlockSystem(3, ((0,), (1,), (2,)))),
+     InvalidBlockSystemError, "^partition degree does not match the group$")])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

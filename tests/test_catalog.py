@@ -306,6 +306,14 @@ class TestGroupSpecFiles:
         with pytest.raises(GroupSpecError):
             parse_group_spec("gen (1,2)\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("degree 3\ndegree 3\ngen (1,2,3)\n", "^<string>:2: duplicate degree line$"),
+        ("# a comment alone\n", "^<string>: missing degree line$"),
+        ("degree 3\n", "^<string>: no generators$")])
+    def test_incomplete_or_repeated_header(self, text, message):
+        with pytest.raises(GroupSpecError, match=message):
+            parse_group_spec(text)
+
     def test_unknown_line(self):
         with pytest.raises(GroupSpecError):
             parse_group_spec("degree 3\nfoo bar\n")

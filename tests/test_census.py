@@ -109,6 +109,16 @@ class TestClasses:
         for tau in cycles:
             assert sum(are_conjugate_n_cycles(sharp1, r, tau) for r in reps) == 1
 
+    @pytest.mark.parametrize("sigma, tau, degree, message", [
+        ("(1,2,3,4,5,6)", "(1,2)(3,4,5,6)", 6, "^both permutations must be full"),
+        ("(1,2)", "(1,2,3,4,5,6)", 6, "^both permutations must be full"),
+        ("(1,2,3,4,5,6,7)", "(1,3,5,7,2,4,6)", 7,
+         "^degree mismatch with the group$")])
+    def test_refusals(self, sigma, tau, degree, message):
+        sigma, tau = parse_permutation(sigma, degree), parse_permutation(tau, degree)
+        with pytest.raises(ValueError, match=message):
+            are_conjugate_n_cycles(catalog.cyclic_regular(6), sigma, tau)
+
 
 class TestConjugacyOutsideTheGroup:
     """are_conjugate_n_cycles with sigma outside G: the relabelings carrying
@@ -759,19 +769,19 @@ class TestWreathIdentity:
     @staticmethod
     def _record(monkeypatch):
         """Lists filled by the census from now on: (degree, order) of every
-        group count_n_cycles is called on, and the length of every block
+        group census._count is called on, and the length of every block
         of rows the kernel tests for n-cycles."""
         calls, rows = [], []
-        count, mask = census.count_n_cycles, census._full_cycle_mask
+        count, mask = census._count, census._full_cycle_mask
 
-        def counting(H, cap=DEFAULT_ELEMENT_CAP):
+        def counting(H):
             calls.append((H.degree, H.order))
-            return count(H, cap)
+            return count(H)
 
         def listing(block):
             rows.append(len(block))
             return mask(block)
-        monkeypatch.setattr(census, "count_n_cycles", counting)
+        monkeypatch.setattr(census, "_count", counting)
         monkeypatch.setattr(census, "_full_cycle_mask", listing)
         return calls, rows
 

@@ -347,6 +347,15 @@ class TestModuleEntryPoints:
         if argv[-1] == "9" * 5000:
             assert done.stderr.startswith(f"error: argument {argv[-2]}: ")
 
+    def test_integer_too_long_is_one_line_in_process(self, capsys):
+        """main itself turns a flag too long to convert into one line that
+        names the flag (the subprocess runs above reach it through
+        __main__)."""
+        code, text = run(["verify", "--seed", "9" * 5000])
+        err = capsys.readouterr().err
+        assert (code, text) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: argument --seed: a number of 5000 digits")
+
     def test_other_bad_integers_keep_the_usage_error(self, capsys):
         code, _ = run(["census", "--family", "cyclic", "--n", "abc"])
         err = capsys.readouterr().err

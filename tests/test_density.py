@@ -72,6 +72,21 @@ class TestIrreducibility:
     def test_linear_always_irreducible(self):
         assert is_irreducible_mod_p(PolyModP(7, (3, 2)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PolyModP(5, ()), "^leading coefficient must be nonzero mod p$"),
+        (lambda: PolyModP(5, (1, 10)), "^leading coefficient must be nonzero mod p$"),
+        (lambda: PolyModP(5, (7, 1)), "^coefficients must be reduced mod p$"),
+        (lambda: PolyModP(5, (-1, 1)), "^coefficients must be reduced mod p$"),
+        (lambda: is_irreducible_mod_p(PolyModP(5, (3,))),
+         "^irreducibility needs degree at least 1$"),
+        (lambda: density_report((5,), bound=100),
+         "^the polynomial must have degree at least 1$"),
+        (lambda: density_report((3, 0, 0), bound=100),
+         "^the polynomial must have degree at least 1$")])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_matches_naive_factor_search(self, p):
         """Exhaustive for small coefficient spaces, sampled above that."""
@@ -666,6 +681,8 @@ class TestPolynomialParsing:
 
     def test_spaces_and_signs(self):
         assert parse_polynomial(" - x^2 + 3x - 4 ") == (-4, 3, -1)
+        # trailing blanks after a variable, which no term's pattern takes
+        assert parse_polynomial("1 + x^2  ") == (1, 0, 1)
 
     def test_rational_coefficients_cleared(self):
         assert parse_polynomial("1/2x^2 + 1/3") == (2, 0, 3)

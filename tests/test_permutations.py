@@ -1,6 +1,7 @@
 import random
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,13 +126,32 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
-    @pytest.mark.parametrize("images", [b"\x01\x02\x00", [1, 2, 0]])
+    @pytest.mark.parametrize("images", [b"\x01\x02\x00", [1, 2, 0],
+                                        np.array([1, 2, 0])])
     def test_images_are_kept_as_a_tuple(self, images):
-        """Bytes (a chain record entry) and a list are stored as the tuple
-        of their images: the same Permutation, with the same hash."""
+        """Bytes (a chain record entry), a list and a numpy array are stored
+        as the tuple of their images, as Python ints: the same Permutation,
+        with the same hash."""
         p, q = Permutation(images), Permutation((1, 2, 0))
         assert type(p.images) is tuple and p.images == (1, 2, 0)
+        assert all(type(x) is int for x in p.images)
         assert p == q and hash(p) == hash(q)
+
+    def test_non_integer_images_refused(self):
+        """1.0 sorts equal to 1, so only reading each image as an integer
+        refuses it, at construction rather than in a later product."""
+        with pytest.raises(TypeError):
+            Permutation((1.0, 0, 2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Permutation(()),
+        lambda: perm("", 0),
+        lambda: group_from_generators(0, []),
+        lambda: catalog.cyclic_regular(0),
+        lambda: catalog.symmetric(-1)])
+    def test_degree_below_1_refused(self, build):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            build()
 
     def test_not_a_bijection_in_bytes(self):
         with pytest.raises(ValueError):
@@ -397,14 +417,14 @@ class TestRandomElements:
 
 def test_ncycle_centralizer_identity():
     """For an n-cycle s in transitive G, exactly n elements commute with s."""
-    from cycle_census.permutations import _conjugate, _inverse
     cases = [catalog.cyclic_regular(8), catalog.symmetric(5),
              catalog.holomorph_cyclic(9), catalog.sharpness_group(1),
              catalog.pgl(3, 2)]
     for G in cases:
         sigma = next(filter(_is_full_cycle, _iter_raw(G)))
         fixers = [t for t in _iter_raw(G)
-                  if _conjugate(sigma, t, _inverse(t)) == sigma]
+                  if helpers.compose(helpers.compose(helpers.inverse(t), sigma),
+                                     t) == sigma]
         assert len(fixers) == G.degree
         powers = {Permutation(sigma) ** k for k in range(G.degree)}
         assert {Permutation(t) for t in fixers} == powers
