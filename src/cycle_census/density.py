@@ -15,9 +15,10 @@ every prime l dividing n (the distinct-degree criterion).  It reaches
 X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f,
 in Python ints: O(n^3) a prime.  Density reports skip the primes dividing
 the integer Res(f, f') and test the rest in numpy, all at once, sharing
-no code with the scalar route: X^p from the monomial X^(p >> k0) < X^n,
-one reduction mod f a lower bit, X^(p^k) from Q, a screen for
-X^(p^n) = X and no X^(p^(n/l)) = X, then Berlekamp: a squarefree f mod p
+no code with the scalar route: X^p from X^(p >> k0) mod p, read from one
+table of X^m mod g over Z a report, one reduction mod f a lower bit,
+X^(p^k) from Q, a screen for X^(p^n) = X and no X^(p^(n/l)) = X, which
+decides alone for n a prime power, else Berlekamp: a squarefree f mod p
 has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
 Modern Computer Algebra, 14.8).  The tests cross-check the two routes,
 which decide by different criteria.  The kernel takes f = sum c_j X^j as
@@ -325,7 +326,27 @@ def _fold_fits(coeffs, p_max) -> bool:
     return max(bound) <= _INT64_MAX
 
 
-def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
+def _monic(coeffs):
+    """g_0..g_(n-1) of f's monic form g = lc^(n-1) f(X / lc)."""
+    return tuple(c * coeffs[-1] ** (len(coeffs) - 2 - j)
+                 for j, c in enumerate(coeffs[:-1]))
+
+
+def _power_table(coeffs, primes):
+    """X^m mod g over the integers, g f's monic form, as contiguous column m
+    of an int64 array of n rows: X^m shifted up a slot, its top t folded in
+    as -t g_j.  It keeps max(n, min(primes, 2^15 // n)) columns, but stops
+    before the first with a coefficient outside int64 (the n monomials fit)."""
+    n, g, flat = len(coeffs) - 1, _monic(coeffs), []
+    col, size = [1] + [0] * (n - 1), n * max(n, min(primes, 2 ** 15 // n))
+    while len(flat) < size and -2 ** 63 <= min(col) <= max(col) < 2 ** 63:
+        flat += col
+        col = [c - col[-1] * g_j for c, g_j in zip([0] + col[:-1], g)]
+    return np.array(flat, np.int64).reshape(-1, n).T
+
+
+def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
+                       table: np.ndarray | None = None) -> np.ndarray:
     """Vectorized irreducibility test for the (good) primes in ps, on f's
     monic form g (see the module docstring): the distinct-degree screen,
     then Berlekamp's rank of Q - I on the primes that pass it.  Its memory
@@ -333,8 +354,8 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
-    lc = coeffs[-1]
-    monic = tuple(c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
+    monic = _monic(coeffs)
+    table = _power_table(coeffs, len(ps)) if table is None else table
     p_max = int(ps.max())
     wrap = not _fold_fits(monic + (1,), p_max)   # X^n = -sum g_j X^j
     if wrap:   # g_j mod p from f's residues: each product below (p - 1)^2
@@ -347,15 +368,15 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
         f = np.array(monic, np.int64)[:, None]
     support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
                re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
-    one = np.zeros((n, len(ps)), dtype=np.int64)
-    one[0] = 1
-    x = np.roll(one, 1, axis=0)
-    # X^p from the monomial X^(p >> k0), k0 least with p_max >> k0 < n, one
-    # _reduce a lower bit: the square (cross terms once, doubled) summed one
-    # slot up gives X times it in slots 0..2n-1 and itself in slots 1..2n
-    k0 = next(k for k in range(p_max.bit_length() + 1) if p_max >> k < n)
+    one, x = np.repeat(table[:, [0]], len(ps), axis=1), table[:, [1]]   # 1, X
+    # X^p from the table's X^(p >> k0), k0 least with p_max >> k0 a column,
+    # one _reduce a lower bit: the square (cross terms once, doubled) summed
+    # one slot up gives X times it in slots 0..2n-1 and itself in 1..2n
+    k0 = next(k for k in range(p_max.bit_length() + 1)
+              if p_max >> k < table.shape[1])
     odd = ps >> np.arange(k0)[:, None] & 1 == 1   # bit k of each p
-    xp = (np.arange(n)[:, None] == ps >> k0).astype(np.int64)
+    xp = table.take(ps >> k0, axis=1)   # C-ordered, as the loop reads it
+    xp %= ps
     for k in range(k0 - 1, -1, -1):
         acc = np.zeros((2 * n + 1, len(ps)), dtype=np.int64)
         for i in range(n - 1):
@@ -374,12 +395,15 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
     for k in range(2, n + 1):
         powers[k] = np.einsum("ir,ijr->jr", powers[k - 1], Q) % ps
 
-    # Necessary: X^(p^n) = X and no X^(p^(n/l)) = X.  On good primes f is
-    # squarefree, with nullity(Q - I) irreducible factors (Berlekamp); row 0
-    # of Q - I is zero, so f is irreducible iff rows 1..n-1 are independent.
+    # Necessary: X^(p^n) = X and no X^(p^(n/l)) = X; sufficient for n = l^k,
+    # as f is squarefree on good primes and its factors' degrees would divide
+    # n / l.  Else f has nullity(Q - I) irreducible factors (Berlekamp); row
+    # 0 of Q - I is zero, so f is irreducible iff rows 1..n-1 are independent.
+    ells = prime_divisors(n)
     irreducible = (powers[n] == x).all(axis=0) & ~np.any(
-        [(powers[n // ell] == x).all(axis=0) for ell in prime_divisors(n)],
-        axis=0)
+        [(powers[n // ell] == x).all(axis=0) for ell in ells], axis=0)
+    if len(ells) == 1:
+        return irreducible
     cols = np.nonzero(irreducible)[0]
     a, d = Q[1:].take(cols, axis=2), np.arange(n - 1)   # C-ordered copy
     a[d, d + 1] = (a[d, d + 1] - 1) % ps[cols]
@@ -388,9 +412,9 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray) -> np.ndarray:
 
 
 def _classify_block(args):
-    coeffs, resultant, ps = args
+    coeffs, resultant, table, ps = args
     good = ps[~_bad_primes(resultant, ps)]
-    inert = int(_batch_irreducible(coeffs, good).sum())
+    inert = int(_batch_irreducible(coeffs, good, table=table).sum())
     return len(ps) - len(good), len(good), inert
 
 
@@ -438,8 +462,9 @@ def density_report(coeffs, bound: int, floor: int = 0,
     primes = primes[np.searchsorted(primes, floor, side="right"):]
 
     resultant = _separability_resultant(coeffs)
+    table = _power_table(coeffs, len(primes) * (n > 1))   # linear f: no X^p
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
-    blocks = [(coeffs, resultant, primes[i:i + step])
+    blocks = [(coeffs, resultant, table, primes[i:i + step])
               for i in range(0, len(primes), step)]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:

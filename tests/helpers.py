@@ -256,6 +256,21 @@ def sylvester_resultant(coeffs):
     return abs(m[-1][-1])
 
 
+def monic_powers(coeffs, count):
+    """X^m mod f's monic form g = lc^(n-1) f(X / lc) over the integers, for
+    m < count, ascending: X^(m+1) is X^m shifted up a place, and its X^n
+    term, t X^n, folds back as -t (g_0 + g_1 X + ... + g_(n-1) X^(n-1))."""
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    g = [coeffs[j] * lc ** (n - 1 - j) for j in range(n)]
+    power, powers = [1] + [0] * (n - 1), []
+    for _ in range(count):
+        powers.append(power)
+        shifted = [0] + power
+        top = shifted.pop()
+        power = [shifted[j] - top * g[j] for j in range(n)]
+    return powers
+
+
 # full enumeration, the slice kernel's reference ----------------------------
 
 def _iter_raw(G, top_points=None):

@@ -302,8 +302,9 @@ class TestGroupSpecFiles:
                 parse_group_spec(f"degree 3\ngen (1,2,3)\n"
                                  f"# expected_order 3\n{second}\n")
 
-    def test_missing_degree(self):
-        with pytest.raises(GroupSpecError):
+    def test_generator_before_degree_line(self):
+        with pytest.raises(GroupSpecError,
+                           match="^<string>:1: generator before degree line$"):
             parse_group_spec("gen (1,2)\n")
 
     @pytest.mark.parametrize("text, message", [

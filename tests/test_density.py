@@ -15,7 +15,8 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   reduce_mod_p, sieve_primes)
 from cycle_census.ntheory import is_prime, multiplicative_order
 
-from helpers import naive_irreducible, poly_mul, sylvester_resultant
+from helpers import (monic_powers, naive_irreducible, poly_mul,
+                     sylvester_resultant)
 
 # discriminant prime factors of the suite polynomials, precomputed: the
 # only primes that may ever be skipped for good reduction reasons
@@ -343,6 +344,156 @@ class TestFoldChoice:
             wraps.clear()
             _assert_batch_equals_scalar(coeffs, [p])
             assert wraps and set(wraps) == {wrap}
+
+
+def _in_int64(column):
+    return all(-2 ** 63 <= c < 2 ** 63 for c in column)
+
+
+class TestPowerTable:
+    """Every X^p starts from the report's table of X^m mod g over the
+    integers, g the monic form of f, checked against helpers.monic_powers."""
+
+    @pytest.mark.parametrize("coeffs, columns", [
+        ((1, 0, 0, 1, 0, 0, 1), 5461),   # X^9 = 1 mod x^6+x^3+1: the cap
+        (FOLD_POLYS[3], 405), ((1, 1) + (0,) * 10 + (1,), 769),
+        ((7, -3, 0, 0, 0, 2), 45), ((7, 0, 0, 0, 0, 2, 3), 34),
+        (FOLD_POLYS[4], 21), ((2 ** 40 + 1, -(2 ** 39), 3, 2 ** 40 - 87), 3),
+        (tuple(range(1, 65)) + (2 ** 67 - 25,), 64)])
+    def test_columns_are_the_powers_of_x(self, coeffs, columns):
+        """Column m is X^m mod g, the first n are the monomials, and the
+        table stops at its cap of 2^15 // n columns or before the first
+        power with a coefficient outside int64, whichever comes first."""
+        n = len(coeffs) - 1
+        cap = 2 ** 15 // n
+        table = density._power_table(coeffs, 10 ** 6)
+        assert table.shape == (n, columns) and table.flags.f_contiguous
+        assert (table[:, :n] == np.eye(n, dtype=np.int64)).all()
+        powers = monic_powers(coeffs, min(columns + 1, cap))
+        assert table.T.tolist() == powers[:columns]
+        assert columns == cap or not _in_int64(powers[columns])
+
+    def test_stops_at_the_int64_edge(self):
+        """3037000499^2 < 2^63 <= 3037000500^2, so X^2 - c keeps X^4 = c^2
+        and X^5 = c^2 X for the first c only; in degree 1, X = -g_0 keeps
+        -2^63 and not 2^63."""
+        for c, columns in ((3037000499, 6), (3037000500, 4)):
+            table = density._power_table((-c, 0, 1), 100)
+            assert table.T.tolist() == monic_powers((-c, 0, 1), columns)
+        assert density._power_table((2 ** 63, 1), 100).tolist() == [[1, -2 ** 63]]
+        assert density._power_table((-(2 ** 63), 1), 100).tolist() == [[1]]
+
+    def test_a_short_report_builds_a_column_per_prime(self, monkeypatch):
+        """10 primes to 30 give x^6+x^3+1 ten columns and x^16+x+1 its 16
+        monomials; the 3 primes in (80, 100] give x^6+x^3+1 its 6, and x + 1,
+        which needs no X^p, gets its one monomial."""
+        shapes = []
+        build = density._power_table
+
+        def recording(coeffs, primes):
+            shapes.append(build(coeffs, primes).shape)
+            return build(coeffs, primes)
+        monkeypatch.setattr(density, "_power_table", recording)
+        sextic, sixteen = (1, 0, 0, 1, 0, 0, 1), (1, 1) + (0,) * 14 + (1,)
+        density_report(sextic, bound=30)
+        density_report(sixteen, bound=30)
+        density_report(sextic, bound=100, floor=80)
+        density_report((1, 1), bound=10 ** 5)
+        assert shapes == [(6, 10), (16, 16), (6, 6), (1, 1)]
+
+    def test_x_to_the_p_starts_from_the_table(self, monkeypatch):
+        """The 1229 primes to 10^4 give x^6+x^3+1 a table of 1229 columns,
+        so X^p starts at p >> 4 < 1229 (9973 >> 3 = 1246): four reductions
+        for X^p, against eleven from a monomial below X^6, then four for
+        Q's rows X^(2p) to X^(5p)."""
+        calls = []
+        reduce = density._reduce
+
+        def counting(*args):
+            calls.append(1)
+            return reduce(*args)
+        monkeypatch.setattr(density, "_reduce", counting)
+        _batch_irreducible((1, 0, 0, 1, 0, 0, 1),
+                           np.array(sieve_primes(10_000), dtype=np.int64))
+        assert len(calls) == 4 + 4
+
+    @pytest.mark.parametrize("coeffs", FOLD_POLYS)
+    def test_every_start_gives_the_same_verdicts(self, coeffs):
+        """The monomial start (a table of n columns) and the full table
+        classify the primes to 5000 alike."""
+        n = len(coeffs) - 1
+        ps = np.array([p for p in sieve_primes(5000) if isinstance(
+            reduce_mod_p(coeffs, p), PolyModP)], dtype=np.int64)
+        monomials = density._power_table(coeffs, n)
+        assert monomials.shape == (n, n)
+        assert (_batch_irreducible(coeffs, ps, table=monomials) ==
+                _batch_irreducible(coeffs, ps)).all()
+
+
+def _scalar_counts(coeffs, bound, floor=0):
+    """(tested, skipped, inert) of the primes in (floor, bound], prime by
+    prime with reduce_mod_p and is_irreducible_mod_p."""
+    reductions = [reduce_mod_p(coeffs, p) for p in sieve_primes(bound)
+                  if p > floor]
+    good = [r for r in reductions if isinstance(r, PolyModP)]
+    return (len(good), len(reductions) - len(good),
+            sum(map(is_irreducible_mod_p, good)))
+
+
+class TestReportAgainstScalar:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_reports(self, seed):
+        """Seeded f of degree 2 to 12, monic, non-monic, and with 40-bit
+        coefficients, whose kernel folds residues: each report counts what
+        the scalar route counts."""
+        rng = random.Random(4000 + seed)
+        kind = ("monic", "non-monic", "wide")[seed % 3]
+        n = rng.randrange(2, 13)
+        size = 2 ** 40 if kind == "wide" else 10
+        coeffs = tuple(rng.randrange(-size, size) for _ in range(n))
+        leads = {"monic": 1, "non-monic": rng.choice([2, -3, 6, 10]),
+                 "wide": 2 ** 40 - rng.randrange(1, 1000)}
+        coeffs += (leads[kind],)
+        bound, floor = 3000, rng.choice([0, 0, 500])
+        if kind == "wide":
+            assert not density._fold_fits(density._monic(coeffs) + (1,), 5)
+        report = density_report(coeffs, bound=bound, floor=floor)
+        assert (report.primes_tested, report.primes_skipped,
+                report.inert_count) == _scalar_counts(coeffs, bound, floor)
+
+
+class TestPrimePowerDegree:
+    """For n = l^k the distinct-degree screen decides alone on a squarefree
+    reduction: a reducible f has factors of degree l^j, j < k, all dividing
+    n / l, so X^(p^(n/l)) = X mod f.  The kernel runs no rank test there."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 9, 16, 25, 27, 32, 64])
+    def test_screen_equals_scalar(self, n, monkeypatch):
+        """x^n - 2, the non-monic 3x^n + 5 and a seeded trinomial over the
+        good primes to 300 (2000 for n <= 16)."""
+        monkeypatch.setattr(density, "_rows_independent", None)
+        rng = random.Random(n)
+        trinomial = [rng.choice([-3, -1, 1, 2])] + [0] * (n - 1) + [1]
+        trinomial[rng.randrange(1, n)] = rng.choice([-2, 1, 5])
+        primes = sieve_primes(2000 if n <= 16 else 300)
+        verdicts = []
+        for coeffs in ((-2,) + (0,) * (n - 1) + (1,),
+                       (5,) + (0,) * (n - 1) + (3,), tuple(trinomial)):
+            verdicts += _assert_batch_equals_scalar(coeffs, primes)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1, 0, 0, 1), FOLD_POLYS[3]])
+    def test_other_degrees_run_the_rank_test(self, coeffs, monkeypatch):
+        """Degrees 6 and 18 are no prime powers: the rank test still runs."""
+        calls = []
+        rank = density._rows_independent
+
+        def recording(a, ps):
+            calls.append(len(ps))
+            return rank(a, ps)
+        monkeypatch.setattr(density, "_rows_independent", recording)
+        _assert_batch_equals_scalar(coeffs, sieve_primes(2000))
+        assert calls and calls[0] > 0
 
 
 def _substitute(coeffs, s, a):
