@@ -27,7 +27,8 @@ as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
 p | lc gives p | Res(f, f'), so the kernel sees no such p.  It folds
 X^n = -sum g_j X^j in with g's own integers where a simulation of the
 unreduced fold (_fold_fits) stays within 2^63 - 1, else with residues
-(c_j mod p) (lc mod p)^(n-1-j), which read only f's own integers.
+(c_j mod p) (lc mod p)^(n-1-j), which read only f's own integers.  Each
+worker writes every step into one int64 workspace for all its blocks.
 """
 
 from __future__ import annotations
@@ -211,33 +212,26 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 # reaches, none above n * (p - 1)^2 (see _INT64_MAX) but the integer fold's
 # (see _fold_fits).  density_report hands the kernel blocks of
 # _BLOCK_CELLS // (n + 1)^2 primes, which bounds the n x n x rows Frobenius
-# matrix and keeps a block's working set in cache.
+# matrix and keeps a block's working set in cache; each of K workers runs
+# every K-th block in one workspace, (n + 3)^2 int64 a prime of its first.
 _BLOCK_CELLS = 1 << 18
 
 
-def _reduce(acc, f, support, ps, wrap):
+def _reduce(acc, f, support, ps, wrap, tmp=None):
     """acc mod the monic X^n + f, top first, subtracting only in the support:
     the runs of slots where the integer f is nonzero (other slots are 0 mod
     every p).  f is g's own integers, shape (n, 1), within _fold_fits, or
     its residues, and then wrap reduces a slot before its fold: it starts
-    within n(p - 1)^2 and takes at most n more products, +-n(p - 1)^2."""
+    within n(p - 1)^2 and takes at most n more products, +-n(p - 1)^2.
+    Products go to tmp (n rows) if given; acc[:n] is reduced in place."""
     n = len(f)
     for k in range(len(acc) - 1, n - 1, -1):
         if wrap:
             acc[k] %= ps
         for run in support:
-            acc[k - n:k][run] -= acc[k] * f[run]
-    return acc[:n] % ps
-
-
-def _mulmod(a, b, f, support, ps, wrap):
-    """a * b mod the monic X^n + f (see _reduce); slot k sums at most n
-    products, within the n(p - 1)^2 that _fold_fits starts from."""
-    n = len(a)
-    acc = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
-    for i in range(n):
-        acc[i:i + n] += a[i] * b
-    return _reduce(acc, f, support, ps, wrap)
+            acc[k - n:k][run] -= np.multiply(
+                acc[k], f[run], out=None if tmp is None else tmp[run])
+    return np.remainder(acc[:n], ps, out=acc[:n])
 
 
 def _rows_independent(a, ps):
@@ -260,20 +254,21 @@ def _rows_independent(a, ps):
     return independent
 
 
-def _residues(coeffs, ps):
-    """The integer coefficients mod each p, shape (len(coeffs), len(ps)).
+def _residues(coeffs, ps, out=None):
+    """The integer coefficients mod each p: len(coeffs) rows, in out if given.
 
     |c| of any size is reduced by Horner over its 31-bit limbs, top first,
     with a % p after every step (c = 0 has no limbs): r < p, so
     r * 2^31 + limb < p * 2^31 + 2^31 < 2^63 for every bound that
     density_report accepts (p < 3.04 * 10^9, reached at degree 1)."""
-    rows = []
-    for c in coeffs:
-        r = np.zeros_like(ps)
+    out = np.empty((len(coeffs), len(ps)), np.int64) if out is None else out
+    for c, r in zip(coeffs, out):
+        r[:] = 0
         for shift in range((abs(c).bit_length() - 1) // 31 * 31, -1, -31):
-            r = (r * 2 ** 31 + (abs(c) >> shift & (2 ** 31 - 1))) % ps
-        rows.append(r if c > 0 else -r % ps)
-    return np.stack(rows)
+            np.remainder(r * 2 ** 31 + (abs(c) >> shift & (2 ** 31 - 1)), ps, out=r)
+        if c < 0:
+            np.remainder(-r, ps, out=r)
+    return out
 
 
 def _separability_resultant(coeffs) -> int:
@@ -307,9 +302,9 @@ def _separability_resultant(coeffs) -> int:
     return abs(m[-1][-1]) // abs(coeffs[-1])
 
 
-def _bad_primes(resultant, ps):
+def _bad_primes(resultant, ps, out=None):
     """The primes of bad reduction in ps: those dividing Res(f, f')."""
-    return _residues((resultant,), ps)[0] == 0
+    return _residues((resultant,), ps, out)[0] == 0
 
 
 def _fold_fits(coeffs, p_max) -> bool:
@@ -346,20 +341,28 @@ def _power_table(coeffs, primes):
 
 
 def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
-                       table: np.ndarray | None = None) -> np.ndarray:
+                       table: np.ndarray | None = None,
+                       arena: np.ndarray | None = None) -> np.ndarray:
     """Vectorized irreducibility test for the (good) primes in ps, on f's
     monic form g (see the module docstring): the distinct-degree screen,
     then Berlekamp's rank of Q - I on the primes that pass it.  Its memory
-    grows as n^2 len(ps), so callers pass blocks of primes."""
+    grows as n^2 len(ps): callers pass blocks and an arena (see _BLOCK_CELLS)."""
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
         return np.full(len(ps), n == 1)   # linear f is always irreducible
     monic = _monic(coeffs)
     table = _power_table(coeffs, len(ps)) if table is None else table
+    arena = np.empty((n + 3) ** 2 * len(ps), np.int64) if arena is None else arena
+    # (n + 3)^2 rows: Q's n^2, then 6n + 2 of scratch reused phase by phase: a
+    # square's sum (2n + 1), products (tmp, n), bit select (2n), f's residues
+    # (n + 1, wrap only); Q[k]'s sum at Q[k], spilling n - 1; X^(p^k) in 2 x n
+    w = arena[:(n + 3) ** 2 * len(ps)].reshape(-1, len(ps))
+    Q, scratch = w[:n * n].reshape(n, n, -1), w[n * n:]
+    acc, tmp, sel = np.split(scratch[:5 * n + 1], [2 * n + 1, 3 * n + 1])
     p_max = int(ps.max())
     wrap = not _fold_fits(monic + (1,), p_max)   # X^n = -sum g_j X^j
     if wrap:   # g_j mod p from f's residues: each product below (p - 1)^2
-        f, power = _residues(coeffs, ps), 1
+        f, power = _residues(coeffs, ps, scratch[5 * n + 1:6 * n + 2]), 1
         for j in range(n - 2, -1, -1):
             power = power * f[n] % ps   # lc^(n-1-j) mod p
             f[j] = f[j] * power % ps
@@ -368,54 +371,71 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
         f = np.array(monic, np.int64)[:, None]
     support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
                re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
-    one, x = np.repeat(table[:, [0]], len(ps), axis=1), table[:, [1]]   # 1, X
     # X^p from the table's X^(p >> k0), k0 least with p_max >> k0 a column,
     # one _reduce a lower bit: the square (cross terms once, doubled) summed
     # one slot up gives X times it in slots 0..2n-1 and itself in 1..2n
     k0 = next(k for k in range(p_max.bit_length() + 1)
               if p_max >> k < table.shape[1])
-    odd = ps >> np.arange(k0)[:, None] & 1 == 1   # bit k of each p
-    xp = table.take(ps >> k0, axis=1)   # C-ordered, as the loop reads it
+    xp = np.take(table, ps >> k0, axis=1, out=sel[:n], mode="clip")
     xp %= ps
     for k in range(k0 - 1, -1, -1):
-        acc = np.zeros((2 * n + 1, len(ps)), dtype=np.int64)
+        acc[:] = 0
         for i in range(n - 1):
-            acc[2 * i + 2:i + n + 1] += xp[i] * xp[i + 1:]
+            acc[2 * i + 2:i + n + 1] += np.multiply(xp[i], xp[i + 1:], out=tmp[i + 1:])
         acc *= 2
-        acc[1::2] += xp * xp
-        xp = _reduce(np.where(odd[k], acc[:-1], acc[1:]), f, support, ps, wrap)
+        acc[1::2] += np.multiply(xp, xp, out=tmp)
+        np.subtract(acc[:-1], acc[1:], out=sel)   # xp, in sel, is read above
+        sel *= ps >> k & 1   # bit k of each p; |sel| stays within n(p - 1)^2
+        sel += acc[1:]
+        xp = _reduce(sel, f, support, ps, wrap, tmp)
 
-    # Frobenius matrix Q[i] = X^(ip) mod f.  Since h^p = h(X^p) over GF(p),
+    # Frobenius matrix Q[i] = X^(ip) mod f, Q[k] = Q[k - 1] X^p summed at
+    # Q[k] itself: slot k sums at most n products, within the n(p - 1)^2
+    # that _fold_fits starts from.  Since h^p = h(X^p) over GF(p),
     # X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)): n products per slot.
-    Q = [one, xp]
-    while len(Q) < n:
-        Q.append(_mulmod(Q[-1], xp, f, support, ps, wrap))
-    Q = np.stack(Q)
-    powers = {1: xp}
-    for k in range(2, n + 1):
-        powers[k] = np.einsum("ir,ijr->jr", powers[k - 1], Q) % ps
+    Q[0], Q[1] = table[:, [0]], xp   # 1, X^p
+    for k in range(2, n):
+        total = w[k * n:(k + 2) * n - 1]
+        total[:] = 0
+        for i in range(n):
+            total[i:i + n] += np.multiply(Q[k - 1, i], Q[1], out=tmp)
+        _reduce(total, f, support, ps, wrap, tmp)
 
     # Necessary: X^(p^n) = X and no X^(p^(n/l)) = X; sufficient for n = l^k,
     # as f is squarefree on good primes and its factors' degrees would divide
     # n / l.  Else f has nullity(Q - I) irreducible factors (Berlekamp); row
     # 0 of Q - I is zero, so f is irreducible iff rows 1..n-1 are independent.
-    ells = prime_divisors(n)
-    irreducible = (powers[n] == x).all(axis=0) & ~np.any(
-        [(powers[n // ell] == x).all(axis=0) for ell in ells], axis=0)
+    ells, x = prime_divisors(n), table[:, [1]]   # X
+    power, seen = Q[1], np.zeros(len(ps), dtype=bool)   # some X^(p^(n/l)) = X
+    for k in range(1, n + 1):
+        if k > 1:
+            power = np.einsum("ir,ijr->jr", power, Q, out=acc[k % 2 * n:][:n])
+            power %= ps
+        if k in {n // ell for ell in ells}:
+            seen |= (power == x).all(axis=0)
+    irreducible = (power == x).all(axis=0) & ~seen
     if len(ells) == 1:
         return irreducible
-    cols = np.nonzero(irreducible)[0]
-    a, d = Q[1:].take(cols, axis=2), np.arange(n - 1)   # C-ordered copy
+    # Q[1:] at the survivors' columns, over Q: a[i - 1] ends before Q[i] starts
+    cols, d = np.nonzero(irreducible)[0], np.arange(n - 1)
+    a = arena[:(n - 1) * n * len(cols)].reshape(n - 1, n, len(cols))
+    for i in range(1, n):
+        np.take(Q[i], cols, axis=1, out=a[i - 1], mode="clip")
     a[d, d + 1] = (a[d, d + 1] - 1) % ps[cols]
     irreducible[cols] = _rows_independent(a, ps[cols])
     return irreducible
 
 
-def _classify_block(args):
-    coeffs, resultant, table, ps = args
-    good = ps[~_bad_primes(resultant, ps)]
-    inert = int(_batch_irreducible(coeffs, good, table=table).sum())
-    return len(ps) - len(good), len(good), inert
+def _classify_blocks(args):
+    """(skipped, tested, inert) summed over blocks, the first the largest."""
+    coeffs, resultant, table, blocks = args
+    arena = np.empty((len(coeffs) + 2) ** 2 * len(blocks[0]), np.int64)
+    counts = np.zeros(3, np.int64)
+    for ps in blocks:
+        good = ps[~_bad_primes(resultant, ps, arena[None, :len(ps)])]
+        counts += len(ps) - len(good), len(good), _batch_irreducible(
+            coeffs, good, table=table, arena=arena).sum()
+    return counts.tolist()
 
 
 # reports --------------------------------------------------------------------
@@ -464,14 +484,14 @@ def density_report(coeffs, bound: int, floor: int = 0,
     resultant = _separability_resultant(coeffs)
     table = _power_table(coeffs, len(primes) * (n > 1))   # linear f: no X^p
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
-    blocks = [(coeffs, resultant, table, primes[i:i + step])
-              for i in range(0, len(primes), step)]
+    blocks = [primes[i:i + step] for i in range(0, len(primes), step)]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
+    shares = [(coeffs, resultant, table, blocks[i::workers]) for i in range(workers)]
     if workers <= 1:
-        results = [_classify_block(b) for b in blocks]
+        results = [_classify_blocks(share) for share in shares]
     else:
         with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_classify_block, blocks)
+            results = pool.map(_classify_blocks, shares)
 
     skipped, tested, inert = (sum(r[i] for r in results) for i in range(3))
     density = Fraction(inert, tested) if tested else Fraction(0, 1)

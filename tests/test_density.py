@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,9 +336,9 @@ class TestFoldChoice:
         wraps = []
         reduce = density._reduce
 
-        def recording(acc, f, support, ps, wrap):
+        def recording(acc, f, support, ps, wrap, *args, **kwargs):
             wraps.append(wrap)
-            return reduce(acc, f, support, ps, wrap)
+            return reduce(acc, f, support, ps, wrap, *args, **kwargs)
         monkeypatch.setattr(density, "_reduce", recording)
         for coeffs, p, wrap in [
                 (FOLD_POLYS[0], 1_999_993, False),
@@ -601,6 +605,80 @@ class TestCyclotomicBeyondDegree8:
                               for i in range(0, len(ps), step)])
         assert list(got) == [multiplicative_order(int(p), m) == m - 1
                              for p in ps]
+
+
+class TestWorkspaceReuse:
+    """A worker runs its whole share of blocks in one workspace, sized for
+    its first block.  In blocks of _BLOCK_CELLS // (n + 1)^2 primes, each
+    report's last block short, reports of mixed degrees run one after
+    another give what each gives in a single block, and the scalar route's
+    counts on their top primes, in one process and in two."""
+
+    CELLS = 16_000   # blocks of 44, 326, 16, 4 and 4000 primes at n = 18, 6, 30, 60, 1
+    CASES = [(FOLD_POLYS[3], 3000), (FOLD_POLYS[0], 20_000),
+             (tuple(random.Random(30).randrange(-9, 10) for _ in range(30))
+              + (3,), 1000),
+             ((1,) * 61, 110), ((5, 3), 50_000), (FOLD_POLYS[0], 7720)]
+
+    def test_reports_of_many_blocks(self, monkeypatch):
+        alone = [density_report(c, bound=b) for c, b in self.CASES]
+        assert all(len(sieve_primes(b)) <= density._BLOCK_CELLS // len(c) ** 2
+                   for c, b in self.CASES)
+        assert [divmod(len(sieve_primes(b)), self.CELLS // len(c) ** 2)
+                for c, b in self.CASES] == [(9, 34), (6, 306), (10, 8), (7, 1),
+                                            (1, 1133), (3, 1)]   # full, last
+        monkeypatch.setattr(density, "_BLOCK_CELLS", self.CELLS)
+        for workers in (1, 2):
+            assert [density_report(c, bound=b, workers=workers)
+                    for c, b in self.CASES] == alone, workers
+
+    def test_top_primes_against_scalar(self, monkeypatch):
+        """The top full block and the short last one of each report."""
+        monkeypatch.setattr(density, "_BLOCK_CELLS", self.CELLS)
+        for coeffs, bound in self.CASES:
+            primes, step = sieve_primes(bound), self.CELLS // len(coeffs) ** 2
+            floor = ([0] + primes)[-(step + len(primes) % step) - 1]
+            want = _scalar_counts(coeffs, bound, floor)
+            for workers in (1, 2):
+                assert _counts(density_report(coeffs, bound=bound, floor=floor,
+                                              workers=workers)) == want
+
+    @pytest.mark.parametrize("coeffs", [FOLD_POLYS[0], FOLD_POLYS[2]])
+    def test_residue_fold_across_blocks(self, coeffs):
+        """f's residues have their rows in the workspace too: the 30 largest
+        primes of the degree's limit, where the kernel folds residues, in
+        blocks of 12, 12, 5 and 1 through one workspace."""
+        n = len(coeffs) - 1
+        primes = np.array(_largest_primes(_int64_limit(n), 30), dtype=np.int64)
+        blocks = [primes[:12], primes[12:24], primes[24:29], primes[29:]]
+        share = (coeffs, density._separability_resultant(coeffs),
+                 density._power_table(coeffs, 30), blocks)
+        skipped, tested, inert = density._classify_blocks(share)
+        good = [r for r in (reduce_mod_p(coeffs, int(p)) for p in primes)
+                if isinstance(r, PolyModP)]
+        assert (tested, skipped) == (len(good), 30 - len(good))
+        assert inert == sum(map(is_irreducible_mod_p, good))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's count of minor page faults")
+    def test_a_report_does_not_fault_block_after_block(self):
+        """x^6+x^3+1 to 2 * 10^6, 28 blocks, in a fresh process: under 5000
+        minor page faults around the call, where a kernel that allocates
+        its temporaries anew for every block took about 36 000."""
+        code = ("import resource\n"
+                "from cycle_census.density import density_report\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "density_report((1, 0, 0, 1, 0, 0, 1), bound=2_000_000)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)\n")
+        src = str(Path(density.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 5000
 
 
 def _int_mul(a, b):
