@@ -16,11 +16,15 @@ X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f,
 in Python ints: O(n^3) a prime.  Density reports skip the primes dividing
 the integer Res(f, f') and test the rest in numpy, all at once, sharing
 no code with the scalar route: X^p from X^(p >> k0) mod p, read from one
-table of X^m mod g over Z a report, one reduction mod f a lower bit,
-X^(p^k) from Q, a screen for X^(p^n) = X and no X^(p^(n/l)) = X, which
-decides alone for n a prime power, else Berlekamp: a squarefree f mod p
-has dim ker(Q - I) irreducible factors (von zur Gathen and Gerhard,
-Modern Computer Algebra, 14.8).  The tests cross-check the two routes,
+table of X^m mod g over Z a report, one reduction mod f a lower bit, Q
+from X^p, then Berlekamp (von zur Gathen and Gerhard, Modern Computer
+Algebra, 14.8): squarefree mod p, f is irreducible iff dim ker(Q - I) = 1,
+and for p not dividing n iff M, Q - I without row 0 (which is 0) and
+column 0, is nonsingular, as (Tr X^j)_j spans the right kernel with
+Tr 1 = n (Lidl and Niederreiter, Finite Fields, 2.24).  Fixed-pivot
+elimination decides M, each entry within 2(p - 1)^2 <= n(p - 1)^2, for
+n > 6 after a screen for X^(p^n) = X and no X^(p^(n/l)) = X, which
+decides alone for n a prime power.  The tests cross-check the two routes,
 which decide by different criteria.  The kernel takes f = sum c_j X^j as
 its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which factors
 as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
@@ -254,6 +258,28 @@ def _rows_independent(a, ps):
     return independent
 
 
+def _minor_nonsingular(m, ps, tmp):
+    """Whether the square m, (k, k, primes) in (-p, p), is nonsingular mod each
+    p: fixed pivots turn row r > i into m[i, i] r - r[i] m[i] past column i, as
+    many rows a call as tmp holds; under a zero pivot over a nonzero entry the
+    pivot search decides on the trailing block, nonsingular iff m is."""
+    searched, by_search = np.zeros((2, len(ps)), dtype=bool)
+    for i in range(len(m)):
+        swap = (m[i, i] == 0) & ~searched & (m[i + 1:, i] != 0).any(axis=0)
+        if swap.any():
+            by_search[swap] = _rows_independent(m[i:, i:, swap], ps[swap])
+            searched |= swap
+        rest, lead, top = m[i + 1:, i + 1:], m[i + 1:, i, None], m[i, None, i + 1:]
+        rest *= m[i, i]
+        rows = len(tmp) // max(1, rest[:1].size)   # whose products fit tmp at once
+        for r in range(0, len(rest), rows):
+            part = rest[r:r + rows]
+            part -= np.multiply(lead[r:r + rows], top,
+                                out=tmp[:part.size].reshape(part.shape))
+        np.fmod(rest, ps, out=rest)
+    return np.where(searched, by_search, (m.diagonal() != 0).all(axis=1))   # pivots
+
+
 def _residues(coeffs, ps, out=None):
     """The integer coefficients mod each p: len(coeffs) rows, in out if given.
 
@@ -344,8 +370,7 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
                        table: np.ndarray | None = None,
                        arena: np.ndarray | None = None) -> np.ndarray:
     """Vectorized irreducibility test for the (good) primes in ps, on f's
-    monic form g (see the module docstring): the distinct-degree screen,
-    then Berlekamp's rank of Q - I on the primes that pass it.  Its memory
+    monic form g (see the module docstring), by a minor of Q - I.  Memory
     grows as n^2 len(ps): callers pass blocks and an arena (see _BLOCK_CELLS)."""
     n = len(coeffs) - 1
     if n == 1 or len(ps) == 0:
@@ -401,28 +426,32 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
             total[i:i + n] += np.multiply(Q[k - 1, i], Q[1], out=tmp)
         _reduce(total, f, support, ps, wrap, tmp)
 
-    # Necessary: X^(p^n) = X and no X^(p^(n/l)) = X; sufficient for n = l^k,
-    # as f is squarefree on good primes and its factors' degrees would divide
-    # n / l.  Else f has nullity(Q - I) irreducible factors (Berlekamp); row
-    # 0 of Q - I is zero, so f is irreducible iff rows 1..n-1 are independent.
-    ells, x = prime_divisors(n), table[:, [1]]   # X
-    power, seen = Q[1], np.zeros(len(ps), dtype=bool)   # some X^(p^(n/l)) = X
-    for k in range(1, n + 1):
-        if k > 1:
-            power = np.einsum("ir,ijr->jr", power, Q, out=acc[k % 2 * n:][:n])
-            power %= ps
-        if k in {n // ell for ell in ells}:
-            seen |= (power == x).all(axis=0)
-    irreducible = (power == x).all(axis=0) & ~seen
-    if len(ells) == 1:
-        return irreducible
-    # Q[1:] at the survivors' columns, over Q: a[i - 1] ends before Q[i] starts
-    cols, d = np.nonzero(irreducible)[0], np.arange(n - 1)
-    a = arena[:(n - 1) * n * len(cols)].reshape(n - 1, n, len(cols))
+    # Eliminating M reduces sum_{k<n-1} k^2 entries a prime, each at most
+    # 2(p - 1)^2 <= n(p - 1)^2; for n <= 6 no more than the screen's n(n - 1)
+    cols, irreducible = np.arange(len(ps)), np.empty(len(ps), dtype=bool)
+    if sum(k * k for k in range(n - 1)) > n * (n - 1):   # else M decides alone
+        ells, x = prime_divisors(n), table[:, [1]]   # X
+        power, seen = Q[1], np.zeros(len(ps), dtype=bool)   # some X^(p^(n/l)) = X
+        for k in range(1, n + 1):
+            if k > 1:
+                power = np.einsum("ir,ijr->jr", power, Q, out=acc[k % 2 * n:][:n])
+                power %= ps
+            if k in {n // ell for ell in ells}:
+                seen |= (power == x).all(axis=0)
+        irreducible = (power == x).all(axis=0) & ~seen
+        if len(ells) == 1:   # enough for n = l^k: f's factors' degrees divide n / l
+            return irreducible
+        cols = np.flatnonzero(irreducible)
+    if (div := n % ps[cols] == 0).any():   # Tr 1 = 0: the search decides, on Q - I
+        irreducible[cols[div]] = _rows_independent(
+            Q[1:, :, cols[div]] - np.eye(n, dtype=np.int64)[1:, :, None], ps[cols[div]])
+        cols = cols[~div]
+    # M over Q, row i - 1 of M ending before row i of Q starts; products after it
+    M = arena[:(n - 1) ** 2 * len(cols)].reshape(n - 1, n - 1, len(cols))
     for i in range(1, n):
-        np.take(Q[i], cols, axis=1, out=a[i - 1], mode="clip")
-    a[d, d + 1] = (a[d, d + 1] - 1) % ps[cols]
-    irreducible[cols] = _rows_independent(a, ps[cols])
+        np.take(Q[i, 1:], cols, axis=1, out=M[i - 1], mode="clip")
+    M.reshape((n - 1) ** 2, len(cols))[::n] -= 1   # M's diagonal
+    irreducible[cols] = _minor_nonsingular(M, ps[cols], arena[M.size:])
     return irreducible
 
 

@@ -19,7 +19,7 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   reduce_mod_p, sieve_primes)
 from cycle_census.ntheory import is_prime, multiplicative_order
 
-from helpers import (monic_powers, naive_irreducible, poly_mul,
+from helpers import (monic_powers, naive_irreducible, poly_divmod, poly_mul,
                      sylvester_resultant)
 
 # discriminant prime factors of the suite polynomials, precomputed: the
@@ -469,13 +469,15 @@ class TestReportAgainstScalar:
 class TestPrimePowerDegree:
     """For n = l^k the distinct-degree screen decides alone on a squarefree
     reduction: a reducible f has factors of degree l^j, j < k, all dividing
-    n / l, so X^(p^(n/l)) = X mod f.  The kernel runs no rank test there."""
+    n / l, so X^(p^(n/l)) = X mod f.  The kernel runs no pivot search there
+    for n >= 8; for n <= 6 the minor of Q - I decides in place of the
+    screen, and the search takes only the primes it leaves open."""
 
     @pytest.mark.parametrize("n", [2, 4, 8, 9, 16, 25, 27, 32, 64])
     def test_screen_equals_scalar(self, n, monkeypatch):
         """x^n - 2, the non-monic 3x^n + 5 and a seeded trinomial over the
         good primes to 300 (2000 for n <= 16)."""
-        monkeypatch.setattr(density, "_rows_independent", None)
+        searched = _record_pivot_search(monkeypatch, None if n >= 8 else [])
         rng = random.Random(n)
         trinomial = [rng.choice([-3, -1, 1, 2])] + [0] * (n - 1) + [1]
         trinomial[rng.randrange(1, n)] = rng.choice([-2, 1, 5])
@@ -484,20 +486,122 @@ class TestPrimePowerDegree:
         for coeffs in ((-2,) + (0,) * (n - 1) + (1,),
                        (5,) + (0,) * (n - 1) + (3,), tuple(trinomial)):
             verdicts += _assert_batch_equals_scalar(coeffs, primes)
+            if n < 8:   # only the primes that M leaves open
+                assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
+                           for p in searched), (coeffs, searched)
+                searched.clear()
         assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1, 0, 0, 1), FOLD_POLYS[3]])
     def test_other_degrees_run_the_rank_test(self, coeffs, monkeypatch):
-        """Degrees 6 and 18 are no prime powers: the rank test still runs."""
+        """Degrees 6 and 18 are no prime powers: the minor of Q - I decides,
+        alone at degree 6 and on the screen's survivors at degree 18."""
         calls = []
-        rank = density._rows_independent
+        minor = density._minor_nonsingular
 
-        def recording(a, ps):
+        def recording(m, ps, tmp):
             calls.append(len(ps))
-            return rank(a, ps)
-        monkeypatch.setattr(density, "_rows_independent", recording)
+            return minor(m, ps, tmp)
+        monkeypatch.setattr(density, "_minor_nonsingular", recording)
         _assert_batch_equals_scalar(coeffs, sieve_primes(2000))
         assert calls and calls[0] > 0
+
+
+def _record_pivot_search(monkeypatch, searched):
+    """Patch density._rows_independent to add the primes it is given to the
+    list searched, or, for searched None, to fail if it is called at all."""
+    rank = density._rows_independent
+
+    def recording(a, ps):
+        searched.extend(ps.tolist())
+        return rank(a, ps)
+    monkeypatch.setattr(density, "_rows_independent",
+                        None if searched is None else recording)
+    return searched
+
+
+def _fixed_pivot_stalls(coeffs, p):
+    """Whether Gaussian elimination over GF(p) on the fixed diagonal pivots of
+    the minor of Q - I without row 0 and column 0, Q[i] = X^(ip) mod f's
+    monic form, meets a zero pivot above a nonzero entry: in Python ints,
+    from helpers' polynomial arithmetic, sharing no code with the kernel."""
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    g = [c * lc ** (n - 1 - j) % p for j, c in enumerate(coeffs[:-1])] + [1]
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = poly_divmod(poly_mul(xp, xp, p), g, p)[1]
+        if bit == "1":
+            xp = poly_divmod([0] + xp, g, p)[1]
+    m, row = [], [1]
+    for i in range(1, n):
+        row = poly_divmod(poly_mul(row, xp, p), g, p)[1]
+        m.append([(c - (i == j)) % p for j, c in enumerate(row + [0] * n)
+                  if 0 < j < n])
+    for k, pivot in enumerate(m):
+        if pivot[k] == 0:
+            return any(r[k] for r in m[k + 1:])
+        for r in m[k + 1:]:
+            c = r[k] * pow(pivot[k], -1, p)
+            r[:] = [(x - c * y) % p for x, y in zip(r, pivot)]
+    return False
+
+
+def _minor_polys():
+    """Seeded f of degree 2..12 and 18, monic and not; x^4+x+1 and x^6+x+1;
+    a sextic with 40-bit coefficients, which folds residues near 3000."""
+    rng = random.Random(4343)
+    polys = [(1, 1, 0, 0, 1), (1, 1, 0, 0, 0, 0, 1),
+             tuple(rng.randrange(-2 ** 40, 2 ** 40) for _ in range(6))
+             + (2 ** 40 - 87,)]
+    for degree in [*range(2, 13), 18]:
+        for lead in (1, rng.choice([2, 3, -5, 7])):
+            polys.append(tuple(rng.randrange(-9, 10) for _ in range(degree))
+                         + (lead,))
+    return polys
+
+
+class TestBerlekampMinor:
+    """For p not dividing n, a squarefree f mod p is irreducible iff the
+    minor M of Q - I without row 0 and column 0 is nonsingular: (Tr X^j)_j
+    spans the right kernel of Q - I and Tr 1 = n.  The kernel eliminates M
+    on fixed pivots, alone for n <= 6 and on the screen's survivors
+    otherwise, and hands the pivot search exactly the primes dividing n and
+    those where a zero pivot has a nonzero entry below it."""
+
+    @pytest.mark.parametrize("coeffs", _minor_polys())
+    def test_batch_equals_scalar(self, coeffs, monkeypatch):
+        """Every good prime to 3000, the primes dividing n among them."""
+        n, searched = len(coeffs) - 1, _record_pivot_search(monkeypatch, [])
+        primes = sieve_primes(3000)
+        _assert_batch_equals_scalar(coeffs, primes)
+        if n in (7, 8, 9, 11):   # a prime power: the screen decides alone
+            assert searched == []
+        elif n <= 6:   # M takes every good prime
+            good = [p for p in primes
+                    if isinstance(reduce_mod_p(coeffs, p), PolyModP)]
+            assert sorted(searched) == [p for p in good if n % p == 0
+                                        or _fixed_pivot_stalls(coeffs, p)]
+        else:   # the screen's survivors only
+            assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
+                       for p in searched)
+
+    def test_both_kinds_reach_the_pivot_search(self, monkeypatch):
+        """x^4+x+1 is irreducible mod 2, which divides 4, and mod 7, where a
+        zero pivot of M lies over a nonzero entry; x^6+x+1 is irreducible
+        mod 2 and mod 13, one of each kind."""
+        searched = _record_pivot_search(monkeypatch, [])
+        for coeffs, want in [((1, 1, 0, 0, 1), [2, 7, 157, 271]),
+                             ((1, 1, 0, 0, 0, 0, 1),
+                              [2, 3, 5, 7, 11, 13, 47, 83, 163])]:
+            _assert_batch_equals_scalar(coeffs, sieve_primes(3000))
+            assert sorted(searched) == want, coeffs
+            searched.clear()
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, 0, 0, 0, 0, 1), (1,) * 13])
+    def test_a_block_of_primes_dividing_n_alone(self, coeffs):
+        """Every prime of the block divides n (x^6+x+1 and Phi_13 mod 2 and
+        3, the one irreducible and the other not), so M has no column."""
+        assert _assert_batch_equals_scalar(coeffs, [2, 3]) == [True, False]
 
 
 def _substitute(coeffs, s, a):
@@ -595,10 +699,10 @@ class TestCyclotomicBeyondDegree8:
     def test_inert_iff_p_generates_the_units_mod_m(self, m):
         """Phi_m = 1 + x + ... + x^(m-1) for every prime m <= 61 and each
         prime p <= 3000 other than m: irreducible mod p iff p has order
-        m - 1 mod m.  Degree 60 gives the rank test its largest matrices,
-        in blocks of _BLOCK_CELLS // 61^2 = 70 primes.  The factors of
-        Phi_m mod p share one degree, so only irreducible reductions pass
-        the screen: this checks that the rank test refuses none of them."""
+        m - 1 mod m.  Degree 60 gives the minor of Q - I its largest
+        matrices, in blocks of _BLOCK_CELLS // 61^2 = 70 primes.  The factors
+        of Phi_m mod p share one degree, so only irreducible reductions pass
+        the screen: this checks that the minor refuses none of them."""
         ps = np.array([p for p in sieve_primes(3000) if p != m])
         step = density._BLOCK_CELLS // m ** 2
         got = np.concatenate([_batch_irreducible((1,) * m, ps[i:i + step])
