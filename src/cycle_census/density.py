@@ -14,17 +14,24 @@ irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1 for
 every prime l dividing n (the distinct-degree criterion).  It reaches
 X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f,
 in Python ints: O(n^3) a prime.  Density reports skip the primes dividing
-the integer Res(f, f') and test the rest in numpy, all at once, sharing
-no code with the scalar route: X^p from X^(p >> k0) mod p, read from one
-table of X^m mod g over Z a report, one reduction mod f a lower bit, Q
-from X^p, then Berlekamp (von zur Gathen and Gerhard, Modern Computer
-Algebra, 14.8): squarefree mod p, f is irreducible iff dim ker(Q - I) = 1,
-and for p not dividing n iff M, Q - I without row 0 (which is 0) and
-column 0, is nonsingular, as (Tr X^j)_j spans the right kernel with
-Tr 1 = n (Lidl and Niederreiter, Finite Fields, 2.24).  Fixed-pivot
-elimination decides M, each entry within 2(p - 1)^2 <= n(p - 1)^2, for
-n > 6 after a screen for X^(p^n) = X and no X^(p^(n/l)) = X, which
-decides alone for n a prime power.  The tests cross-check the two routes,
+the integer B = det Bez(f, f') = lc(f)^2 disc(f) = +-lc(f) Res(f, f') and
+test the rest in numpy, all at once, sharing no code with the scalar route.
+By Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962),
+(B / p) = (-1)^(n - r) at an odd good p, r the number of factors of f mod
+p, so a parity screen sends the kernel only p = 2 and the odd p with
+B^((p - 1) / 2) = (-1)^(n - 1) mod p: about half when B is no square and
+n > 2 (at n = 2 the kernel costs less than the character).  A square B
+has (B / p) = 1, left uncomputed: every p passes for odd n, only p = 2 for
+even n.  The kernel takes X^p from X^(p >> k0) mod p, read from one table
+of X^m mod g over Z a report, one reduction mod f a lower bit, Q from X^p,
+then Berlekamp (von zur Gathen and Gerhard, Modern Computer Algebra,
+14.8): squarefree mod p, f is irreducible iff dim ker(Q - I) = 1, and for
+p not dividing n iff M, Q - I without row 0 (which is 0) and column 0, is
+nonsingular, as (Tr X^j)_j spans the right kernel with Tr 1 = n (Lidl and
+Niederreiter, Finite Fields, 2.24).  Fixed-pivot elimination decides M,
+each entry within 2(p - 1)^2 <= n(p - 1)^2, for n > 6 after a screen for
+X^(p^n) = X and no X^(p^(n/l)) = X, which decides alone for n a prime
+power.  The tests cross-check the two routes,
 which decide by different criteria.  The kernel takes f = sum c_j X^j as
 its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which factors
 as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
@@ -214,10 +221,11 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 # row i is coefficient i, a contiguous vector over the primes (one column
 # each).  Residues lie in [0, p); each step states the largest magnitude it
 # reaches, none above n * (p - 1)^2 (see _INT64_MAX) but the integer fold's
-# (see _fold_fits).  density_report hands the kernel blocks of
-# _BLOCK_CELLS // (n + 1)^2 primes, which bounds the n x n x rows Frobenius
-# matrix and keeps a block's working set in cache; each of K workers runs
-# every K-th block in one workspace, (n + 3)^2 int64 a prime of its first.
+# (see _fold_fits).  density_report splits the primes into blocks of
+# _BLOCK_CELLS // (n + 1)^2, which bounds the n x n x rows Frobenius matrix
+# and keeps a block's working set in cache; each of K workers screens every
+# K-th block and runs the kernel on its survivors, refilled to blocks of that
+# size, in one workspace, (n + 3)^2 int64 a prime of its first block.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -298,39 +306,35 @@ def _residues(coeffs, ps, out=None):
 
 
 def _separability_resultant(coeffs) -> int:
-    """|Res(f, f')|, from the n x n Bezout matrix of (f, f') by fraction-free
-    (Bareiss) elimination in Python ints.  Res(f, f') = +-lc(f) disc(f), so
-    p divides it exactly when p | lc(f) or f mod p has a repeated factor
-    (f' = 0 mod p included): these are the primes of bad reduction.
+    """B = det Bez(f, f') = lc(f)^2 disc(f), signed, from the n x n Bezout
+    matrix of (f, f') by fraction-free (Bareiss) elimination in Python ints,
+    each row swap flipping the sign.  B = +-lc(f) Res(f, f'), so p divides
+    it exactly when p | lc(f) or f mod p has a repeated factor (f' = 0 mod p
+    included): these are the primes of bad reduction.
 
     The Bezoutian (f(x) f'(y) - f(y) f'(x)) / (x - y) of f = sum a_k x^k
     and f' = sum b_k x^k has coefficient sum_{q <= min(i, j)}
-    (a_{i+j+1-q} b_q - a_q b_{i+j+1-q}) at x^i y^j.  Its determinant is
-    +-lc(f)^(n - deg f') Res(f, f') = +-lc(f) Res(f, f'), so dividing by
-    |lc(f)| is exact.  The matrix has half the side of the (2n - 1)-square
-    Sylvester matrix, so elimination takes about an eighth of the steps."""
+    (a_{i+j+1-q} b_q - a_q b_{i+j+1-q}) at x^i y^j.  The matrix has half the
+    side of the (2n - 1)-square Sylvester matrix, so elimination takes about
+    an eighth of the steps."""
     n = len(coeffs) - 1
     a = [*coeffs] + [0] * n
     b = [i * c for i, c in enumerate(coeffs)][1:] + [0] * (n + 1)
     m = [[sum(a[i + j + 1 - q] * b[q] - a[q] * b[i + j + 1 - q]
               for q in range(min(i, j) + 1)) for j in range(n)]
          for i in range(n)]
-    prev = 1
+    prev, sign = 1, 1
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return 0
-        m[k], m[pivot] = m[pivot], m[k]   # a row swap only flips the sign
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
         for row in m[k + 1:]:
             row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
                            for x, y in zip(row[k + 1:], m[k][k + 1:])]
         prev = m[k][k]
-    return abs(m[-1][-1]) // abs(coeffs[-1])
-
-
-def _bad_primes(resultant, ps, out=None):
-    """The primes of bad reduction in ps: those dividing Res(f, f')."""
-    return _residues((resultant,), ps, out)[0] == 0
+    return sign * m[-1][-1]
 
 
 def _fold_fits(coeffs, p_max) -> bool:
@@ -455,15 +459,51 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
     return irreducible
 
 
+def _character(r, ps, w):
+    """(r / p) = r^((p - 1) / 2) mod p, r in [1, p), by p >> 1's bits from the
+    top in w[:4]: a square, then times 1 + bit (r - 1), within (p - 1)^2."""
+    chi, bit, factor, r1 = w[:4]
+    np.subtract(r, 1, out=r1)
+    chi[:] = 1
+    for k in range(int(ps.max()).bit_length() - 1, 0, -1):
+        chi *= chi
+        chi %= ps
+        np.right_shift(ps, k, out=bit)
+        bit &= 1
+        np.multiply(r1, bit, out=factor)
+        factor += 1
+        chi *= factor
+        chi %= ps
+    return chi
+
+
 def _classify_blocks(args):
-    """(skipped, tested, inert) summed over blocks, the first the largest."""
-    coeffs, resultant, table, blocks = args
-    arena = np.empty((len(coeffs) + 2) ** 2 * len(blocks[0]), np.int64)
+    """(skipped, tested, inert) summed over blocks, the first the largest; the
+    good primes that pass the parity screen (see the module docstring) queue
+    up and run in blocks of the first one's size, all in one workspace."""
+    coeffs, bezout, table, blocks = args
+    n, step = len(coeffs) - 1, len(blocks[0])
+    arena = np.empty((n + 3) ** 2 * step, np.int64)
+    queue, queued = np.empty(2 * step, np.int64), 0   # survivors awaiting the kernel
+    square = bezout >= 0 and isqrt(bezout) ** 2 == bezout   # then (B / p) = 1
     counts = np.zeros(3, np.int64)
     for ps in blocks:
-        good = ps[~_bad_primes(resultant, ps, arena[None, :len(ps)])]
-        counts += len(ps) - len(good), len(good), _batch_irreducible(
-            coeffs, good, table=table, arena=arena).sum()
+        w = arena[:5 * len(ps)].reshape(5, -1)
+        r = _residues((abs(bezout),), ps, w[4:])[0]   # |B|: -r costs 64 KiB of RSS
+        keep = r != 0   # else p | B: bad reduction
+        if n % 2 == 0 if square else n > 2:   # else all pass, or n = 2 (docstring)
+            chi = 1 if square else _character(ps - r if bezout < 0 else r, ps, w)
+            keep &= chi == (1 if n % 2 else ps - 1)   # both 1 at p = 2
+        survivors, tested = ps[keep], np.count_nonzero(r)
+        queue[queued:queued + len(survivors)] = survivors
+        queued += len(survivors)
+        counts[:2] += len(ps) - tested, tested
+        while queued >= step or queued and ps is blocks[-1]:   # then the tail
+            take = min(queued, step)
+            counts[2] += _batch_irreducible(coeffs, queue[:take], table=table,
+                                            arena=arena).sum()
+            queued -= take
+            queue[:queued] = queue[take:take + queued]
     return counts.tolist()
 
 
@@ -510,12 +550,12 @@ def density_report(coeffs, bound: int, floor: int = 0,
     primes = _sieve(bound)
     primes = primes[np.searchsorted(primes, floor, side="right"):]
 
-    resultant = _separability_resultant(coeffs)
+    bezout = _separability_resultant(coeffs)
     table = _power_table(coeffs, len(primes) * (n > 1))   # linear f: no X^p
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
     blocks = [primes[i:i + step] for i in range(0, len(primes), step)]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
-    shares = [(coeffs, resultant, table, blocks[i::workers]) for i in range(workers)]
+    shares = [(coeffs, bezout, table, blocks[i::workers]) for i in range(workers)]
     if workers <= 1:
         results = [_classify_blocks(share) for share in shares]
     else:

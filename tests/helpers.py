@@ -236,24 +236,38 @@ def naive_irreducible(coeffs, p):
     return True
 
 
-def sylvester_resultant(coeffs):
-    """|Res(f, f')| as the determinant of the (2n - 1)-square Sylvester
-    matrix of f and f', by fraction-free (Bareiss) elimination."""
+def sylvester_determinant(coeffs):
+    """Res(f, f') with its sign: the determinant of the (2n - 1)-square
+    Sylvester matrix of f and f' (n - 1 rows of f, then n of f', highest
+    coefficient first), by fraction-free (Bareiss) elimination, each row
+    swap flipping the sign."""
     n = len(coeffs) - 1
     deriv = [i * c for i, c in enumerate(coeffs)][:0:-1]
     m = ([[0] * i + [*coeffs[::-1]] + [0] * (n - 2 - i) for i in range(n - 1)]
          + [[0] * i + deriv + [0] * (n - 1 - i) for i in range(n)])
-    prev = 1
+    prev, sign = 1, 1
     for k in range(len(m) - 1):
         pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
         if pivot is None:
             return 0
-        m[k], m[pivot] = m[pivot], m[k]   # a row swap only flips the sign
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
         for row in m[k + 1:]:
             row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
                            for x, y in zip(row[k + 1:], m[k][k + 1:])]
         prev = m[k][k]
-    return abs(m[-1][-1])
+    return sign * m[-1][-1]
+
+
+def sylvester_resultant(coeffs):
+    """|Res(f, f')| from the Sylvester determinant."""
+    return abs(sylvester_determinant(coeffs))
+
+
+def discriminant(coeffs):
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), exact in integers."""
+    n = len(coeffs) - 1
+    return (-1) ** (n * (n - 1) // 2) * sylvester_determinant(coeffs) // coeffs[-1]
 
 
 def monic_powers(coeffs, count):

@@ -19,8 +19,8 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
                                   reduce_mod_p, sieve_primes)
 from cycle_census.ntheory import is_prime, multiplicative_order
 
-from helpers import (monic_powers, naive_irreducible, poly_divmod, poly_mul,
-                     sylvester_resultant)
+from helpers import (discriminant, monic_powers, naive_irreducible,
+                     poly_divmod, poly_mul, sylvester_resultant)
 
 # discriminant prime factors of the suite polynomials, precomputed: the
 # only primes that may ever be skipped for good reduction reasons
@@ -175,7 +175,7 @@ class TestBatchAgainstScalar:
             [[c % p for c in coeffs] for p in primes]
         scalar = [reduce_mod_p(coeffs, p) for p in primes]
         resultant = density._separability_resultant(coeffs)
-        assert list(density._bad_primes(resultant, ps)) == \
+        assert list(density._residues((resultant,), ps)[0] == 0) == \
             [isinstance(r, BadReduction) for r in scalar]
         good = [r for r in scalar if isinstance(r, PolyModP)]
         batch = _batch_irreducible(coeffs,
@@ -272,9 +272,9 @@ class TestBatchAgainstScalar:
             report = density_report(coeffs, bound=10_000)
             scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
                           for p in primes]
-            batch_bad = density._bad_primes(
-                density._separability_resultant(coeffs),
-                np.array(primes, dtype=np.int64))
+            batch_bad = density._residues(
+                (density._separability_resultant(coeffs),),
+                np.array(primes, dtype=np.int64))[0] == 0
             assert list(batch_bad) == scalar_bad, coeffs
             assert report.primes_skipped == sum(scalar_bad)
             assert report.primes_tested + report.primes_skipped == len(primes)
@@ -763,6 +763,22 @@ class TestWorkspaceReuse:
         assert (tested, skipped) == (len(good), 30 - len(good))
         assert inert == sum(map(is_irreducible_mod_p, good))
 
+    def test_survivors_refill_kernel_blocks(self, monkeypatch):
+        """x^6+x+1 to 3000 in blocks of 40 primes: the screen keeps about
+        half of each, so the survivors of several blocks fill one kernel
+        block of 40 and the last leaves a short tail.  The report is the
+        one of a single block and the scalar route's, for 1 and 2 workers."""
+        coeffs = (1, 1, 0, 0, 0, 0, 1)
+        alone, want = density_report(coeffs, bound=3000), _scalar_counts(coeffs, 3000)
+        monkeypatch.setattr(density, "_BLOCK_CELLS", 40 * 49)
+        for workers in (2, 1):
+            assert density_report(coeffs, bound=3000, workers=workers) == alone
+        assert _counts(alone) == want
+        calls = _record_kernel(monkeypatch)
+        density_report(coeffs, bound=3000)
+        assert len(sieve_primes(3000)) == 430   # 11 blocks of 40, the last 30
+        assert [len(ps) for ps in calls] == [40] * 5 + [27]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's count of minor page faults")
     def test_a_report_does_not_fault_block_after_block(self):
@@ -811,17 +827,21 @@ def _screen_polys():
 
 
 class TestSeparabilityScreen:
+    """_separability_resultant returns the signed Bezout determinant
+    B = lc(f)^2 disc(f) = +-lc(f) Res(f, f'): p | B iff p | Res(f, f'), and
+    |B| // |lc(f)| = |Res(f, f')|."""
+
     @pytest.mark.parametrize("coeffs", _screen_polys())
     def test_divides_resultant_iff_bad_reduction(self, coeffs):
-        """For every p <= 10^4: p | Res(f, f') iff reduce_mod_p(f, p) is a
-        BadReduction; _bad_primes marks the same primes."""
+        """For every p <= 10^4: p | B iff reduce_mod_p(f, p) is a
+        BadReduction; B's residues vanish at the same primes."""
         primes = sieve_primes(10_000)
         resultant = density._separability_resultant(coeffs)
         scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
                       for p in primes]
         assert [resultant % p == 0 for p in primes] == scalar_bad
-        assert list(density._bad_primes(
-            resultant, np.array(primes, dtype=np.int64))) == scalar_bad
+        assert list(density._residues(
+            (resultant,), np.array(primes, dtype=np.int64))[0] == 0) == scalar_bad
 
     def test_square_factor_gives_zero(self):
         squares = _screen_polys()[-3:]
@@ -829,14 +849,15 @@ class TestSeparabilityScreen:
 
     def test_suite_resultants(self):
         """|Res(f, f')| = |lc(f) disc(f)|: 4, 256 and 3^9 = 19683."""
-        assert {c: density._separability_resultant(c) for c in SUITE_POLYS} == {
+        assert {c: abs(density._separability_resultant(c)) // abs(c[-1])
+                for c in SUITE_POLYS} == {
             (1, 0, 1): 4, (1, 0, 0, 0, 1): 256, (1, 0, 0, 1, 0, 0, 1): 19683}
 
     def test_equals_the_sylvester_determinant(self):
-        """The Bezout determinant divided by |lc(f)| is |Res(f, f')| as the
-        Sylvester determinant gives it, on 200 seeded f of degree 1 to 12,
-        monic and not, some with f(0) = 0 or a repeated factor, and on four
-        of degree 20 with 40-bit coefficients."""
+        """|B| // |lc(f)| is |Res(f, f')| as the Sylvester determinant gives
+        it, on 200 seeded f of degree 1 to 12, monic and not, some with
+        f(0) = 0 or a repeated factor, and on four of degree 20 with 40-bit
+        coefficients."""
         rng = random.Random(47)
         polys = []
         for k in range(200):
@@ -849,23 +870,114 @@ class TestSeparabilityScreen:
         polys += _screen_polys()[-3:]
         polys += [tuple(rng.randrange(-2 ** 40, 2 ** 40) for _ in range(20))
                   + (rng.choice([1, 5]),) for _ in range(4)]
-        found = [density._separability_resultant(c) for c in polys]
+        found = [abs(density._separability_resultant(c)) // abs(c[-1])
+                 for c in polys]
         assert found == [sylvester_resultant(c) for c in polys]
         assert found.count(0) >= 3 and min(found[-4:]) > 0
 
     def test_closed_forms_in_degree_1_to_3(self):
-        """Res(bx + a, b) = b; Res(f, f') = -c disc(f) for the quadratic
-        cx^2 + bx + a and = -d disc(f) for the cubic dx^3 + cx^2 + bx + a."""
+        """B = b^2 for bx + a, B = c^2 disc(f) for the quadratic
+        cx^2 + bx + a and B = d^2 disc(f) for the cubic dx^3 + cx^2 + bx + a,
+        so |B| // |lc| is |Res(f, f')|, as before the sign was kept."""
         rng = random.Random(31)
         for _ in range(50):
             a, b, c, d = (rng.randrange(-10 ** 6, 10 ** 6) for _ in range(4))
             c, d = c or 1, d or 1
-            assert density._separability_resultant((a, b or 1)) == abs(b or 1)
+            assert density._separability_resultant((a, b or 1)) == (b or 1) ** 2
             assert density._separability_resultant((a, b, c)) == \
-                abs(c * (b * b - 4 * a * c))
+                c * c * (b * b - 4 * a * c)
             disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                     - 27 * a * a * d * d + 18 * a * b * c * d)
-            assert density._separability_resultant((a, b, c, d)) == abs(d * disc)
+            assert density._separability_resultant((a, b, c, d)) == d * d * disc
+
+
+def _record_kernel(monkeypatch):
+    """Patch density._batch_irreducible to append the primes of each call to
+    the returned list, in one process.  Its table and arena must come by
+    keyword: perfbench's tracer reads a call's positional arguments as
+    (coeffs, ps)."""
+    calls, kernel = [], density._batch_irreducible
+
+    def recording(coeffs, ps, *, table=None, arena=None):
+        calls.append(ps.tolist())
+        return kernel(coeffs, ps, table, arena)
+    monkeypatch.setattr(density, "_batch_irreducible", recording)
+    return calls
+
+
+# x^3-3x+1, x^4+1, x^4-10x^2+1, x^5-5x+12 and x^7-7x+3: disc 9^2, 16^2,
+# 384^2, 8000^2 and 194481^2; and x^2+x-2 = (x + 2)(x - 1), disc 3^2
+SQUARE_DISCS = [(1, -3, 0, 1), (1, 0, 0, 0, 1), (1, 0, -10, 0, 1),
+                (12, -5, 0, 0, 0, 1), (3, -7, 0, 0, 0, 0, 0, 1), (-2, 1, 1)]
+
+
+class TestQuadraticCharacterScreen:
+    """Stickelberger: at an odd p dividing neither lc(f) nor disc(f),
+    (disc(f) / p) = (-1)^(n - r), r the number of factors of f mod p.  The
+    kernel takes p = 2 and the odd good p where (B / p) = (-1)^(n - 1),
+    B = lc(f)^2 disc(f), for n > 2; a square B has (B / p) = 1, computed
+    nowhere, and decides for n = 2 too."""
+
+    def test_bezout_is_lc_squared_disc(self):
+        """On TestSeparabilityScreen's polynomials and 200 seeded f of degree
+        1 to 12, monic and not, against the Sylvester oracle's discriminant."""
+        rng = random.Random(48)
+        polys = _screen_polys() + SQUARE_DISCS
+        for _ in range(200):
+            n = rng.randrange(1, 13)
+            polys.append(tuple(rng.randrange(-30, 31) for _ in range(n))
+                         + (rng.choice([1, 1, -1, 2, -5, 12]),))
+        for c in polys:
+            assert density._separability_resultant(c) == \
+                c[-1] ** 2 * discriminant(c), c
+
+    @pytest.mark.parametrize("coeffs", _minor_polys()[:3] + SQUARE_DISCS)
+    def test_character_equals_euler_criterion(self, coeffs):
+        """Every good odd prime <= 3000: B^((p - 1) / 2) mod p."""
+        bezout = density._separability_resultant(coeffs)
+        ps = np.array([p for p in sieve_primes(3000)[1:] if bezout % p], np.int64)
+        r = np.array([bezout % p for p in ps.tolist()], np.int64)
+        chi = density._character(r, ps, np.empty((4, len(ps)), np.int64))
+        assert chi.tolist() == [pow(bezout % p, p // 2, p) for p in ps.tolist()]
+
+    def test_character_at_the_largest_primes(self):
+        """The 20 largest primes of the degree-1 limit, where a square or a
+        product comes closest to 2^63, against pow."""
+        primes = _largest_primes(_int64_limit(1), 20)
+        ps = np.array(primes, np.int64)
+        r = np.array([(3 ** 70 + 7 * k) % p for k, p in enumerate(primes)])
+        chi = density._character(r, ps, np.empty((4, 20), np.int64))
+        want = [pow(int(x), p // 2, p) for x, p in zip(r, primes)]
+        assert chi.tolist() == want
+        assert {w == 1 for w in want} == {True, False}
+
+    @pytest.mark.parametrize("coeffs", _minor_polys())
+    def test_kernel_takes_the_screen_survivors(self, coeffs, monkeypatch):
+        """The report equals the scalar counts on every good prime <= 3000,
+        and the kernel is handed exactly p = 2 and the odd good p whose
+        character is (-1)^(n - 1), from pow; at n = 2, every good p."""
+        received = _record_kernel(monkeypatch)
+        n, bezout = len(coeffs) - 1, density._separability_resultant(coeffs)
+        assert _counts(density_report(coeffs, bound=3000)) == \
+            _scalar_counts(coeffs, 3000)
+        assert sorted(sum(received, [])) == [
+            p for p in sieve_primes(3000) if bezout % p and (n == 2 or p == 2 or
+                pow(bezout % p, p // 2, p) == (1 if n % 2 else p - 1))]
+        assert n == 2 or len(sum(received, [])) < len(sieve_primes(3000)) * 0.6
+
+    @pytest.mark.parametrize("coeffs", SQUARE_DISCS)
+    def test_square_discriminants(self, coeffs, monkeypatch):
+        """No character is computed; the odd degrees hand the kernel every
+        good prime, the even ones p = 2 alone if it is good: x^2+x-2 only 2,
+        x^4+1 and x^4-10x^2+1 nothing (2 divides both discriminants)."""
+        received = _record_kernel(monkeypatch)
+        monkeypatch.setattr(density, "_character", None)
+        n, bezout = len(coeffs) - 1, density._separability_resultant(coeffs)
+        assert math.isqrt(bezout) ** 2 == bezout
+        assert _counts(density_report(coeffs, bound=3000)) == \
+            _scalar_counts(coeffs, 3000)
+        good = [p for p in sieve_primes(3000) if bezout % p]
+        assert sorted(sum(received, [])) == [p for p in good if n % 2 or p == 2]
 
 
 class TestReports:
