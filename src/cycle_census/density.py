@@ -15,7 +15,8 @@ every prime l dividing n (the distinct-degree criterion).  It reaches
 X^(p^k) as X^(p^(k-1)) times the Frobenius matrix Q of rows X^(ip) mod f,
 in Python ints: O(n^3) a prime.  Density reports skip the primes dividing
 the integer B = det Bez(f, f') = lc(f)^2 disc(f) = +-lc(f) Res(f, f') and
-test the rest in numpy, all at once, sharing no code with the scalar route.
+test the rest in numpy, all at once, by other criteria and sharing no code
+with the scalar test, which the tests cross-check them against.
 By Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962),
 (B / p) = (-1)^(n - r) at an odd good p, r the number of factors of f mod
 p, so a parity screen sends the kernel only p = 2 and the odd p with
@@ -29,17 +30,17 @@ then Berlekamp (von zur Gathen and Gerhard, Modern Computer Algebra,
 p not dividing n iff M, Q - I without row 0 (which is 0) and column 0, is
 nonsingular, as (Tr X^j)_j spans the right kernel with Tr 1 = n (Lidl and
 Niederreiter, Finite Fields, 2.24).  Fixed-pivot elimination decides M,
-each entry within 2(p - 1)^2 <= n(p - 1)^2, for n > 6 after a screen for
-X^(p^n) = X and no X^(p^(n/l)) = X, which decides alone for n a prime
-power.  The tests cross-check the two routes,
-which decide by different criteria.  The kernel takes f = sum c_j X^j as
-its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which factors
-as f does mod any p not dividing lc (X -> X / lc is an automorphism), and
-p | lc gives p | Res(f, f'), so the kernel sees no such p.  It folds
-X^n = -sum g_j X^j in with g's own integers where a simulation of the
-unreduced fold (_fold_fits) stays within 2^63 - 1, else with residues
-(c_j mod p) (lc mod p)^(n-1-j), which read only f's own integers.  Each
-worker writes every step into one int64 workspace for all its blocks.
+each entry within 2(p - 1)^2 <= n(p - 1)^2: alone for n <= 6, where it
+reduces sum_{k<n-1} k^2 entries a prime, at most the n(n - 1) of a screen
+for X^(p^n) = X and no X^(p^(n/l)) = X, which decides alone for n a prime
+power and leaves M its survivors else.  The kernel takes f = sum c_j X^j
+as its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which
+factors as f does mod any p not dividing lc (X -> X / lc is an
+automorphism), and p | lc gives p | Res(f, f'), so the kernel sees no such
+p.  It folds X^n = -sum g_j X^j in with g's own integers up to the fold
+limit 1 + isqrt((2^63 - 1) // (n G)), G the growth of the unreduced fold's
+slot bounds (see _BLOCK_CELLS), else with residues (c_j mod p)
+(lc mod p)^(n-1-j), from f's own integers; _route decides it all once.
 """
 
 from __future__ import annotations
@@ -220,29 +221,34 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 # Polynomials are held coefficient-major, shape (slots, primes) int64: array
 # row i is coefficient i, a contiguous vector over the primes (one column
 # each).  Residues lie in [0, p); each step states the largest magnitude it
-# reaches, none above n * (p - 1)^2 (see _INT64_MAX) but the integer fold's
-# (see _fold_fits).  density_report splits the primes into blocks of
-# _BLOCK_CELLS // (n + 1)^2, which bounds the n x n x rows Frobenius matrix
-# and keeps a block's working set in cache; each of K workers screens every
-# K-th block and runs the kernel on its survivors, refilled to blocks of that
-# size, in one workspace, (n + 3)^2 int64 a prime of its first block.
-_BLOCK_CELLS = 1 << 18
+# reaches, none above n * (p - 1)^2, where density_report's bound keeps int64
+# from wrapping (degree 6: ~1.24 * 10^9), but the integer fold's: its 2n
+# slots start within n(p - 1)^2, and slot k, top first, adds its bound times
+# |g_j| to slot k - n + j.  Linear in that start, the bounds grow by G, the
+# largest slot of one such pass from 1, so the fold fits iff
+# n(p - 1)^2 G <= 2^63 - 1: up to the route's fold limit
+# 1 + isqrt((2^63 - 1) // (n G)), found once a report.  density_report
+# splits the primes into blocks of _BLOCK_CELLS // (n + 1)^2, which bounds
+# the n x n x rows Frobenius matrix and keeps a block's working set in
+# cache; each of K workers screens every K-th block and runs the kernel on
+# its survivors, refilled to blocks of that size, in one workspace,
+# (n + 3)^2 int64 a prime of its first block.
+_BLOCK_CELLS, _INT64_MAX = 1 << 18, 2 ** 63 - 1
 
 
-def _reduce(acc, f, support, ps, wrap, tmp=None):
+def _reduce(acc, f, support, ps, wrap, tmp):
     """acc mod the monic X^n + f, top first, subtracting only in the support:
     the runs of slots where the integer f is nonzero (other slots are 0 mod
-    every p).  f is g's own integers, shape (n, 1), within _fold_fits, or
+    every p).  f is g's own integers, shape (n, 1), up to the fold limit, or
     its residues, and then wrap reduces a slot before its fold: it starts
     within n(p - 1)^2 and takes at most n more products, +-n(p - 1)^2.
-    Products go to tmp (n rows) if given; acc[:n] is reduced in place."""
+    Products go to tmp (n rows); acc[:n] is reduced in place."""
     n = len(f)
     for k in range(len(acc) - 1, n - 1, -1):
         if wrap:
             acc[k] %= ps
         for run in support:
-            acc[k - n:k][run] -= np.multiply(
-                acc[k], f[run], out=None if tmp is None else tmp[run])
+            acc[k - n:k][run] -= np.multiply(acc[k], f[run], out=tmp[run])
     return np.remainder(acc[:n], ps, out=acc[:n])
 
 
@@ -251,7 +257,7 @@ def _rows_independent(a, ps):
     fraction-free elimination: row k's first nonzero slot j is its pivot,
     per prime, and each later row r becomes a[k, j] r - r[j] a[k] mod p.
     np.fmod, cheaper than %, keeps entries in (-p, p), so an update is at
-    most 2 (p - 1)^2 <= n (p - 1)^2, the bound _INT64_MAX enforces."""
+    most 2 (p - 1)^2 <= n (p - 1)^2, the bound density_report enforces."""
     cols = np.arange(a.shape[2])
     independent = np.ones(a.shape[2], dtype=bool)
     for k, row in enumerate(a):
@@ -288,14 +294,13 @@ def _minor_nonsingular(m, ps, tmp):
     return np.where(searched, by_search, (m.diagonal() != 0).all(axis=1))   # pivots
 
 
-def _residues(coeffs, ps, out=None):
-    """The integer coefficients mod each p: len(coeffs) rows, in out if given.
+def _residues(coeffs, ps, out):
+    """The integer coefficients mod each p: len(coeffs) rows, in out.
 
     |c| of any size is reduced by Horner over its 31-bit limbs, top first,
     with a % p after every step (c = 0 has no limbs): r < p, so
     r * 2^31 + limb < p * 2^31 + 2^31 < 2^63 for every bound that
     density_report accepts (p < 3.04 * 10^9, reached at degree 1)."""
-    out = np.empty((len(coeffs), len(ps)), np.int64) if out is None else out
     for c, r in zip(coeffs, out):
         r[:] = 0
         for shift in range((abs(c).bit_length() - 1) // 31 * 31, -1, -31):
@@ -337,32 +342,43 @@ def _separability_resultant(coeffs) -> int:
     return sign * m[-1][-1]
 
 
-def _fold_fits(coeffs, p_max) -> bool:
-    """Whether _reduce may fold with the monic g's own integers up to p_max:
-    no slot of 2n, each from n(p_max - 1)^2, passes 2^63 - 1 when slot k,
-    top first and unreduced, adds its bound times |g_j| to slot k - n + j."""
-    n = len(coeffs) - 1
-    bound = [n * (p_max - 1) ** 2] * (2 * n)
+@dataclass(frozen=True)
+class _Route:
+    """How f's primes are classified, decided once a report (see _route)."""
+
+    bezout: int   # B, whose prime divisors are skipped
+    monic: tuple[int, ...]   # g_0..g_(n-1) of f's monic form g
+    support: tuple[slice, ...]   # the runs of nonzero g_j
+    fold_limit: int   # the largest p whose integer fold fits int64
+    parity: str   # the parity screen: "character", "2 only" or "all"
+    decide: str   # the kernel decides by "minor", "screen" or "screen, minor"
+    ells: tuple[int, ...]   # n's prime divisors
+
+
+def _route(coeffs) -> _Route:
+    """f's route by the rules of the module docstring and the note on _BLOCK_CELLS."""
+    n, lc, bezout = len(coeffs) - 1, coeffs[-1], _separability_resultant(coeffs)
+    monic = tuple(c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
+    growth, ells = [1] * (2 * n), tuple(prime_divisors(n))
     for k in range(2 * n - 1, n - 1, -1):
-        if bound[k] > _INT64_MAX:   # bounds only grow: stop before big ints
-            return False
-        for j, c in enumerate(coeffs[:-1]):
-            bound[k - n + j] += bound[k] * abs(c)
-    return max(bound) <= _INT64_MAX
+        growth[k - n:k] = [b + growth[k] * abs(g) for b, g in zip(growth[k - n:], monic)]
+    square = bezout >= 0 and isqrt(bezout) ** 2 == bezout   # then (B / p) = 1
+    runs = re.finditer("1+", "".join("01"[g != 0] for g in monic))
+    return _Route(
+        bezout, monic, tuple(slice(*run.span()) for run in runs),
+        fold_limit=1 + isqrt(_INT64_MAX // (n * max(growth))),
+        parity="character" if not square and n > 2 else
+        "2 only" if square and n % 2 == 0 else "all",
+        decide="minor" if n <= 6 else "screen" if len(ells) == 1 else "screen, minor",
+        ells=ells)
 
 
-def _monic(coeffs):
-    """g_0..g_(n-1) of f's monic form g = lc^(n-1) f(X / lc)."""
-    return tuple(c * coeffs[-1] ** (len(coeffs) - 2 - j)
-                 for j, c in enumerate(coeffs[:-1]))
-
-
-def _power_table(coeffs, primes):
-    """X^m mod g over the integers, g f's monic form, as contiguous column m
-    of an int64 array of n rows: X^m shifted up a slot, its top t folded in
-    as -t g_j.  It keeps max(n, min(primes, 2^15 // n)) columns, but stops
-    before the first with a coefficient outside int64 (the n monomials fit)."""
-    n, g, flat = len(coeffs) - 1, _monic(coeffs), []
+def _power_table(g, primes):
+    """X^m mod g = X^n + sum g_j X^j over Z as contiguous column m of an int64
+    array of n rows: X^m shifted up a slot, its top t folded in as -t g_j.
+    It keeps max(n, min(primes, 2^15 // n)) columns, but stops before the
+    first with a coefficient outside int64 (the n monomials fit)."""
+    n, flat = len(g), []
     col, size = [1] + [0] * (n - 1), n * max(n, min(primes, 2 ** 15 // n))
     while len(flat) < size and -2 ** 63 <= min(col) <= max(col) < 2 ** 63:
         flat += col
@@ -370,26 +386,21 @@ def _power_table(coeffs, primes):
     return np.array(flat, np.int64).reshape(-1, n).T
 
 
-def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
-                       table: np.ndarray | None = None,
-                       arena: np.ndarray | None = None) -> np.ndarray:
+def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray, *, route: _Route,
+                       table: np.ndarray, arena: np.ndarray) -> np.ndarray:
     """Vectorized irreducibility test for the (good) primes in ps, on f's
-    monic form g (see the module docstring), by a minor of Q - I.  Memory
-    grows as n^2 len(ps): callers pass blocks and an arena (see _BLOCK_CELLS)."""
+    monic form g (see the module docstring), along f's route.  Memory grows
+    as n^2 len(ps): callers pass blocks and an arena (see _BLOCK_CELLS)."""
     n = len(coeffs) - 1
-    if n == 1 or len(ps) == 0:
-        return np.full(len(ps), n == 1)   # linear f is always irreducible
-    monic = _monic(coeffs)
-    table = _power_table(coeffs, len(ps)) if table is None else table
-    arena = np.empty((n + 3) ** 2 * len(ps), np.int64) if arena is None else arena
+    if n == 1:
+        return np.ones(len(ps), dtype=bool)   # linear f is always irreducible
     # (n + 3)^2 rows: Q's n^2, then 6n + 2 of scratch reused phase by phase: a
     # square's sum (2n + 1), products (tmp, n), bit select (2n), f's residues
     # (n + 1, wrap only); Q[k]'s sum at Q[k], spilling n - 1; X^(p^k) in 2 x n
     w = arena[:(n + 3) ** 2 * len(ps)].reshape(-1, len(ps))
     Q, scratch = w[:n * n].reshape(n, n, -1), w[n * n:]
     acc, tmp, sel = np.split(scratch[:5 * n + 1], [2 * n + 1, 3 * n + 1])
-    p_max = int(ps.max())
-    wrap = not _fold_fits(monic + (1,), p_max)   # X^n = -sum g_j X^j
+    wrap = (p_max := int(ps.max())) > route.fold_limit   # X^n = -sum g_j X^j
     if wrap:   # g_j mod p from f's residues: each product below (p - 1)^2
         f, power = _residues(coeffs, ps, scratch[5 * n + 1:6 * n + 2]), 1
         for j in range(n - 2, -1, -1):
@@ -397,14 +408,11 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
             f[j] = f[j] * power % ps
         f = f[:-1]
     else:
-        f = np.array(monic, np.int64)[:, None]
-    support = [slice(*run.span()) for run in   # runs of nonzero f_i, i < n
-               re.finditer("1+", "".join("01"[c != 0] for c in coeffs[:-1]))]
+        f = np.array(route.monic, np.int64)[:, None]
     # X^p from the table's X^(p >> k0), k0 least with p_max >> k0 a column,
     # one _reduce a lower bit: the square (cross terms once, doubled) summed
     # one slot up gives X times it in slots 0..2n-1 and itself in 1..2n
-    k0 = next(k for k in range(p_max.bit_length() + 1)
-              if p_max >> k < table.shape[1])
+    k0 = next(k for k in range(p_max.bit_length() + 1) if p_max >> k < table.shape[1])
     xp = np.take(table, ps >> k0, axis=1, out=sel[:n], mode="clip")
     xp %= ps
     for k in range(k0 - 1, -1, -1):
@@ -416,11 +424,11 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
         np.subtract(acc[:-1], acc[1:], out=sel)   # xp, in sel, is read above
         sel *= ps >> k & 1   # bit k of each p; |sel| stays within n(p - 1)^2
         sel += acc[1:]
-        xp = _reduce(sel, f, support, ps, wrap, tmp)
+        xp = _reduce(sel, f, route.support, ps, wrap, tmp)
 
     # Frobenius matrix Q[i] = X^(ip) mod f, Q[k] = Q[k - 1] X^p summed at
     # Q[k] itself: slot k sums at most n products, within the n(p - 1)^2
-    # that _fold_fits starts from.  Since h^p = h(X^p) over GF(p),
+    # that the fold limit starts from.  Since h^p = h(X^p) over GF(p),
     # X^(p^k) = sum_i h_i Q[i] for h = X^(p^(k-1)): n products per slot.
     Q[0], Q[1] = table[:, [0]], xp   # 1, X^p
     for k in range(2, n):
@@ -428,22 +436,20 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray,
         total[:] = 0
         for i in range(n):
             total[i:i + n] += np.multiply(Q[k - 1, i], Q[1], out=tmp)
-        _reduce(total, f, support, ps, wrap, tmp)
+        _reduce(total, f, route.support, ps, wrap, tmp)
 
-    # Eliminating M reduces sum_{k<n-1} k^2 entries a prime, each at most
-    # 2(p - 1)^2 <= n(p - 1)^2; for n <= 6 no more than the screen's n(n - 1)
     cols, irreducible = np.arange(len(ps)), np.empty(len(ps), dtype=bool)
-    if sum(k * k for k in range(n - 1)) > n * (n - 1):   # else M decides alone
-        ells, x = prime_divisors(n), table[:, [1]]   # X
+    if route.decide != "minor":   # the power screen
+        x, stops = table[:, [1]], {n // ell for ell in route.ells}   # X
         power, seen = Q[1], np.zeros(len(ps), dtype=bool)   # some X^(p^(n/l)) = X
         for k in range(1, n + 1):
             if k > 1:
                 power = np.einsum("ir,ijr->jr", power, Q, out=acc[k % 2 * n:][:n])
                 power %= ps
-            if k in {n // ell for ell in ells}:
+            if k in stops:
                 seen |= (power == x).all(axis=0)
         irreducible = (power == x).all(axis=0) & ~seen
-        if len(ells) == 1:   # enough for n = l^k: f's factors' degrees divide n / l
+        if route.decide == "screen":   # n = l^k: f's factors' degrees divide n / l
             return irreducible
         cols = np.flatnonzero(irreducible)
     if (div := n % ps[cols] == 0).any():   # Tr 1 = 0: the search decides, on Q - I
@@ -479,20 +485,20 @@ def _character(r, ps, w):
 
 def _classify_blocks(args):
     """(skipped, tested, inert) summed over blocks, the first the largest; the
-    good primes that pass the parity screen (see the module docstring) queue
-    up and run in blocks of the first one's size, all in one workspace."""
-    coeffs, bezout, table, blocks = args
+    good primes that pass the parity screen in the route's mode queue up and
+    run in blocks of the first one's size, all in one workspace."""
+    coeffs, route, table, blocks = args
     n, step = len(coeffs) - 1, len(blocks[0])
     arena = np.empty((n + 3) ** 2 * step, np.int64)
     queue, queued = np.empty(2 * step, np.int64), 0   # survivors awaiting the kernel
-    square = bezout >= 0 and isqrt(bezout) ** 2 == bezout   # then (B / p) = 1
     counts = np.zeros(3, np.int64)
     for ps in blocks:
         w = arena[:5 * len(ps)].reshape(5, -1)
-        r = _residues((abs(bezout),), ps, w[4:])[0]   # |B|: -r costs 64 KiB of RSS
+        r = _residues((abs(route.bezout),), ps, w[4:])[0]   # |B|: -r costs 64 KiB of RSS
         keep = r != 0   # else p | B: bad reduction
-        if n % 2 == 0 if square else n > 2:   # else all pass, or n = 2 (docstring)
-            chi = 1 if square else _character(ps - r if bezout < 0 else r, ps, w)
+        if route.parity != "all":   # "2 only": a square B has (B / p) = 1
+            chi = 1 if route.parity == "2 only" else _character(
+                ps - r if route.bezout < 0 else r, ps, w)
             keep &= chi == (1 if n % 2 else ps - 1)   # both 1 at p = 2
         survivors, tested = ps[keep], np.count_nonzero(r)
         queue[queued:queued + len(survivors)] = survivors
@@ -500,8 +506,8 @@ def _classify_blocks(args):
         counts[:2] += len(ps) - tested, tested
         while queued >= step or queued and ps is blocks[-1]:   # then the tail
             take = min(queued, step)
-            counts[2] += _batch_irreducible(coeffs, queue[:take], table=table,
-                                            arena=arena).sum()
+            counts[2] += _batch_irreducible(coeffs, queue[:take], route=route,
+                                            table=table, arena=arena).sum()
             queued -= take
             queue[:queued] = queue[take:take + queued]
     return counts.tolist()
@@ -513,11 +519,6 @@ def get_context(method: str):
     """multiprocessing.get_context, imported when a pool first starts."""
     import multiprocessing
     return multiprocessing.get_context(method)
-
-
-# Every kernel intermediate is bounded by n * (p - 1)^2; past 2^63 - 1 it
-# would wrap silently, so such bounds are refused (degree 6: ~1.24 * 10^9).
-_INT64_MAX = 2 ** 63 - 1
 
 
 def predicted_density(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Fraction:
@@ -549,13 +550,12 @@ def density_report(coeffs, bound: int, floor: int = 0,
                          f"whose degree-{n} arithmetic fits in int64")
     primes = _sieve(bound)
     primes = primes[np.searchsorted(primes, floor, side="right"):]
-
-    bezout = _separability_resultant(coeffs)
-    table = _power_table(coeffs, len(primes) * (n > 1))   # linear f: no X^p
+    route = _route(coeffs)
+    table = _power_table(route.monic, len(primes) * (n > 1))   # linear f: no X^p
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
     blocks = [primes[i:i + step] for i in range(0, len(primes), step)]
     workers = min(workers, len(blocks), os.cpu_count() or 1)
-    shares = [(coeffs, bezout, table, blocks[i::workers]) for i in range(workers)]
+    shares = [(coeffs, route, table, blocks[i::workers]) for i in range(workers)]
     if workers <= 1:
         results = [_classify_blocks(share) for share in shares]
     else:

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -124,22 +126,55 @@ def _int64_limit(n):
     return 1 + math.isqrt((2 ** 63 - 1) // n)
 
 
+@functools.cache
 def _largest_primes(p, count):
-    """The count largest primes <= p, descending, found by is_prime."""
+    """The count largest primes <= p, descending, found by is_prime; cached,
+    as trial division near 3 * 10^9 is slow, so a tuple."""
     primes = []
     while len(primes) < count:
         if is_prime(p):
             primes.append(p)
         p -= 1
-    return primes
+    return tuple(primes)
+
+
+@functools.cache
+def _scalar_verdict(coeffs, p):
+    """None if f mod p is a BadReduction, else whether it is irreducible, by
+    reduce_mod_p and is_irreducible_mod_p; cached, as several classes ask
+    it of the same f and p."""
+    reduction = reduce_mod_p(coeffs, p)
+    if isinstance(reduction, BadReduction):
+        return None
+    return is_irreducible_mod_p(reduction)
+
+
+# f's route, once per f: several tests ask it of the same f, and it costs a
+# resultant
+_route = functools.cache(density._route)
+
+
+def _kernel(coeffs, ps, table=None):
+    """_batch_irreducible on the primes ps as density_report runs it: with
+    f's route, a workspace for ps and f's table, one column a prime unless
+    given."""
+    n, ps = len(coeffs) - 1, np.asarray(ps, dtype=np.int64)
+    route = _route(coeffs)
+    table = density._power_table(route.monic, len(ps)) if table is None else table
+    return _batch_irreducible(coeffs, ps, route=route, table=table,
+                              arena=np.empty((n + 3) ** 2 * len(ps), np.int64))
+
+
+def _residues(coeffs, ps):
+    """density._residues of the integers coeffs at the primes ps, into a new
+    array."""
+    return density._residues(coeffs, ps, np.empty((len(coeffs), len(ps)), np.int64))
 
 
 def _assert_batch_equals_scalar(coeffs, primes):
-    reductions = [reduce_mod_p(coeffs, p) for p in primes]
-    good = [r for r in reductions if isinstance(r, PolyModP)]
-    batch = _batch_irreducible(coeffs, np.array([r.p for r in good],
-                                                dtype=np.int64))
-    scalar = [is_irreducible_mod_p(r) for r in good]
+    verdicts = [_scalar_verdict(coeffs, p) for p in primes]
+    scalar = [v for v in verdicts if v is not None]
+    batch = _kernel(coeffs, [p for p, v in zip(primes, verdicts) if v is not None])
     assert list(batch) == scalar, coeffs
     return scalar
 
@@ -160,7 +195,7 @@ class TestBatchAgainstScalar:
         for coeffs in [(1, 0, 0, 1, 0, 0, 1), (7, 0, 0, 0, 0, 2, 3)]:
             scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p))
                       for p in primes]
-            batch = _batch_irreducible(coeffs, np.array(primes, dtype=np.int64))
+            batch = _kernel(coeffs, primes)
             assert list(batch) == scalar and 0 < sum(scalar) < 50
 
     @pytest.mark.parametrize("coeffs", [
@@ -171,15 +206,14 @@ class TestBatchAgainstScalar:
         and each good reduction's irreducibility match the scalar route."""
         primes = sieve_primes(10_000)
         ps = np.array(primes, dtype=np.int64)
-        assert density._residues(coeffs, ps).T.tolist() == \
+        assert _residues(coeffs, ps).T.tolist() == \
             [[c % p for c in coeffs] for p in primes]
         scalar = [reduce_mod_p(coeffs, p) for p in primes]
         resultant = density._separability_resultant(coeffs)
-        assert list(density._residues((resultant,), ps)[0] == 0) == \
+        assert list(_residues((resultant,), ps)[0] == 0) == \
             [isinstance(r, BadReduction) for r in scalar]
         good = [r for r in scalar if isinstance(r, PolyModP)]
-        batch = _batch_irreducible(coeffs,
-                                   np.array([r.p for r in good], dtype=np.int64))
+        batch = _kernel(coeffs, [r.p for r in good])
         assert list(batch) == [is_irreducible_mod_p(r) for r in good]
         report = density_report(coeffs, bound=10_000)
         assert report.primes_skipped == len(primes) - len(good)
@@ -190,9 +224,8 @@ class TestBatchAgainstScalar:
         where r * 2^31 + limb comes closest to 2^63."""
         primes = _largest_primes(_int64_limit(1), 20)
         coeffs = (-(10 ** 40 + 7), 2 ** 127 - 1, -(2 ** 63))
-        assert density._residues(coeffs, np.array(primes, dtype=np.int64)
-                                 ).T.tolist() == [[c % p for c in coeffs]
-                                                  for p in primes]
+        assert _residues(coeffs, np.array(primes, dtype=np.int64)
+                         ).T.tolist() == [[c % p for c in coeffs] for p in primes]
 
     def test_refuses_degree_above_64(self, monkeypatch):
         """Refused before the resultant, whose cost grows steeply with n."""
@@ -229,7 +262,7 @@ class TestBatchAgainstScalar:
                     if not isinstance(reduce_mod_p(coeffs, p), BadReduction)]
             scalar = [is_irreducible_mod_p(reduce_mod_p(coeffs, p))
                       for p in good]
-            batch = _batch_irreducible(coeffs, np.array(good, dtype=np.int64))
+            batch = _kernel(coeffs, good)
             assert list(batch) == scalar, coeffs
 
     @pytest.mark.parametrize("degree, lead, bound", [
@@ -272,9 +305,8 @@ class TestBatchAgainstScalar:
             report = density_report(coeffs, bound=10_000)
             scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
                           for p in primes]
-            batch_bad = density._residues(
-                (density._separability_resultant(coeffs),),
-                np.array(primes, dtype=np.int64))[0] == 0
+            batch_bad = _residues((density._separability_resultant(coeffs),),
+                                  np.array(primes, dtype=np.int64))[0] == 0
             assert list(batch_bad) == scalar_bad, coeffs
             assert report.primes_skipped == sum(scalar_bad)
             assert report.primes_tested + report.primes_skipped == len(primes)
@@ -288,17 +320,22 @@ FOLD_POLYS = [(1, 0, 0, 1, 0, 0, 1), (1, -1, 0, 0, 0, 0, 1), (7, -3, 0, 0, 0, 2)
               (1, 10 ** 6, 0, 0, 0, 0, 1)]
 
 
+def _fold_limit(coeffs):
+    return _route(coeffs).fold_limit
+
+
 class TestFoldChoice:
-    """_reduce folds with f's own integer coefficients when _fold_fits
-    bounds every slot of the unreduced fold below 2^63, and otherwise with
-    f's residues, reducing each slot before it is folded."""
+    """_reduce folds with the integer coefficients of f's monic form up to
+    the route's fold limit, which bounds every slot of the unreduced fold
+    below 2^63, and above it with f's residues, reducing each slot before it
+    is folded."""
 
     def test_residue_fold_at_the_int64_limit(self):
         """The 30 largest primes density_report accepts for each degree,
         where no integer fold fits."""
         for coeffs in FOLD_POLYS:
             primes = _largest_primes(_int64_limit(len(coeffs) - 1), 30)
-            assert not density._fold_fits(coeffs, primes[0])
+            assert primes[0] > _fold_limit(coeffs)
             _assert_batch_equals_scalar(coeffs, primes)
 
     def test_integer_fold_where_it_fits(self):
@@ -307,10 +344,10 @@ class TestFoldChoice:
         limit x^18-2x^9-2 folds its integers too."""
         below = _largest_primes(5 * 10 ** 8, 30)
         for coeffs, fits in zip(FOLD_POLYS, (True, True, False, False, False)):
-            assert density._fold_fits(coeffs, below[0]) == fits
+            assert (below[0] <= _fold_limit(coeffs)) == fits
             _assert_batch_equals_scalar(coeffs, below)
         primes = _largest_primes(_int64_limit(18) // 3, 30)
-        assert density._fold_fits(FOLD_POLYS[3], primes[0])
+        assert primes[0] <= _fold_limit(FOLD_POLYS[3])
         _assert_batch_equals_scalar(FOLD_POLYS[3], primes)
 
     def test_the_simulated_bound_decides(self):
@@ -318,18 +355,18 @@ class TestFoldChoice:
         to 2 * 10^6 and stops at the last p with 24 (p - 1)^2 <= 2^63 - 1,
         far below its limit; x^6+10^6x+1's does not reach 2 * 10^6."""
         sextic, wide = FOLD_POLYS[0], FOLD_POLYS[4]
-        edge = 1 + math.isqrt((2 ** 63 - 1) // 24)
-        assert density._fold_fits(sextic, 2_000_000)
-        assert density._fold_fits(sextic, edge)
-        assert not density._fold_fits(sextic, edge + 1)
-        assert not density._fold_fits(sextic, _int64_limit(6))
+        edge, limit = 1 + math.isqrt((2 ** 63 - 1) // 24), _fold_limit(sextic)
+        assert 2_000_000 <= limit
+        assert edge <= limit
+        assert not edge + 1 <= limit
+        assert not _int64_limit(6) <= limit
         primes = _largest_primes(2_000_000, 30)
-        assert not density._fold_fits(wide, primes[0])
+        assert not primes[0] <= _fold_limit(wide)
         _assert_batch_equals_scalar(wide, primes)
 
     def test_the_kernel_folds_as_decided(self, monkeypatch):
-        """_batch_irreducible hands every _reduce call the decision of
-        _fold_fits for its block, taken on f's monic form: 2x^5-3x+7 folds
+        """_batch_irreducible hands every _reduce call its block's side of
+        the fold limit, read off f's monic form: 2x^5-3x+7 folds
         as x^5-24x+112, whose integers fit at 999 983; at the largest prime
         of each degree's limit the residue fold runs.  Every fold agrees
         with the scalar route."""
@@ -348,6 +385,90 @@ class TestFoldChoice:
             wraps.clear()
             _assert_batch_equals_scalar(coeffs, [p])
             assert wraps and set(wraps) == {wrap}
+            assert (p > _fold_limit(coeffs)) == wrap
+
+
+def _fold_stays_in_int64(coeffs, p):
+    """Whether every slot of the unreduced integer fold stays within 2^63 - 1
+    at the prime p, simulated slot by slot: each of 2n slots starts from
+    n(p - 1)^2 and slot k, top first, adds its bound times |g_j| to slot
+    k - n + j, g f's monic form."""
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    bound = [n * (p - 1) ** 2] * (2 * n)
+    for k in range(2 * n - 1, n - 1, -1):
+        for j, c in enumerate(coeffs[:-1]):
+            bound[k - n + j] += bound[k] * abs(c * lc ** (n - 1 - j))
+    return max(bound) <= 2 ** 63 - 1
+
+
+# CI's density loop: f, its fold limit, parity screen mode and decision mode
+CI_ROUTES = [
+    ("x^6+x^3+1", 619_925_132, "character", "minor"),
+    ("2x^5-3x+7", 25_662_757, "character", "minor"),
+    ("3x^6+2x^5+7", 3_787_432, "character", "minor"),
+    ("x^18-2x^9-2", 238_609_295, "character", "screen, minor"),
+    ("x^8-2", 619_925_132, "character", "screen"),
+    ("x^16+x+1", 379_625_063, "character", "screen"),
+    ("x^4+x+1", 759_250_125, "character", "minor"),
+    ("x^6+x+1", 619_925_132, "character", "minor"),
+    ("x^12+x+1", 438_353_265, "character", "screen, minor"),
+    ("x^2+x+1", 1_073_741_824, "all", "minor"),
+    ("x^3-3x+1", 468_619_351, "all", "minor"),
+    ("x^4+1", 1_073_741_824, "2 only", "minor"),
+    ("x^7-7x+3", 148_190_451, "all", "screen"),
+    ("x^6+x^3+1 at x + 12345", 1, "character", "minor"),
+    ("x^6+1000x+1", 1_239_230, "character", "minor")]
+
+
+class TestRoute:
+    """density_report decides f's route once: the largest prime at which the
+    integer fold fits, the parity screen's mode and which of the power
+    screen and the minor of Q - I decide.  Each kernel call reads it."""
+
+    @staticmethod
+    def coeffs(text):
+        if text.endswith(" at x + 12345"):
+            return _substitute(parse_polynomial(text.split()[0]), 1, 12345)
+        return parse_polynomial(text)
+
+    @pytest.mark.parametrize("text, limit, parity, decide", CI_ROUTES)
+    def test_ci_polynomials(self, text, limit, parity, decide):
+        """The pinned route, and the limit is the last p whose simulated fold
+        stays within int64."""
+        coeffs = self.coeffs(text)
+        route = _route(coeffs)
+        assert (route.fold_limit, route.parity, route.decide) == (limit, parity, decide)
+        assert _fold_stays_in_int64(coeffs, limit)
+        assert not _fold_stays_in_int64(coeffs, limit + 1)
+
+    def test_fold_limit_of_seeded_polynomials(self):
+        """f of degree 1 to 30 with coefficients up to 67 bits and of degree
+        64 with 1- to 3-bit ones, monic and not: the fold fits at the limit
+        and not one above it."""
+        rng = random.Random(27)
+        for _ in range(80):
+            n = rng.choice([*range(1, 13), 18, 30, 64])
+            bits = rng.choice([1, 3] if n == 64 else [1, 3, 20, 67])
+            coeffs = tuple(rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(n))
+            coeffs += (rng.choice([1, -1, 3, rng.randrange(1, 2 ** bits + 1)]),)
+            limit = _fold_limit(coeffs)
+            assert _fold_stays_in_int64(coeffs, limit), coeffs
+            assert not _fold_stays_in_int64(coeffs, limit + 1), coeffs
+
+    def test_report_folds_on_both_sides(self, monkeypatch):
+        """x^6+1000x+1 to 2 * 10^6 crosses its limit mid-report: of its 14
+        kernel calls, the 8 whose largest prime is at most 1 239 230 fold
+        integers and the other 6 residues."""
+        calls = _record_kernel(monkeypatch)
+        report = density_report((1, 1000, 0, 0, 0, 0, 1), bound=2_000_000)
+        assert _counts(report) == (148928, 5, 24604)
+        assert [max(ps) <= 1_239_230 for ps in calls] == [True] * 8 + [False] * 6
+
+
+def _monic(coeffs):
+    """g_0..g_(n-1) of f's monic form g = lc^(n-1) f(X / lc)."""
+    return tuple(c * coeffs[-1] ** (len(coeffs) - 2 - j)
+                 for j, c in enumerate(coeffs[:-1]))
 
 
 def _in_int64(column):
@@ -370,7 +491,7 @@ class TestPowerTable:
         power with a coefficient outside int64, whichever comes first."""
         n = len(coeffs) - 1
         cap = 2 ** 15 // n
-        table = density._power_table(coeffs, 10 ** 6)
+        table = density._power_table(_monic(coeffs), 10 ** 6)
         assert table.shape == (n, columns) and table.flags.f_contiguous
         assert (table[:, :n] == np.eye(n, dtype=np.int64)).all()
         powers = monic_powers(coeffs, min(columns + 1, cap))
@@ -382,10 +503,10 @@ class TestPowerTable:
         and X^5 = c^2 X for the first c only; in degree 1, X = -g_0 keeps
         -2^63 and not 2^63."""
         for c, columns in ((3037000499, 6), (3037000500, 4)):
-            table = density._power_table((-c, 0, 1), 100)
+            table = density._power_table((-c, 0), 100)
             assert table.T.tolist() == monic_powers((-c, 0, 1), columns)
-        assert density._power_table((2 ** 63, 1), 100).tolist() == [[1, -2 ** 63]]
-        assert density._power_table((-(2 ** 63), 1), 100).tolist() == [[1]]
+        assert density._power_table((2 ** 63,), 100).tolist() == [[1, -2 ** 63]]
+        assert density._power_table((-(2 ** 63),), 100).tolist() == [[1]]
 
     def test_a_short_report_builds_a_column_per_prime(self, monkeypatch):
         """10 primes to 30 give x^6+x^3+1 ten columns and x^16+x+1 its 16
@@ -394,9 +515,9 @@ class TestPowerTable:
         shapes = []
         build = density._power_table
 
-        def recording(coeffs, primes):
-            shapes.append(build(coeffs, primes).shape)
-            return build(coeffs, primes)
+        def recording(g, primes):
+            shapes.append(build(g, primes).shape)
+            return build(g, primes)
         monkeypatch.setattr(density, "_power_table", recording)
         sextic, sixteen = (1, 0, 0, 1, 0, 0, 1), (1, 1) + (0,) * 14 + (1,)
         density_report(sextic, bound=30)
@@ -417,8 +538,7 @@ class TestPowerTable:
             calls.append(1)
             return reduce(*args)
         monkeypatch.setattr(density, "_reduce", counting)
-        _batch_irreducible((1, 0, 0, 1, 0, 0, 1),
-                           np.array(sieve_primes(10_000), dtype=np.int64))
+        _kernel((1, 0, 0, 1, 0, 0, 1), sieve_primes(10_000))
         assert len(calls) == 4 + 4
 
     @pytest.mark.parametrize("coeffs", FOLD_POLYS)
@@ -428,20 +548,17 @@ class TestPowerTable:
         n = len(coeffs) - 1
         ps = np.array([p for p in sieve_primes(5000) if isinstance(
             reduce_mod_p(coeffs, p), PolyModP)], dtype=np.int64)
-        monomials = density._power_table(coeffs, n)
+        monomials = density._power_table(_monic(coeffs), n)
         assert monomials.shape == (n, n)
-        assert (_batch_irreducible(coeffs, ps, table=monomials) ==
-                _batch_irreducible(coeffs, ps)).all()
+        assert (_kernel(coeffs, ps, table=monomials) == _kernel(coeffs, ps)).all()
 
 
 def _scalar_counts(coeffs, bound, floor=0):
     """(tested, skipped, inert) of the primes in (floor, bound], prime by
     prime with reduce_mod_p and is_irreducible_mod_p."""
-    reductions = [reduce_mod_p(coeffs, p) for p in sieve_primes(bound)
-                  if p > floor]
-    good = [r for r in reductions if isinstance(r, PolyModP)]
-    return (len(good), len(reductions) - len(good),
-            sum(map(is_irreducible_mod_p, good)))
+    verdicts = [_scalar_verdict(coeffs, p) for p in sieve_primes(bound) if p > floor]
+    good = [v for v in verdicts if v is not None]
+    return len(good), len(verdicts) - len(good), sum(good)
 
 
 class TestReportAgainstScalar:
@@ -460,7 +577,7 @@ class TestReportAgainstScalar:
         coeffs += (leads[kind],)
         bound, floor = 3000, rng.choice([0, 0, 500])
         if kind == "wide":
-            assert not density._fold_fits(density._monic(coeffs) + (1,), 5)
+            assert 5 > _fold_limit(coeffs)
         report = density_report(coeffs, bound=bound, floor=floor)
         assert (report.primes_tested, report.primes_skipped,
                 report.inert_count) == _scalar_counts(coeffs, bound, floor)
@@ -486,6 +603,7 @@ class TestPrimePowerDegree:
         for coeffs in ((-2,) + (0,) * (n - 1) + (1,),
                        (5,) + (0,) * (n - 1) + (3,), tuple(trinomial)):
             verdicts += _assert_batch_equals_scalar(coeffs, primes)
+            assert _route(coeffs).decide == ("screen" if n >= 8 else "minor")
             if n < 8:   # only the primes that M leaves open
                 assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
                            for p in searched), (coeffs, searched)
@@ -505,6 +623,8 @@ class TestPrimePowerDegree:
         monkeypatch.setattr(density, "_minor_nonsingular", recording)
         _assert_batch_equals_scalar(coeffs, sieve_primes(2000))
         assert calls and calls[0] > 0
+        assert _route(coeffs).decide == (
+            "minor" if len(coeffs) == 7 else "screen, minor")
 
 
 def _record_pivot_search(monkeypatch, searched):
@@ -574,14 +694,17 @@ class TestBerlekampMinor:
         n, searched = len(coeffs) - 1, _record_pivot_search(monkeypatch, [])
         primes = sieve_primes(3000)
         _assert_batch_equals_scalar(coeffs, primes)
+        decide = _route(coeffs).decide
         if n in (7, 8, 9, 11):   # a prime power: the screen decides alone
-            assert searched == []
+            assert searched == [] and decide == "screen"
         elif n <= 6:   # M takes every good prime
+            assert decide == "minor"
             good = [p for p in primes
                     if isinstance(reduce_mod_p(coeffs, p), PolyModP)]
             assert sorted(searched) == [p for p in good if n % p == 0
                                         or _fixed_pivot_stalls(coeffs, p)]
         else:   # the screen's survivors only
+            assert decide == "screen, minor"
             assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
                        for p in searched)
 
@@ -633,13 +756,13 @@ class TestRingAutomorphisms:
         for s, a in [(-1, 0), (1, 1), (1, -3), (1, 12345)]:
             g = _substitute(coeffs, s, a)
             assert _counts(density_report(g, bound=10 ** 5)) == want, (s, a)
-        assert not density._fold_fits(g, 2)   # so at no prime
+        assert 2 > _fold_limit(g)   # so at no prime
 
     def test_shift_of_x6_x3_1_to_two_million(self):
         sextic = FOLD_POLYS[0]
         shifted = _substitute(sextic, 1, 12345)
         assert max(len(str(c)) for c in shifted) == 25
-        assert density._fold_fits(sextic, 2_000_000)
+        assert 2_000_000 <= _fold_limit(sextic)
         assert _counts(density_report(shifted, bound=2_000_000)) == \
             _counts(density_report(sextic, bound=2_000_000)) == (148932, 1, 49707)
 
@@ -691,7 +814,7 @@ class TestSurvivorProduct:
             factors.add(g)
             f = poly_mul(f, g, p)
         assert not is_irreducible_mod_p(PolyModP(p, tuple(f)))
-        assert not _batch_irreducible(tuple(f), np.array([p]))[0]
+        assert not _kernel(tuple(f), [p])[0]
 
 
 class TestCyclotomicBeyondDegree8:
@@ -705,7 +828,7 @@ class TestCyclotomicBeyondDegree8:
         the screen: this checks that the minor refuses none of them."""
         ps = np.array([p for p in sieve_primes(3000) if p != m])
         step = density._BLOCK_CELLS // m ** 2
-        got = np.concatenate([_batch_irreducible((1,) * m, ps[i:i + step])
+        got = np.concatenate([_kernel((1,) * m, ps[i:i + step])
                               for i in range(0, len(ps), step)])
         assert list(got) == [multiplicative_order(int(p), m) == m - 1
                              for p in ps]
@@ -755,8 +878,8 @@ class TestWorkspaceReuse:
         n = len(coeffs) - 1
         primes = np.array(_largest_primes(_int64_limit(n), 30), dtype=np.int64)
         blocks = [primes[:12], primes[12:24], primes[24:29], primes[29:]]
-        share = (coeffs, density._separability_resultant(coeffs),
-                 density._power_table(coeffs, 30), blocks)
+        route = _route(coeffs)
+        share = (coeffs, route, density._power_table(route.monic, 30), blocks)
         skipped, tested, inert = density._classify_blocks(share)
         good = [r for r in (reduce_mod_p(coeffs, int(p)) for p in primes)
                 if isinstance(r, PolyModP)]
@@ -778,6 +901,7 @@ class TestWorkspaceReuse:
         density_report(coeffs, bound=3000)
         assert len(sieve_primes(3000)) == 430   # 11 blocks of 40, the last 30
         assert [len(ps) for ps in calls] == [40] * 5 + [27]
+        assert _route(coeffs).parity == "character"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's count of minor page faults")
@@ -840,7 +964,7 @@ class TestSeparabilityScreen:
         scalar_bad = [isinstance(reduce_mod_p(coeffs, p), BadReduction)
                       for p in primes]
         assert [resultant % p == 0 for p in primes] == scalar_bad
-        assert list(density._residues(
+        assert list(_residues(
             (resultant,), np.array(primes, dtype=np.int64))[0] == 0) == scalar_bad
 
     def test_square_factor_gives_zero(self):
@@ -893,14 +1017,14 @@ class TestSeparabilityScreen:
 
 def _record_kernel(monkeypatch):
     """Patch density._batch_irreducible to append the primes of each call to
-    the returned list, in one process.  Its table and arena must come by
-    keyword: perfbench's tracer reads a call's positional arguments as
+    the returned list, in one process.  Its route, table and arena must come
+    by keyword: perfbench's tracer reads a call's positional arguments as
     (coeffs, ps)."""
     calls, kernel = [], density._batch_irreducible
 
-    def recording(coeffs, ps, *, table=None, arena=None):
+    def recording(coeffs, ps, *, route, table, arena):
         calls.append(ps.tolist())
-        return kernel(coeffs, ps, table, arena)
+        return kernel(coeffs, ps, route=route, table=table, arena=arena)
     monkeypatch.setattr(density, "_batch_irreducible", recording)
     return calls
 
@@ -964,6 +1088,7 @@ class TestQuadraticCharacterScreen:
             p for p in sieve_primes(3000) if bezout % p and (n == 2 or p == 2 or
                 pow(bezout % p, p // 2, p) == (1 if n % 2 else p - 1))]
         assert n == 2 or len(sum(received, [])) < len(sieve_primes(3000)) * 0.6
+        assert _route(coeffs).parity == ("all" if n == 2 else "character")
 
     @pytest.mark.parametrize("coeffs", SQUARE_DISCS)
     def test_square_discriminants(self, coeffs, monkeypatch):
@@ -978,6 +1103,103 @@ class TestQuadraticCharacterScreen:
             _scalar_counts(coeffs, 3000)
         good = [p for p in sieve_primes(3000) if bezout % p]
         assert sorted(sum(received, [])) == [p for p in good if n % 2 or p == 2]
+        assert _route(coeffs).parity == ("all" if n % 2 else "2 only")
+
+
+def _corpus():
+    """(id, coeffs, bound, floor) of the identity corpus: per degree 1-18,
+    24, 30, 48 and 64 one f with coefficients within +-2^3, one within
+    +-2^40 and one within +-2^67, each with lead 1 or a drawn one, floor 0
+    or bound // 3, drawn from random.Random(20261021); then named cases."""
+    rng, cases = random.Random(20261021), []
+    for n in [*range(1, 19), 24, 30, 48, 64]:
+        bound = 50_000 if n <= 12 else 20_000 if n <= 18 else 10_000 if n <= 30 else 2_000
+        for bits in (3, 40, 67):
+            size = 2 ** bits
+            coeffs = tuple(rng.randrange(-size, size + 1) for _ in range(n))
+            lead = rng.choice([1, rng.choice([-1, 1]) * rng.randrange(2, size + 1)])
+            cases.append((f"n{n}-{bits}bit", coeffs + (lead,), bound,
+                          rng.choice([0, bound // 3])))
+    names = ["x^3-3x+1", "x^4+1", "x^4-10x^2+1", "x^5-5x+12", "x^7-7x+3", "x^2+x-2"]
+    cases += [(f"square-disc-{name}", c, 20_000, 0)
+              for name, c in zip(names, SQUARE_DISCS)]
+    return cases + [
+        ("n2-x^2+x+1", (1, 1, 1), 20_000, 0), ("n2-3x^2-5x+7", (7, -5, 3), 20_000, 6_666),
+        ("p|n-stalls-x^4+x+1", (1, 1, 0, 0, 1), 20_000, 0),
+        ("p|n-stalls-x^6+x+1", (1, 1, 0, 0, 0, 0, 1), 20_000, 0),
+        ("p|n-x^12+x+1", (1, 1) + (0,) * 10 + (1,), 20_000, 0),
+        ("both-folds-x^6+1000x+1", (1, 1000, 0, 0, 0, 0, 1), 2_000_000, 0)]
+
+
+CORPUS = _corpus()
+
+
+@functools.cache
+def _corpus_report(i):
+    _, coeffs, bound, floor = CORPUS[i]
+    return density_report(coeffs, bound=bound, floor=floor)
+
+
+class TestDensityCorpus:
+    """Reports that must not change: each one's (tested, skipped, inert) and
+    one sha256 of all their JSON, in order, pinned from the reports of the
+    code before the kernel's route became one record a report.  The named
+    cases cover square discriminants, n = 2, primes dividing n with
+    fixed-pivot stalls (x^4+x+1 at 7, x^6+x+1 at 13) and x^6+1000x+1 to
+    2 * 10^6, whose kernel calls fold integers below its fold limit and
+    residues above it, in the same report."""
+
+    TRIPLES = [
+        (3205, 0, 3205), (5133, 0, 5133), (3205, 0, 3205), (5132, 1, 0),
+        (3205, 0, 1646), (5130, 3, 2559), (5131, 2, 1721), (3205, 0, 1081),
+        (3205, 0, 1097), (5128, 5, 1307), (3205, 0, 774), (5129, 4, 1274),
+        (5131, 2, 1059), (5126, 7, 1039), (5131, 2, 1030), (5131, 2, 872),
+        (5129, 4, 899), (5130, 3, 853), (3205, 0, 457), (3203, 2, 459),
+        (5132, 1, 687), (5130, 3, 638), (3205, 0, 421), (5131, 2, 663),
+        (5132, 1, 0), (5131, 2, 545), (5129, 4, 562), (3205, 0, 298),
+        (3205, 0, 284), (5132, 1, 518), (5128, 5, 487), (5127, 6, 476),
+        (3205, 0, 304), (3205, 0, 268), (3205, 0, 264), (3204, 1, 269),
+        (1403, 0, 0), (1403, 0, 110), (1403, 0, 113), (1403, 0, 94),
+        (1403, 0, 94), (2260, 2, 168), (1403, 0, 0), (1403, 0, 101),
+        (2261, 1, 140), (2260, 2, 144), (1403, 0, 83), (1403, 0, 95),
+        (1403, 0, 78), (1403, 0, 67), (1403, 0, 70), (1403, 0, 80),
+        (1403, 0, 76), (2258, 4, 137), (1227, 2, 0), (759, 0, 34),
+        (758, 1, 41), (1226, 3, 34), (759, 0, 26), (759, 0, 29),
+        (182, 0, 5), (182, 0, 3), (182, 0, 5), (300, 3, 6), (302, 1, 2),
+        (181, 1, 0),
+        (2261, 1, 1514), (2261, 1, 0), (2260, 2, 0), (2260, 2, 896),
+        (2260, 2, 634), (2261, 1, 0), (2261, 1, 1137), (1403, 0, 706),
+        (2261, 1, 572), (2260, 2, 383), (2260, 2, 202), (148928, 5, 24604)]
+    DIGEST = "d27b5d3708315fedec83e85efe5ef18a04291b92e6644852eb215c77954b2829"
+
+    @pytest.mark.parametrize("i", range(len(CORPUS)), ids=[c[0] for c in CORPUS])
+    def test_counts(self, i):
+        assert _counts(_corpus_report(i)) == self.TRIPLES[i]
+
+    def test_digest(self):
+        text = json.dumps([_corpus_report(i).to_json_dict()
+                           for i in range(len(CORPUS))])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+    def test_two_workers(self):
+        """Every sixth report, degree 48 with 3-bit coefficients among them."""
+        for i in range(0, len(CORPUS), 6):
+            _, coeffs, bound, floor = CORPUS[i]
+            assert density_report(coeffs, bound=bound, floor=floor,
+                                  workers=2) == _corpus_report(i), CORPUS[i][0]
+
+    def test_small_blocks(self, monkeypatch):
+        """Every sixth report of degree up to 18, from the fourth, and the
+        named ones to 2 * 10^4, in blocks of 4000 // (n + 1)^2 primes (11 at degree 18),
+        each over many blocks, kernel calls and workers."""
+        cases = [i for i, (_, coeffs, bound, _) in enumerate(CORPUS)
+                 if len(coeffs) <= 19 and bound <= 50_000 and (
+                     i % 6 == 3 or i >= 66)]   # 66: the named
+        monkeypatch.setattr(density, "_BLOCK_CELLS", 4000)
+        for i, workers in zip(cases, itertools.cycle((1, 2))):
+            _, coeffs, bound, floor = CORPUS[i]
+            assert density_report(coeffs, bound=bound, floor=floor,
+                                  workers=workers) == _corpus_report(i), CORPUS[i][0]
 
 
 class TestReports:
