@@ -26,13 +26,16 @@ has (B / p) = 1, left uncomputed: every p passes for odd n, only p = 2 for
 even n.  The kernel takes X^p from X^(p >> k0) mod p, read from one table
 of X^m mod g over Z a report, one reduction mod f a lower bit, Q from X^p,
 then Berlekamp (von zur Gathen and Gerhard, Modern Computer Algebra,
-14.8): squarefree mod p, f is irreducible iff dim ker(Q - I) = 1, and for
-p not dividing n iff M, Q - I without row 0 (which is 0) and column 0, is
-nonsingular, as (Tr X^j)_j spans the right kernel with Tr 1 = n (Lidl and
-Niederreiter, Finite Fields, 2.24).  Fixed-pivot elimination decides M,
-each entry within 2(p - 1)^2 <= n(p - 1)^2: alone for n <= 6, where it
-reduces sum_{k<n-1} k^2 entries a prime, at most the n(n - 1) of a screen
-for X^(p^n) = X and no X^(p^(n/l)) = X, which decides alone for n a prime
+14.8): squarefree mod p, f is irreducible iff dim ker(Q - I) = 1, iff M,
+Q - I without row 0 (which is 0) and a column j with Tr X^j != 0 mod p, is
+nonsingular: an irreducible f's Q - I has row space {h^p - h} = ker Tr
+(Lidl and Niederreiter, Finite Fields, 2.25), and a separable f has such a
+j, 0 for p not dividing n (Tr 1 = n), else the least j with s_j(g) != 0
+mod p, by Newton's identities once a report.  Fixed-pivot elimination
+decides M, swapping up a row under a zero pivot, each entry within
+2(p - 1)^2 <= n(p - 1)^2: alone for n <= 6, where it reduces
+sum_{k<n-1} k^2 entries a prime, at most the n(n - 1) of a screen for
+X^(p^n) = X and no X^(p^(n/l)) = X, which decides alone for n a prime
 power and leaves M its survivors else.  The kernel takes f = sum c_j X^j
 as its monic form g = lc^(n-1) f(X / lc), g_j = c_j lc^(n-1-j), which
 factors as f does mod any p not dividing lc (X -> X / lc is an
@@ -232,7 +235,7 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 # the n x n x rows Frobenius matrix and keeps a block's working set in
 # cache; each of K workers screens every K-th block and runs the kernel on
 # its survivors, refilled to blocks of that size, in one workspace,
-# (n + 3)^2 int64 a prime of its first block.
+# (n + 3)^2 int64 a prime of its first block, M over Q at p | n too.
 _BLOCK_CELLS, _INT64_MAX = 1 << 18, 2 ** 63 - 1
 
 
@@ -252,37 +255,18 @@ def _reduce(acc, f, support, ps, wrap, tmp):
     return np.remainder(acc[:n], ps, out=acc[:n])
 
 
-def _rows_independent(a, ps):
-    """Whether the rows a[k] (slots, primes) are independent mod each p, by
-    fraction-free elimination: row k's first nonzero slot j is its pivot,
-    per prime, and each later row r becomes a[k, j] r - r[j] a[k] mod p.
-    np.fmod, cheaper than %, keeps entries in (-p, p), so an update is at
-    most 2 (p - 1)^2 <= n (p - 1)^2, the bound density_report enforces."""
-    cols = np.arange(a.shape[2])
-    independent = np.ones(a.shape[2], dtype=bool)
-    for k, row in enumerate(a):
-        nonzero = row != 0
-        independent &= nonzero.any(axis=0)
-        j = np.argmax(nonzero, axis=0)
-        rest = a[k + 1:]   # all later rows at once, updated in place
-        lead = rest[:, j, cols]
-        rest *= row[j, cols]
-        rest -= lead[:, None] * row
-        np.fmod(rest, ps, out=rest)
-    return independent
-
-
 def _minor_nonsingular(m, ps, tmp):
     """Whether the square m, (k, k, primes) in (-p, p), is nonsingular mod each
     p: fixed pivots turn row r > i into m[i, i] r - r[i] m[i] past column i, as
-    many rows a call as tmp holds; under a zero pivot over a nonzero entry the
-    pivot search decides on the trailing block, nonsingular iff m is."""
-    searched, by_search = np.zeros((2, len(ps)), dtype=bool)
+    many rows a call as tmp holds; a zero pivot over a nonzero entry first
+    swaps row i with the first such row below it, at that prime only (stale
+    entries left of column i move along, read by no later step)."""
     for i in range(len(m)):
-        swap = (m[i, i] == 0) & ~searched & (m[i + 1:, i] != 0).any(axis=0)
-        if swap.any():
-            by_search[swap] = _rows_independent(m[i:, i:, swap], ps[swap])
-            searched |= swap
+        stall = (m[i, i] == 0) & (m[i + 1:, i] != 0).any(axis=0)
+        if stall.any():
+            at = np.flatnonzero(stall)
+            below = i + 1 + np.argmax(m[i + 1:, i, at] != 0, axis=0)
+            m[i, :, at], m[below, :, at] = m[below, :, at], m[i, :, at]
         rest, lead, top = m[i + 1:, i + 1:], m[i + 1:, i, None], m[i, None, i + 1:]
         rest *= m[i, i]
         rows = len(tmp) // max(1, rest[:1].size)   # whose products fit tmp at once
@@ -291,7 +275,7 @@ def _minor_nonsingular(m, ps, tmp):
             part -= np.multiply(lead[r:r + rows], top,
                                 out=tmp[:part.size].reshape(part.shape))
         np.fmod(rest, ps, out=rest)
-    return np.where(searched, by_search, (m.diagonal() != 0).all(axis=1))   # pivots
+    return (m.diagonal() != 0).all(axis=1)   # the pivots
 
 
 def _residues(coeffs, ps, out):
@@ -352,14 +336,20 @@ class _Route:
     fold_limit: int   # the largest p whose integer fold fits int64
     parity: str   # the parity screen: "character", "2 only" or "all"
     decide: str   # the kernel decides by "minor", "screen" or "screen, minor"
-    ells: tuple[int, ...]   # n's prime divisors
+    column: dict[int, int]   # l | n, ascending, to the least j with s_j(g) =
+    # Tr X^j != 0 mod l, M's dropped column at p = l (0: none, only if l | B)
 
 
 def _route(coeffs) -> _Route:
     """f's route by the rules of the module docstring and the note on _BLOCK_CELLS."""
     n, lc, bezout = len(coeffs) - 1, coeffs[-1], _separability_resultant(coeffs)
     monic = tuple(c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
-    growth, ells = [1] * (2 * n), tuple(prime_divisors(n))
+    sums = [n]   # g's power sums s_k = Tr X^k, by Newton's identities
+    for k in range(1, n):
+        sums.append(-k * monic[n - k] - sum(monic[n - i] * sums[k - i] for i in range(1, k)))
+    column = {ell: next((j for j, s in enumerate(sums) if s % ell), 0)
+              for ell in prime_divisors(n)}
+    growth = [1] * (2 * n)
     for k in range(2 * n - 1, n - 1, -1):
         growth[k - n:k] = [b + growth[k] * abs(g) for b, g in zip(growth[k - n:], monic)]
     square = bezout >= 0 and isqrt(bezout) ** 2 == bezout   # then (B / p) = 1
@@ -369,8 +359,8 @@ def _route(coeffs) -> _Route:
         fold_limit=1 + isqrt(_INT64_MAX // (n * max(growth))),
         parity="character" if not square and n > 2 else
         "2 only" if square and n % 2 == 0 else "all",
-        decide="minor" if n <= 6 else "screen" if len(ells) == 1 else "screen, minor",
-        ells=ells)
+        decide="minor" if n <= 6 else "screen" if len(column) == 1 else "screen, minor",
+        column=column)
 
 
 def _power_table(g, primes):
@@ -440,7 +430,7 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray, *, route: _Route
 
     cols, irreducible = np.arange(len(ps)), np.empty(len(ps), dtype=bool)
     if route.decide != "minor":   # the power screen
-        x, stops = table[:, [1]], {n // ell for ell in route.ells}   # X
+        x, stops = table[:, [1]], {n // ell for ell in route.column}   # X
         power, seen = Q[1], np.zeros(len(ps), dtype=bool)   # some X^(p^(n/l)) = X
         for k in range(1, n + 1):
             if k > 1:
@@ -452,10 +442,9 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray, *, route: _Route
         if route.decide == "screen":   # n = l^k: f's factors' degrees divide n / l
             return irreducible
         cols = np.flatnonzero(irreducible)
-    if (div := n % ps[cols] == 0).any():   # Tr 1 = 0: the search decides, on Q - I
-        irreducible[cols[div]] = _rows_independent(
-            Q[1:, :, cols[div]] - np.eye(n, dtype=np.int64)[1:, :, None], ps[cols[div]])
-        cols = cols[~div]
+    for ell, j in route.column.items():   # Tr 1 = n = 0 at p = l: M drops column j
+        at = cols[ps[cols] == ell]   # its column j - 1 becomes Q - I's 0, before M overlays Q
+        Q[1:, j, at] = Q[1:, 0, at] + (np.arange(1, n) == j)[:, None]
     # M over Q, row i - 1 of M ending before row i of Q starts; products after it
     M = arena[:(n - 1) ** 2 * len(cols)].reshape(n - 1, n - 1, len(cols))
     for i in range(1, n):

@@ -285,6 +285,36 @@ def monic_powers(coeffs, count):
     return powers
 
 
+def trace_of_power(coeffs, j, p):
+    """Tr X^j on GF(p)[X]/(g), g f's monic form lc^(n-1) f(X / lc): the trace
+    of multiplication by X^j, the sum over i < n of the X^i coefficient of
+    X^(i+j) mod g, by trial division in Python ints."""
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    g = [coeffs[k] * lc ** (n - 1 - k) % p for k in range(n)] + [1]
+    total = 0
+    for i in range(n):
+        rest = poly_divmod([0] * (i + j) + [1], g, p)[1] + [0] * n
+        total += rest[i]
+    return total % p
+
+
+def rank_mod_p(rows, p):
+    """The rank of an integer matrix mod p by Gaussian elimination with a
+    pivot search in every column, in Python ints."""
+    rows, rank = [[x % p for x in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] * inv
+            rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 # full enumeration, the slice kernel's reference ----------------------------
 
 def _iter_raw(G, top_points=None):

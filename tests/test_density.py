@@ -22,7 +22,8 @@ from cycle_census.density import (BadReduction, DensityReport, PolyModP,
 from cycle_census.ntheory import is_prime, multiplicative_order
 
 from helpers import (discriminant, monic_powers, naive_irreducible,
-                     poly_divmod, poly_mul, sylvester_resultant)
+                     poly_divmod, poly_mul, rank_mod_p, sylvester_resultant,
+                     trace_of_power)
 
 # discriminant prime factors of the suite polynomials, precomputed: the
 # only primes that may ever be skipped for good reduction reasons
@@ -417,13 +418,24 @@ CI_ROUTES = [
     ("x^4+1", 1_073_741_824, "2 only", "minor"),
     ("x^7-7x+3", 148_190_451, "all", "screen"),
     ("x^6+x^3+1 at x + 12345", 1, "character", "minor"),
-    ("x^6+1000x+1", 1_239_230, "character", "minor")]
+    ("x^6+1000x+1", 1_239_230, "character", "minor"),
+    ("x^30+x+1", 277_238_947, "character", "screen, minor")]
+
+# the same polynomials' columns: at p = l | n, M drops column j = column[l]
+CI_COLUMNS = {
+    "x^6+x^3+1": {2: 3, 3: 0}, "2x^5-3x+7": {5: 4}, "3x^6+2x^5+7": {2: 0, 3: 1},
+    "x^18-2x^9-2": {2: 0, 3: 0}, "x^8-2": {2: 0}, "x^16+x+1": {2: 15},
+    "x^4+x+1": {2: 3}, "x^6+x+1": {2: 5, 3: 5}, "x^12+x+1": {2: 11, 3: 11},
+    "x^2+x+1": {2: 1}, "x^3-3x+1": {3: 0}, "x^4+1": {2: 0}, "x^7-7x+3": {7: 0},
+    "x^6+x^3+1 at x + 12345": {2: 3, 3: 0}, "x^6+1000x+1": {2: 0, 3: 5},
+    "x^30+x+1": {2: 29, 3: 29, 5: 29}}
 
 
 class TestRoute:
     """density_report decides f's route once: the largest prime at which the
-    integer fold fits, the parity screen's mode and which of the power
-    screen and the minor of Q - I decide.  Each kernel call reads it."""
+    integer fold fits, the parity screen's mode, which of the power
+    screen and the minor of Q - I decide, and the column M drops at each
+    prime dividing n.  Each kernel call reads it."""
 
     @staticmethod
     def coeffs(text):
@@ -433,13 +445,25 @@ class TestRoute:
 
     @pytest.mark.parametrize("text, limit, parity, decide", CI_ROUTES)
     def test_ci_polynomials(self, text, limit, parity, decide):
-        """The pinned route, and the limit is the last p whose simulated fold
-        stays within int64."""
+        """The pinned route; the limit is the last p whose simulated fold
+        stays within int64, and column[l] the least j with Tr X^j != 0 mod l,
+        0 if none, by helpers.trace_of_power.  Only a bad l, dividing B, has
+        none, but a bad l may have one: 3 divides 3x^6+2x^5+7's lc, so its
+        monic form is X^5 (X + 2) mod 3, with Tr X = -2."""
         coeffs = self.coeffs(text)
         route = _route(coeffs)
         assert (route.fold_limit, route.parity, route.decide) == (limit, parity, decide)
         assert _fold_stays_in_int64(coeffs, limit)
         assert not _fold_stays_in_int64(coeffs, limit + 1)
+        n = len(coeffs) - 1
+        assert list(route.column.items()) == sorted(CI_COLUMNS[text].items())
+        for ell, j in route.column.items():
+            traces = [trace_of_power(coeffs, i, ell) for i in range(n)]
+            assert traces[:j] == [0] * j
+            assert traces[j] != 0 if j else not any(traces)
+        bad = {ell for ell in route.column if route.bezout % ell == 0}
+        assert {ell for ell, j in route.column.items() if j == 0} == (
+            bad - {3} if text == "3x^6+2x^5+7" else bad)
 
     def test_fold_limit_of_seeded_polynomials(self):
         """f of degree 1 to 30 with coefficients up to 67 bits and of degree
@@ -586,15 +610,16 @@ class TestReportAgainstScalar:
 class TestPrimePowerDegree:
     """For n = l^k the distinct-degree screen decides alone on a squarefree
     reduction: a reducible f has factors of degree l^j, j < k, all dividing
-    n / l, so X^(p^(n/l)) = X mod f.  The kernel runs no pivot search there
-    for n >= 8; for n <= 6 the minor of Q - I decides in place of the
-    screen, and the search takes only the primes it leaves open."""
+    n / l, so X^(p^(n/l)) = X mod f.  The kernel eliminates no minor of
+    Q - I there for n >= 8; for n <= 6 the minor decides in place of the
+    screen."""
 
     @pytest.mark.parametrize("n", [2, 4, 8, 9, 16, 25, 27, 32, 64])
     def test_screen_equals_scalar(self, n, monkeypatch):
         """x^n - 2, the non-monic 3x^n + 5 and a seeded trinomial over the
         good primes to 300 (2000 for n <= 16)."""
-        searched = _record_pivot_search(monkeypatch, None if n >= 8 else [])
+        if n >= 8:   # the screen alone
+            monkeypatch.setattr(density, "_minor_nonsingular", None)
         rng = random.Random(n)
         trinomial = [rng.choice([-3, -1, 1, 2])] + [0] * (n - 1) + [1]
         trinomial[rng.randrange(1, n)] = rng.choice([-2, 1, 5])
@@ -604,10 +629,6 @@ class TestPrimePowerDegree:
                        (5,) + (0,) * (n - 1) + (3,), tuple(trinomial)):
             verdicts += _assert_batch_equals_scalar(coeffs, primes)
             assert _route(coeffs).decide == ("screen" if n >= 8 else "minor")
-            if n < 8:   # only the primes that M leaves open
-                assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
-                           for p in searched), (coeffs, searched)
-                searched.clear()
         assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1, 0, 0, 1), FOLD_POLYS[3]])
@@ -627,19 +648,6 @@ class TestPrimePowerDegree:
             "minor" if len(coeffs) == 7 else "screen, minor")
 
 
-def _record_pivot_search(monkeypatch, searched):
-    """Patch density._rows_independent to add the primes it is given to the
-    list searched, or, for searched None, to fail if it is called at all."""
-    rank = density._rows_independent
-
-    def recording(a, ps):
-        searched.extend(ps.tolist())
-        return rank(a, ps)
-    monkeypatch.setattr(density, "_rows_independent",
-                        None if searched is None else recording)
-    return searched
-
-
 def _fixed_pivot_stalls(coeffs, p):
     """Whether Gaussian elimination over GF(p) on the fixed diagonal pivots of
     the minor of Q - I without row 0 and column 0, Q[i] = X^(ip) mod f's
@@ -657,6 +665,15 @@ def _fixed_pivot_stalls(coeffs, p):
         row = poly_divmod(poly_mul(row, xp, p), g, p)[1]
         m.append([(c - (i == j)) % p for j, c in enumerate(row + [0] * n)
                   if 0 < j < n])
+    return _stalls(m, p)
+
+
+def _stalls(rows, p):
+    """Whether Gaussian elimination over GF(p) on the fixed diagonal pivots of
+    the square integer matrix rows meets a zero pivot above a nonzero entry
+    (a zero pivot over zeros leaves the minor singular, and no later pivot
+    is read)."""
+    m = [[x % p for x in row] for row in rows]
     for k, pivot in enumerate(m):
         if pivot[k] == 0:
             return any(r[k] for r in m[k + 1:])
@@ -681,50 +698,101 @@ def _minor_polys():
 
 
 class TestBerlekampMinor:
-    """For p not dividing n, a squarefree f mod p is irreducible iff the
-    minor M of Q - I without row 0 and column 0 is nonsingular: (Tr X^j)_j
-    spans the right kernel of Q - I and Tr 1 = n.  The kernel eliminates M
-    on fixed pivots, alone for n <= 6 and on the screen's survivors
-    otherwise, and hands the pivot search exactly the primes dividing n and
-    those where a zero pivot has a nonzero entry below it."""
+    """A squarefree f mod p is irreducible iff the minor M of Q - I without
+    row 0 and column j is nonsingular, for any j with Tr X^j != 0 mod p:
+    (Tr X^j)_j spans the right kernel of Q - I.  j = 0 for p not dividing n,
+    as Tr 1 = n, and the route's column[p] for p | n.  The kernel eliminates
+    M on fixed pivots, swapping up a lower row under a zero pivot, alone for
+    n <= 6 and on the screen's survivors otherwise."""
 
     @pytest.mark.parametrize("coeffs", _minor_polys())
     def test_batch_equals_scalar(self, coeffs, monkeypatch):
-        """Every good prime to 3000, the primes dividing n among them."""
-        n, searched = len(coeffs) - 1, _record_pivot_search(monkeypatch, [])
-        primes = sieve_primes(3000)
+        """Every good prime to 3000, the primes dividing n among them; M takes
+        every good prime for n <= 6, none for a prime power n."""
+        n, primes, minors = len(coeffs) - 1, sieve_primes(3000), []
+        minor = density._minor_nonsingular
+
+        def recording(m, ps, tmp):
+            minors.extend(ps.tolist())
+            return minor(m, ps, tmp)
+        monkeypatch.setattr(density, "_minor_nonsingular", recording)
         _assert_batch_equals_scalar(coeffs, primes)
+        good = [p for p in primes if _scalar_verdict(coeffs, p) is not None]
         decide = _route(coeffs).decide
         if n in (7, 8, 9, 11):   # a prime power: the screen decides alone
-            assert searched == [] and decide == "screen"
-        elif n <= 6:   # M takes every good prime
-            assert decide == "minor"
-            good = [p for p in primes
-                    if isinstance(reduce_mod_p(coeffs, p), PolyModP)]
-            assert sorted(searched) == [p for p in good if n % p == 0
-                                        or _fixed_pivot_stalls(coeffs, p)]
+            assert minors == [] and decide == "screen"
+        elif n <= 6:
+            assert sorted(minors) == good and decide == "minor"
         else:   # the screen's survivors only
-            assert decide == "screen, minor"
-            assert all(n % p == 0 or _fixed_pivot_stalls(coeffs, p)
-                       for p in searched)
+            assert set(minors) <= set(good) and decide == "screen, minor"
 
-    def test_both_kinds_reach_the_pivot_search(self, monkeypatch):
-        """x^4+x+1 is irreducible mod 2, which divides 4, and mod 7, where a
-        zero pivot of M lies over a nonzero entry; x^6+x+1 is irreducible
-        mod 2 and mod 13, one of each kind."""
-        searched = _record_pivot_search(monkeypatch, [])
-        for coeffs, want in [((1, 1, 0, 0, 1), [2, 7, 157, 271]),
-                             ((1, 1, 0, 0, 0, 0, 1),
-                              [2, 3, 5, 7, 11, 13, 47, 83, 163])]:
-            _assert_batch_equals_scalar(coeffs, sieve_primes(3000))
-            assert sorted(searched) == want, coeffs
-            searched.clear()
+    def test_trace_columns_and_row_swaps(self):
+        """The good primes to 3000 that fixed pivots on the column-0 minor
+        leave open: x^4+x+1 is irreducible mod 2, which divides 4, so M drops
+        column 3 there, and mod 7, where a zero pivot lies over a nonzero
+        entry, so rows swap; x^6+x+1 is irreducible mod 2 and mod 13, one of
+        each kind.  On these primes alone the kernel equals the scalar test,
+        irreducible at some of either kind."""
+        for coeffs, want, irreducible in [
+                ((1, 1, 0, 0, 1), [2, 7, 157, 271], [2, 7, 157]),
+                ((1, 1, 0, 0, 0, 0, 1), [2, 3, 5, 7, 11, 13, 47, 83, 163],
+                 [2, 13, 47])]:
+            n = len(coeffs) - 1
+            good = [p for p in sieve_primes(3000)
+                    if _scalar_verdict(coeffs, p) is not None]
+            assert [p for p in good
+                    if n % p == 0 or _fixed_pivot_stalls(coeffs, p)] == want
+            verdicts = _assert_batch_equals_scalar(coeffs, want)
+            assert [p for p, v in zip(want, verdicts) if v] == irreducible
 
     @pytest.mark.parametrize("coeffs", [(1, 1, 0, 0, 0, 0, 1), (1,) * 13])
     def test_a_block_of_primes_dividing_n_alone(self, coeffs):
         """Every prime of the block divides n (x^6+x+1 and Phi_13 mod 2 and
-        3, the one irreducible and the other not), so M has no column."""
+        3, the one irreducible and the other not), so each drops its own
+        column of Q - I from M."""
         assert _assert_batch_equals_scalar(coeffs, [2, 3]) == [True, False]
+
+
+class TestMinorElimination:
+    """_minor_nonsingular against helpers.rank_mod_p on seeded k x k matrices
+    mod small primes, entries in (-p, p), one a prime of the batch: blocks
+    where every matrix meets a zero pivot over a nonzero entry, where none
+    does, and where half do."""
+
+    @staticmethod
+    def matrix(rng, k, p, stall):
+        """A matrix that stalls iff stall: then row i's first i + 1 entries
+        are a combination of the rows above, so pivot i is 0; a fifth of
+        them are singular, the last row a combination of the others."""
+        while True:
+            m = [[rng.randrange(1 - p, p) for _ in range(k)] for _ in range(k)]
+            if stall:
+                i = rng.randrange(k - 1)
+                c = [rng.randrange(p) for _ in range(i)]
+                m[i][:i + 1] = [sum(a * r[col] for a, r in zip(c, m)) % p
+                                for col in range(i + 1)]
+            if rng.random() < 0.2:
+                c = [rng.randrange(p) for _ in range(k - 1)]
+                m[-1] = [sum(a * r[col] for a, r in zip(c, m)) % p
+                         for col in range(k)]
+            if _stalls(m, p) == stall:
+                return m
+
+    @pytest.mark.parametrize("kind, seed", [("all", 1), ("none", 2), ("mixed", 3)])
+    def test_against_rank(self, kind, seed):
+        rng, verdicts = random.Random(seed), []
+        for k in range(2, 10):
+            ps = [rng.choice([2, 3, 5, 7, 11, 13]) for _ in range(40)]
+            stall = [kind == "all" or kind == "mixed" and r % 2 == 0
+                     for r in range(len(ps))]
+            mats = [self.matrix(rng, k, p, s) for p, s in zip(ps, stall)]
+            m = np.ascontiguousarray(np.array(mats, np.int64).transpose(1, 2, 0))
+            have = density._minor_nonsingular(
+                m, np.array(ps, np.int64), np.empty(m.size, np.int64))
+            want = [rank_mod_p(a, p) == k for a, p in zip(mats, ps)]
+            assert have.tolist() == want, (k, ps)
+            verdicts += want
+        assert any(verdicts) and not all(verdicts)
 
 
 def _substitute(coeffs, s, a):
