@@ -425,13 +425,12 @@ class SweepRow:
                 "report": self.report.to_json_dict() if self.report else None}
 
 
-def _sweep_row(name: str, group: PermGroup, cap: int, memo: dict,
-               reuse: bool = False) -> SweepRow:
+def _sweep_row(name: str, group: PermGroup, cap: int, memo: dict) -> SweepRow:
     """One censused row.  memo maps (degree, order) to the censused groups'
-    (generator images, report, violations), which reuse reads (run_sweep)."""
+    (generator images, report, violations): an equal group takes its entry."""
     entries = memo.setdefault((group.degree, group.order), [])
     known = (e for e in entries if all(_contains_raw(group, g) for g in e[0]))
-    entry = next(known, None) if reuse else None
+    entry = next(known, None)
     if entry is None:
         entry = (tuple(bytes(g.images) for g in group.generators),
                  *_verdict_full(group, cap=cap))
@@ -457,10 +456,10 @@ def run_sweep(instance_cap: int = 200_000,
     would skip every instance or starve the random phase, and a random
     phase that finds fewer than subgroup_count in 60 * subgroup_count draws.
 
-    Every report field is an invariant of the group as a set, so a random
-    subgroup H takes the report of a group K of its degree and order
-    censused before when K's generators all sift into H: K <= H and
-    |K| = |H| give K = H (Lagrange).  Catalog rows are each censused.
+    Every report field is an invariant of the group as a set, so a row's
+    group H, catalog instance or random subgroup, takes the report of a
+    group K of its degree and order censused before when K's generators
+    all sift into H: K <= H and |K| = |H| give K = H (Lagrange).
     """
     for name, value, least in (("subgroup_count", subgroup_count, 0),
                                ("instance_cap", instance_cap, 1),
@@ -498,7 +497,7 @@ def run_sweep(instance_cap: int = 200_000,
             continue   # refused as soon as its partial chain passed the cap
         produced += 1
         rows.append(_sweep_row(f"rand{produced:03d}<{parent_name}", H,
-                               subgroup_order_cap, memo, True))
+                               subgroup_order_cap, memo))
     if produced < subgroup_count:
         raise ValueError(f"only {produced} random subgroups found in "
                          f"{max_attempts} attempts")

@@ -143,9 +143,9 @@ class TestOneClosurePerSuborbit:
         sweep at the census cap ask for minimal systems: catalog groups
         that attain the bound, the block-action images below them, and
         every census of more than _SLICE_CELLS elements, factors of a full
-        wreath product included.  Each random row is censused, none reusing
-        an equal group's report, so the oracle also meets every generating
-        set of a group the random phase draws again."""
+        wreath product included.  Each row is censused with a memo of its
+        own, none reusing an equal group's report, so the oracle also meets
+        every generating set of a group the sweep lists again."""
         visited = []
         original = census.all_minimal_block_systems
         sweep_row = census._sweep_row
@@ -156,8 +156,8 @@ class TestOneClosurePerSuborbit:
             return systems
         monkeypatch.setattr(census, "all_minimal_block_systems", recording)
         monkeypatch.setattr(census, "_sweep_row",
-                            lambda name, group, cap, memo, reuse=False:
-                            sweep_row(name, group, cap, memo))
+                            lambda name, group, cap, memo:
+                            sweep_row(name, group, cap, {}))
         census.run_sweep(instance_cap=DEFAULT_ELEMENT_CAP)
         assert len(visited) == 243
         for H, systems in visited:

@@ -561,8 +561,9 @@ class TestSweepRandomPhase:
 
 
 class TestSweepReusesEqualGroups:
-    """A random subgroup equal to a group the sweep censused before takes
-    that group's report instead of a census of its own."""
+    """A row whose group equals a group the sweep censused before, catalog
+    instance or random subgroup, takes that group's report instead of a
+    census of its own."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -576,7 +577,7 @@ class TestSweepReusesEqualGroups:
         return calls, verdict_full
 
     @pytest.mark.parametrize("seed, censuses", [
-        (1, 251), (2, 258), (3, 257), (20240809, 251)])
+        (1, 227), (2, 234), (3, 233), (20240809, 227)])
     def test_every_row_is_its_own_groups_census(self, monkeypatch, seed,
                                                  censuses):
         calls, verdict_full = self._counting(monkeypatch)
@@ -605,16 +606,40 @@ class TestSweepReusesEqualGroups:
         c4_again = group_from_generators(4, [parse_permutation("(1,4,3,2)", 4)])
         for first, second in ((c4, v4), (v4, c4)):
             memo = {}
-            rows = [census._sweep_row(name, G, 100, memo, reuse=True)
+            rows = [census._sweep_row(name, G, 100, memo)
                     for name, G in (("a", first), ("b", second))]
             assert [r.report.n_cycle_count for r in rows] == [
                 count_n_cycles(first), count_n_cycles(second)]
         assert sorted(count_n_cycles(G) for G in (c4, v4)) == [0, 2]
         assert len(calls) == 4
-        again = census._sweep_row("c", c4_again, 100, memo, reuse=True)
+        again = census._sweep_row("c", c4_again, 100, memo)
         assert len(calls) == 4 and again.report == rows[1].report   # c4's
-        census._sweep_row("d", c4_again, 100, memo)   # a catalog row
-        assert len(calls) == 5
+        catalog_c4 = census._sweep_row("c4", catalog.cyclic_regular(4), 100,
+                                       memo)
+        assert len(calls) == 4 and catalog_c4.report == rows[1].report
+
+    def test_catalog_rows_take_an_equal_groups_report(self, monkeypatch):
+        """S3 = Hol(C3) on 3 points, and PGL(2,4) = A5 and PGammaL(2,4) = S5
+        on 5, each listed after its equal."""
+        calls, verdict_full = self._counting(monkeypatch)
+        groups, censuses = {}, {}
+        sweep_row = census._sweep_row
+
+        def recording(name, group, *rest):
+            before = len(calls)
+            groups[name] = group
+            row = sweep_row(name, group, *rest)
+            censuses[name] = len(calls) - before
+            return row
+        monkeypatch.setattr(census, "_sweep_row", recording)
+        rows = {r.name: r for r in census.run_sweep(instance_cap=200_000)}
+        for name, equal in (("s3", "hol3"), ("pgl(2,4)", "a5"),
+                            ("pgammal(2,4)", "s5")):
+            assert (censuses[name], censuses[equal]) == (0, 1), name
+            assert rows[name].report is rows[equal].report, name
+            report, violations = verdict_full(groups[name], 200_000)
+            assert (rows[name].report, rows[name].detail) == (
+                report, "; ".join(violations)), name
 
 
 class TestSuborbitCensusAgainstEnumeration:

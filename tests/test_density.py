@@ -388,6 +388,17 @@ class TestFoldChoice:
             assert wraps and set(wraps) == {wrap}
             assert (p > _fold_limit(coeffs)) == wrap
 
+    def test_reports_to_twice_the_limit(self):
+        """x^3-200x^2-200x-200 and x^4-40x^3-40x^2-40x-40, each to twice its
+        fold limit: an integer fold run past the limit, to twice it, changes
+        both inert counts (to 32 495 and 33 927), which the corpus's reports
+        cannot show."""
+        for coeffs, limit, counts in [
+                ((-200, -200, -200, 1), 615_305, (95_091, 3, 31_610)),
+                ((-40, -40, -40, -40, 1), 903_332, (135_532, 3, 33_922))]:
+            assert _fold_limit(coeffs) == limit
+            assert _counts(density_report(coeffs, bound=2 * limit)) == counts
+
 
 def _fold_stays_in_int64(coeffs, p):
     """Whether every slot of the unreduced integer fold stays within 2^63 - 1
