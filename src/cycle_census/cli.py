@@ -76,8 +76,8 @@ def _print_report_text(name: str, report, out):
     print(f"group: {name}", file=out)
     d = report.to_json_dict()
     d["bound"] = _fmt_fraction(report.bound)
-    d["tower"] = ("none" if report.tower is None
-                  else "*".join(str(p) for p in report.tower))
+    d["tower"] = ("none" if report.tower is None   # (): degree 1, as in format_cycles
+                  else "*".join(str(p) for p in report.tower) or "()")
     for key, value in d.items():
         print(f"  {key}: {value}", file=out)
 

@@ -295,35 +295,31 @@ def _residues(coeffs, ps, out):
 
 
 def _separability_resultant(coeffs) -> int:
-    """B = det Bez(f, f') = lc(f)^2 disc(f), signed, from the n x n Bezout
-    matrix of (f, f') by fraction-free (Bareiss) elimination in Python ints,
-    each row swap flipping the sign.  B = +-lc(f) Res(f, f'), so p divides
-    it exactly when p | lc(f) or f mod p has a repeated factor (f' = 0 mod p
-    included): these are the primes of bad reduction.
+    """B = det Bez(f, f') = lc(f)^2 disc(f) = (-1)^(n(n-1)/2) lc(f) Res(f, f'),
+    signed.  p divides B exactly when p | lc(f) or f mod p has a repeated
+    factor (f' = 0 mod p included): these are the primes of bad reduction.
 
-    The Bezoutian (f(x) f'(y) - f(y) f'(x)) / (x - y) of f = sum a_k x^k
-    and f' = sum b_k x^k has coefficient sum_{q <= min(i, j)}
-    (a_{i+j+1-q} b_q - a_q b_{i+j+1-q}) at x^i y^j.  The matrix has half the
-    side of the (2n - 1)-square Sylvester matrix, so elimination takes about
-    an eighth of the steps."""
+    Res(f, f') by the subresultant remainder sequence over Z (Collins 1967),
+    on coefficient lists lowest first: each step sets d = deg a - deg b and
+    a, b <- b, prem(a, b) / (g h^d), prem(a, b) = lc(b)^(d + 1) a mod b, then
+    g = lc(a) and h = g^d / h^(d - 1); every division is exact.  A step takes
+    (-1)^(deg a deg b) into the sign, a zero remainder is a repeated factor
+    (B = 0), and at deg b = 0, Res(a, b) = b^(deg a) / h^(deg a - 1)."""
     n = len(coeffs) - 1
-    a = [*coeffs] + [0] * n
-    b = [i * c for i, c in enumerate(coeffs)][1:] + [0] * (n + 1)
-    m = [[sum(a[i + j + 1 - q] * b[q] - a[q] * b[i + j + 1 - q]
-              for q in range(min(i, j) + 1)) for j in range(n)]
-         for i in range(n)]
-    prev, sign = 1, 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
+    a, b = [*coeffs], [k * c for k, c in enumerate(coeffs)][1:]
+    sign, g, h = (-1) ** (n * (n - 1) // 2) * coeffs[-1], 1, 1
+    while len(b) > 1:
+        d = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        for _ in range(d + 1):   # a <- prem(a, b), one leading term at a time
+            a = [b[-1] * x - a[-1] * y
+                 for x, y in zip(a[:-1], [0] * (len(a) - len(b)) + b[:-1])]
+        if not _trim(a):
             return 0
-        if pivot != k:
-            m[k], m[pivot], sign = m[pivot], m[k], -sign
-        for row in m[k + 1:]:
-            row[k + 1:] = [(x * m[k][k] - row[k] * y) // prev
-                           for x, y in zip(row[k + 1:], m[k][k + 1:])]
-        prev = m[k][k]
-    return sign * m[-1][-1]
+        a, b = b, [x // (g * h ** d) for x in a]
+        g, h = a[-1], a[-1] ** d // h ** (d - 1)
+    return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,15 @@ class TestCensusCommand:
                     "cyclic_transitive_count", "phi_n"):
             assert f"{key}: {payload[key]}" in text
 
+    def test_empty_tower_text(self):
+        """Degree 1's empty tower prints as (), as format_cycles prints the
+        identity, not as an empty value; json keeps the empty list."""
+        code, text = run(["census", "--family", "cyclic", "--n", "1",
+                          "--format", "text"])
+        assert code == 0 and text.splitlines()[-1] == "  tower: ()"
+        code, blob = run(["census", "--family", "cyclic", "--n", "1"])
+        assert code == 0 and json.loads(blob)["tower"] == []
+
     def test_pgl(self):
         code, blob = run(["census", "--family", "pgl", "--d", "3", "--q", "2",
                           "--format", "json"])

@@ -1122,14 +1122,28 @@ class TestQuadraticCharacterScreen:
     nowhere, and decides for n = 2 too."""
 
     def test_bezout_is_lc_squared_disc(self):
-        """On TestSeparabilityScreen's polynomials and 200 seeded f of degree
-        1 to 12, monic and not, against the Sylvester oracle's discriminant."""
+        """On TestSeparabilityScreen's polynomials, 200 seeded f of degree
+        1 to 12, monic and not, 108 sparse l x^n + c x^k + c_0 of degree 4 to
+        30 and two dense f of degree 20 and 24 with 40-bit coefficients,
+        against the Sylvester oracle's discriminant.  The dense f take only
+        normal remainder steps (deg a - deg b = 1, deg a deg b even); the
+        sparse ones reach the abnormal steps and odd deg a deg b, which test
+        the sign and the h^d scaling of the subresultant sequence."""
         rng = random.Random(48)
         polys = _screen_polys() + SQUARE_DISCS
         for _ in range(200):
             n = rng.randrange(1, 13)
             polys.append(tuple(rng.randrange(-30, 31) for _ in range(n))
                          + (rng.choice([1, 1, -1, 2, -5, 12]),))
+        rng = random.Random(3)
+        for n in range(4, 31):
+            for k in (1, 2, n // 2, n - 3):
+                c = [rng.choice([1, -2, 30030])] + [0] * n
+                c[k], c[n] = rng.choice([-3, 5, 30030]), rng.choice([1, 2, 7])
+                polys.append(tuple(c))
+        for n in (20, 24):
+            polys.append(tuple(rng.randrange(-2 ** 40, 2 ** 40) for _ in range(n))
+                         + (rng.randrange(1, 2 ** 40),))
         for c in polys:
             assert density._separability_resultant(c) == \
                 c[-1] ** 2 * discriminant(c), c
