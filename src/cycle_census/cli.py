@@ -160,8 +160,8 @@ def cmd_density(args, out) -> int:
                                   + f" ~ {float(report.empirical_density):.6f}")
         d["ceiling"] = (_fmt_fraction(report.ceiling)
                         + f" ~ {float(report.ceiling):.6f}")
-        if report.predicted is not None:
-            d["predicted"] = _fmt_fraction(report.predicted)
+        d["predicted"] = ("none" if report.predicted is None   # as a census's missing tower
+                          else _fmt_fraction(report.predicted))
         for key, value in d.items():
             print(f"  {key}: {value}", file=out)
     return EXIT_OK

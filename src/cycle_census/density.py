@@ -20,9 +20,13 @@ with the scalar test, which the tests cross-check them against.
 By Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962),
 (B / p) = (-1)^(n - r) at an odd good p, r the number of factors of f mod
 p, so a parity screen sends the kernel only p = 2 and the odd p with
-B^((p - 1) / 2) = (-1)^(n - 1) mod p: about half when B is no square and
-n > 2 (at n = 2 the kernel costs less than the character).  A square B
-has (B / p) = 1, left uncomputed: every p passes for odd n, only p = 2 for
+(B / p) = (-1)^(n - 1): about half when B is no square and n > 2 (at n = 2
+the kernel costs less than the character).  B = s^2 D, D squarefree, has
+(B / p) = (D* / p), D* = D if D = 1 mod 4 else 4D, a Kronecker symbol of
+period |D*| in p (Cohen, GTM 138, 1.4.2), tabled once a report if D's primes
+are below 2^12 and 32 |D*| <= min(2^17, primes): an entry costs up to 25
+primes' B^((p - 1) / 2) mod p on a 2-CPU Xeon, else computed.  A square B has
+(B / p) = 1, left uncomputed: every p passes for odd n, only p = 2 for
 even n.  The kernel takes X^p from X^(p >> k0) mod p, read from one table
 of X^m mod g over Z a report, one reduction mod f a lower bit, Q from X^p,
 then Berlekamp (von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -52,13 +56,13 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import index
 
 import numpy as np
 
 from .census import _JsonReport, count_n_cycles
-from .ntheory import euler_phi, prime_divisors
+from .ntheory import euler_phi, factorization, prime_divisors
 from .permutations import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, ParseError,
                            PermGroup, _check_degree, _decimal, _digit_limit)
 
@@ -331,13 +335,19 @@ class _Route:
     support: tuple[slice, ...]   # the runs of nonzero g_j
     fold_limit: int   # the largest p whose integer fold fits int64
     parity: str   # the parity screen: "character", "2 only" or "all"
+    kronecker: tuple[int, ...]   # K: (B / p) = K[p mod |D*|] at odd p, or () (see _route)
     decide: str   # the kernel decides by "minor", "screen" or "screen, minor"
     column: dict[int, int]   # l | n, ascending, to the least j with s_j(g) =
     # Tr X^j != 0 mod l, M's dropped column at p = l (0: none, only if l | B)
 
 
-def _route(coeffs) -> _Route:
-    """f's route by the rules of the module docstring and the note on _BLOCK_CELLS."""
+def _jacobi(a, m):
+    """(a / m) for odd m > 0: Euler's criterion at each prime q | m, as 0 or +-1."""
+    return prod(((pow(a, q // 2, q) + 1) % q - 1) ** e for q, e in factorization(m))
+
+
+def _route(coeffs, primes: int = 0) -> _Route:
+    """f's route for a report of `primes` primes (module docstring, _BLOCK_CELLS note)."""
     n, lc, bezout = len(coeffs) - 1, coeffs[-1], _separability_resultant(coeffs)
     monic = tuple(c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
     sums = [n]   # g's power sums s_k = Tr X^k, by Newton's identities
@@ -349,12 +359,19 @@ def _route(coeffs) -> _Route:
     for k in range(2 * n - 1, n - 1, -1):
         growth[k - n:k] = [b + growth[k] * abs(g) for b, g in zip(growth[k - n:], monic)]
     square = bezout >= 0 and isqrt(bezout) ** 2 == bezout   # then (B / p) = 1
+    parity = ("character" if not square and n > 2 else
+              "2 only" if square and n % 2 == 0 else "all")
+    rest, d = abs(bezout), (bezout > 0) - (bezout < 0)   # B = s^2 d rest, d squarefree
+    for q in _sieve(2 ** 12).tolist() if parity == "character" else ():
+        while rest % q == 0:
+            rest, d = rest // q, d // q if d % q == 0 else d * q
+    period = abs(d) * (1 if d % 4 == 1 else 4) * (isqrt(rest) ** 2 == rest)   # |D*| or 0
     runs = re.finditer("1+", "".join("01"[g != 0] for g in monic))
     return _Route(
         bezout, monic, tuple(slice(*run.span()) for run in runs),
-        fold_limit=1 + isqrt(_INT64_MAX // (n * max(growth))),
-        parity="character" if not square and n > 2 else
-        "2 only" if square and n % 2 == 0 else "all",
+        fold_limit=1 + isqrt(_INT64_MAX // (n * max(growth))), parity=parity,
+        kronecker=tuple(_jacobi(d, r if r % 2 else r + period) for r in range(period))
+        if parity == "character" and period <= min(2 ** 12, primes // 32) else (),
         decide="minor" if n <= 6 else "screen" if len(column) == 1 else "screen, minor",
         column=column)
 
@@ -451,8 +468,8 @@ def _batch_irreducible(coeffs: tuple[int, ...], ps: np.ndarray, *, route: _Route
 
 
 def _character(r, ps, w):
-    """(r / p) = r^((p - 1) / 2) mod p, r in [1, p), by p >> 1's bits from the
-    top in w[:4]: a square, then times 1 + bit (r - 1), within (p - 1)^2."""
+    """(r / p) = r^((p - 1) / 2) mod p, r in [1, p), where (B / p) has no period table,
+    by p >> 1's bits from the top in w[:4]: a square, times 1 + bit (r - 1), <= (p - 1)^2."""
     chi, bit, factor, r1 = w[:4]
     np.subtract(r, 1, out=r1)
     chi[:] = 1
@@ -473,7 +490,7 @@ def _classify_blocks(args):
     good primes that pass the parity screen in the route's mode queue up and
     run in blocks of the first one's size, all in one workspace."""
     coeffs, route, table, blocks = args
-    n, step = len(coeffs) - 1, len(blocks[0])
+    n, step, K = len(coeffs) - 1, len(blocks[0]), np.array(route.kronecker, np.int64)
     arena = np.empty((n + 3) ** 2 * step, np.int64)
     queue, queued = np.empty(2 * step, np.int64), 0   # survivors awaiting the kernel
     counts = np.zeros(3, np.int64)
@@ -481,7 +498,10 @@ def _classify_blocks(args):
         w = arena[:5 * len(ps)].reshape(5, -1)
         r = _residues((abs(route.bezout),), ps, w[4:])[0]   # |B|: -r costs 64 KiB of RSS
         keep = r != 0   # else p | B: bad reduction
-        if route.parity != "all":   # "2 only": a square B has (B / p) = 1
+        if route.kronecker:   # (B / p) = K[p mod |D*|] at an odd p, and p = 2 passes
+            chi = np.take(K, np.remainder(ps, len(K), out=w[0]), out=w[1], mode="clip")
+            keep &= (chi == (-1) ** (n - 1)) | (ps == 2)
+        elif route.parity != "all":   # "2 only": a square B has (B / p) = 1
             chi = 1 if route.parity == "2 only" else _character(
                 ps - r if route.bezout < 0 else r, ps, w)
             keep &= chi == (1 if n % 2 else ps - 1)   # both 1 at p = 2
@@ -535,7 +555,7 @@ def density_report(coeffs, bound: int, floor: int = 0,
                          f"whose degree-{n} arithmetic fits in int64")
     primes = _sieve(bound)
     primes = primes[np.searchsorted(primes, floor, side="right"):]
-    route = _route(coeffs)
+    route = _route(coeffs, len(primes))
     table = _power_table(route.monic, len(primes) * (n > 1))   # linear f: no X^p
     step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
     blocks = [primes[i:i + step] for i in range(0, len(primes), step)]

@@ -124,6 +124,14 @@ class TestDensityCommand:
         assert code == 0
         assert "primes_tested" in text and "ceiling" in text
 
+    def test_text_without_prediction_prints_none(self):
+        """No --predict: the text prints the missing prediction as `none`, as
+        the census text prints a missing tower, not Python's None."""
+        code, text = run(["density", "--poly", "x^6+x^3+1", "--bound", "100",
+                          "--format", "text"])
+        assert code == 0
+        assert text.splitlines()[-1] == "  predicted: none"
+
     def test_bad_polynomial(self):
         code, _ = run(["density", "--poly", "x^", "--bound", "100"])
         assert code == 1
@@ -433,7 +441,7 @@ class TestOutputsArePinned:
         ["export-spec", "--family", "pgl", "--d", "2", "--q", "3"],
         ["catalog"],
     ]
-    DIGEST = "7b0babb0d50969f942b1bf2fddf7c7c169c3088b19259e037ec4569b71a2f70f"
+    DIGEST = "4d9f086149c06b0824afa2fe20bff040d4d851a58a3fdb0807cc73c5f364d991"
 
     def test_outputs_match_the_pinned_digest(self, tmp_path, capsys):
         (tmp_path / "c4.grp").write_text(

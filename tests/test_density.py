@@ -441,6 +441,14 @@ CI_COLUMNS = {
     "x^6+x^3+1 at x + 12345": {2: 3, 3: 0}, "x^6+1000x+1": {2: 0, 3: 5},
     "x^30+x+1": {2: 29, 3: 29, 5: 29}}
 
+# the same polynomials' periods |D*| of the table of (B / p) at the loop's
+# 9 592 primes, None where the screen exponentiates or runs no character
+CI_PERIODS = {
+    "x^6+x^3+1": 3, "2x^5-3x+7": None, "3x^6+2x^5+7": None, "x^18-2x^9-2": 12,
+    "x^8-2": 8, "x^16+x+1": None, "x^4+x+1": 229, "x^6+x+1": None, "x^12+x+1": None,
+    "x^2+x+1": None, "x^3-3x+1": None, "x^4+1": None, "x^7-7x+3": None,
+    "x^6+x^3+1 at x + 12345": 3, "x^6+1000x+1": None, "x^30+x+1": None}
+
 
 class TestRoute:
     """density_report decides f's route once: the largest prime at which the
@@ -460,10 +468,12 @@ class TestRoute:
         stays within int64, and column[l] the least j with Tr X^j != 0 mod l,
         0 if none, by helpers.trace_of_power.  Only a bad l, dividing B, has
         none, but a bad l may have one: 3 divides 3x^6+2x^5+7's lc, so its
-        monic form is X^5 (X + 2) mod 3, with Tr X = -2."""
+        monic form is X^5 (X + 2) mod 3, with Tr X = -2.  x^6+x+1 has no
+        table: |D*| = 43 531 is above 2^12."""
         coeffs = self.coeffs(text)
-        route = _route(coeffs)
+        route = _route(coeffs, len(sieve_primes(100_000)))
         assert (route.fold_limit, route.parity, route.decide) == (limit, parity, decide)
+        assert (len(route.kronecker) or None) == CI_PERIODS[text]
         assert _fold_stays_in_int64(coeffs, limit)
         assert not _fold_stays_in_int64(coeffs, limit + 1)
         n = len(coeffs) - 1
@@ -475,6 +485,15 @@ class TestRoute:
         bad = {ell for ell in route.column if route.bezout % ell == 0}
         assert {ell for ell, j in route.column.items() if j == 0} == (
             bad - {3} if text == "3x^6+2x^5+7" else bad)
+
+    def test_a_table_needs_32_primes_an_entry(self):
+        """x^5-x-1 has B = 2869 = 19 * 151 = 1 mod 4, so |D*| = 2869 <= 2^12:
+        a report of 3000 (430 primes) exponentiates, and its table comes at
+        32 * 2869 primes, not one fewer."""
+        coeffs = parse_polynomial("x^5-x-1")
+        assert _route(coeffs, len(sieve_primes(3000))).kronecker == ()
+        assert _route(coeffs, 32 * 2869 - 1).kronecker == ()
+        assert len(_route(coeffs, 32 * 2869).kronecker) == 2869
 
     def test_fold_limit_of_seeded_polynomials(self):
         """f of degree 1 to 30 with coefficients up to 67 bits and of degree
@@ -1197,6 +1216,35 @@ class TestQuadraticCharacterScreen:
         good = [p for p in sieve_primes(3000) if bezout % p]
         assert sorted(sum(received, [])) == [p for p in good if n % 2 or p == 2]
         assert _route(coeffs).parity == ("all" if n % 2 else "2 only")
+
+
+class TestKroneckerTable:
+    """B = s^2 D, D squarefree, has (B / p) = (D* / p) at an odd good p, D* =
+    D if D = 1 mod 4 else 4D: a Kronecker symbol, periodic in p with period
+    |D*|.  The route tables it, and the screen reads K[p mod |D*|]."""
+
+    @pytest.mark.parametrize("text, period", [
+        ("x^6+x^3+1", 3),   # B = -3^9: D = -3 = 1 mod 4
+        ("x^4+x+1", 229),   # B = 229 = 1 mod 4
+        ("x^8-2", 8),   # B = -2^31: D = -2 = 2 mod 4
+        ("x^18-2x^9-2", 12),   # D = 3 = 3 mod 4
+        ("x^3-4099", 3)])   # B = -27 * 4099^2, 4099 above the stripped 2^12
+    def test_table_equals_euler_criterion(self, text, period, monkeypatch):
+        """At every good odd p <= 10^5 the table's value is B^((p - 1) / 2)
+        mod p as +-1, and a report to 10^5 hands the kernel p = 2, when it is
+        good, and the odd good p whose value is (-1)^(n - 1)."""
+        coeffs, primes = parse_polynomial(text), sieve_primes(100_000)
+        n, route = len(coeffs) - 1, _route(coeffs, len(primes))
+        assert len(route.kronecker) == period
+        good = [p for p in primes[1:] if route.bezout % p]
+        euler = [1 if pow(route.bezout % p, p // 2, p) == 1 else -1 for p in good]
+        assert [route.kronecker[p % period] for p in good] == euler
+        received = []
+        monkeypatch.setattr(density, "_batch_irreducible", lambda coeffs, ps, **_:
+                            received.extend(ps.tolist()) or np.zeros(len(ps), bool))
+        density_report(coeffs, bound=100_000)
+        assert sorted(received) == [2] * (route.bezout % 2 != 0) + [
+            p for p, e in zip(good, euler) if e == (-1) ** (n - 1)]
 
 
 def _corpus():
