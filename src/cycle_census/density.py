@@ -3,11 +3,11 @@
 For an integer polynomial f of degree n, irreducible over the rationals,
 the density of primes p with f irreducible mod p equals the fraction of
 n-cycles in the Galois group, so it can never exceed phi(n)/n.  This
-module runs the experiment: sieve the primes up to a bound, discard the
-finitely many primes of bad reduction (leading coefficient vanishing or
-repeated factors), test irreducibility of each good reduction, and report
-the empirical density next to the phi(n)/n ceiling and an optional
-group-predicted density.
+module runs the experiment: sieve the primes of a window (floor, bound] in
+segments, discard the finitely many primes of bad reduction (leading
+coefficient vanishing or repeated factors), test irreducibility of each
+good reduction, and report the empirical density next to the phi(n)/n
+ceiling and an optional group-predicted density.
 
 The per-prime reference implementation is scalar: f of degree n is
 irreducible iff X^(p^n) = X mod f and gcd(X^(p^(n/l)) - X, f) = 1 for
@@ -107,17 +107,56 @@ class DensityReport(_JsonReport):
 
 
 # primes -------------------------------------------------------------------
+#
+# Eratosthenes in segments of the odd numbers (Bays and Hudson, BIT 17, 1977):
+# slot k stands for 2k + 1, a segment is _SEGMENT slots in one reused bool
+# buffer, and each odd base prime q <= sqrt(bound) crosses off every q-th
+# slot from its first odd multiple at or above both q^2 and the segment's
+# start.  A window (floor, bound] takes the slots of its odd numbers above
+# 1, cut into segments from its first; 2 is the one even prime.
+_SEGMENT = 1 << 17
 
-def _sieve(bound: int) -> np.ndarray:
-    """All primes <= bound as an ascending int64 array (Eratosthenes)."""
+
+def _base_primes(bound: int) -> np.ndarray:
+    """The odd primes q with q^2 <= bound, which sieve (0, bound]."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    root = isqrt(bound)
+    return _sieve(root)[1:] if root > 2 else np.empty(0, np.int64)
+
+
+def _segments(base, floor: int, bound: int, first: int = 0, every: int = 1):
+    """(start, flags) for segments first, first + every, ... of the odd numbers
+    in (floor, bound]: flags[i] says whether start + 2i is prime.  Every
+    segment is a view of one buffer, overwritten by the next."""
+    lo, hi = max(1, (floor + 1) // 2), (bound + 1) // 2
+    flags = np.empty(min(_SEGMENT, max(0, hi - lo)), dtype=bool)
+    for a in range(lo + first * _SEGMENT, hi, every * _SEGMENT):
+        seg, start = flags[:min(_SEGMENT, hi - a)], 2 * a + 1
+        seg[:] = True
+        qs = base[:np.searchsorted(base, isqrt(start + 2 * len(seg) - 2), "right")]
+        m = np.maximum(qs * qs, -(-start // qs) * qs)
+        m += (m + 1) % 2 * qs   # odd
+        for q, k in zip(qs.tolist(), ((m - start) // 2).tolist()):
+            seg[k::q] = False
+        yield start, seg
+
+
+def _primes(base, floor: int, bound: int, first: int = 0, every: int = 1):
+    """The primes of segments first, first + every, ... of (floor, bound] as
+    ascending int64 arrays, one a segment, 2 alone ahead of segment 0's."""
+    if first == 0 and floor < 2 <= bound:
+        yield np.array([2], np.int64)
+    for start, flags in _segments(base, floor, bound, first, every):
+        ps = np.flatnonzero(flags)
+        ps *= 2
+        ps += start
+        yield ps
+
+
+def _sieve(bound: int) -> np.ndarray:
+    """All primes <= bound as an ascending int64 array."""
+    return np.concatenate(list(_primes(_base_primes(bound), 0, bound)))
 
 
 def sieve_primes(bound: int) -> list[int]:
@@ -234,12 +273,12 @@ def is_irreducible_mod_p(fp: PolyModP) -> bool:
 # |g_j| to slot k - n + j.  Linear in that start, the bounds grow by G, the
 # largest slot of one such pass from 1, so the fold fits iff
 # n(p - 1)^2 G <= 2^63 - 1: up to the route's fold limit
-# 1 + isqrt((2^63 - 1) // (n G)), found once a report.  density_report
-# splits the primes into blocks of _BLOCK_CELLS // (n + 1)^2, which bounds
-# the n x n x rows Frobenius matrix and keeps a block's working set in
-# cache; each of K workers screens every K-th block and runs the kernel on
-# its survivors, refilled to blocks of that size, in one workspace,
-# (n + 3)^2 int64 a prime of its first block, M over Q at p | n too.
+# 1 + isqrt((2^63 - 1) // (n G)), found once a report.  Each of K workers
+# sieves every K-th segment of the window and screens its primes in blocks
+# of _BLOCK_CELLS // (n + 1)^2, which bounds the n x n x rows Frobenius
+# matrix and keeps a block's working set in cache; the kernel runs on the
+# survivors, refilled to blocks of that size, in one workspace, (n + 3)^2
+# int64 a prime of a block, M over Q at p | n too.
 _BLOCK_CELLS, _INT64_MAX = 1 << 18, 2 ** 63 - 1
 
 
@@ -485,16 +524,18 @@ def _character(r, ps, w):
     return chi
 
 
-def _classify_blocks(args):
-    """(skipped, tested, inert) summed over blocks, the first the largest; the
-    good primes that pass the parity screen in the route's mode queue up and
-    run in blocks of the first one's size, all in one workspace."""
-    coeffs, route, table, blocks = args
-    n, step, K = len(coeffs) - 1, len(blocks[0]), np.array(route.kronecker, np.int64)
+def _classify_blocks(coeffs, route, table, step, primes):
+    """(skipped, tested, inert) summed over primes, an iterable of ascending
+    int64 arrays, screened in blocks of at most step; the good primes that
+    pass the parity screen in the route's mode queue up and run in kernel
+    blocks of step, then one tail, all in one workspace.  The queue holds
+    fewer than step survivors before a block and so at most 2 step after it,
+    however many primes a segment has."""
+    n, K = len(coeffs) - 1, np.array(route.kronecker, np.int64)
     arena = np.empty((n + 3) ** 2 * step, np.int64)
     queue, queued = np.empty(2 * step, np.int64), 0   # survivors awaiting the kernel
     counts = np.zeros(3, np.int64)
-    for ps in blocks:
+    for ps in (seg[i:i + step] for seg in primes for i in range(0, len(seg), step)):
         w = arena[:5 * len(ps)].reshape(5, -1)
         r = _residues((abs(route.bezout),), ps, w[4:])[0]   # |B|: -r costs 64 KiB of RSS
         keep = r != 0   # else p | B: bad reduction
@@ -509,13 +550,22 @@ def _classify_blocks(args):
         queue[queued:queued + len(survivors)] = survivors
         queued += len(survivors)
         counts[:2] += len(ps) - tested, tested
-        while queued >= step or queued and ps is blocks[-1]:   # then the tail
-            take = min(queued, step)
-            counts[2] += _batch_irreducible(coeffs, queue[:take], route=route,
+        while queued >= step:
+            counts[2] += _batch_irreducible(coeffs, queue[:step], route=route,
                                             table=table, arena=arena).sum()
-            queued -= take
-            queue[:queued] = queue[take:take + queued]
+            queued -= step
+            queue[:queued] = queue[step:step + queued]
+    if queued:
+        counts[2] += _batch_irreducible(coeffs, queue[:queued], route=route,
+                                        table=table, arena=arena).sum()
     return counts.tolist()
+
+
+def _classify_share(share):
+    """One worker's counts: its segments of the report's window, sieved here."""
+    coeffs, route, table, step, base, floor, bound, first, every = share
+    return _classify_blocks(coeffs, route, table, step,
+                            _primes(base, floor, bound, first, every))
 
 
 # reports --------------------------------------------------------------------
@@ -553,19 +603,20 @@ def density_report(coeffs, bound: int, floor: int = 0,
     if bound > limit:
         raise ValueError(f"bound {bound} exceeds {limit}, the largest bound "
                          f"whose degree-{n} arithmetic fits in int64")
-    primes = _sieve(bound)
-    primes = primes[np.searchsorted(primes, floor, side="right"):]
-    route = _route(coeffs, len(primes))
-    table = _power_table(route.monic, len(primes) * (n > 1))   # linear f: no X^p
-    step = max(1, _BLOCK_CELLS // len(coeffs) ** 2)
-    blocks = [primes[i:i + step] for i in range(0, len(primes), step)]
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    shares = [(coeffs, route, table, blocks[i::workers]) for i in range(workers)]
-    if workers <= 1:
-        results = [_classify_blocks(share) for share in shares]
+    base = _base_primes(bound)
+    sizes = [np.count_nonzero(flags) for _, flags in _segments(base, floor, bound)]
+    primes = sum(sizes) + (floor < 2)   # the route and the table read the count
+    route = _route(coeffs, primes)
+    table = _power_table(route.monic, primes * (n > 1))   # linear f: no X^p
+    step = max(1, min(primes, _BLOCK_CELLS // len(coeffs) ** 2))
+    workers = min(workers, max(1, len(sizes)), os.cpu_count() or 1)
+    shares = [(coeffs, route, table, step, base, floor, bound, i, workers)
+              for i in range(workers)]
+    if workers == 1:
+        results = [_classify_share(shares[0])]
     else:
         with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_classify_blocks, shares)
+            results = pool.map(_classify_share, shares)
 
     skipped, tested, inert = (sum(r[i] for r in results) for i in range(3))
     density = Fraction(inert, tested) if tested else Fraction(0, 1)

@@ -172,7 +172,7 @@ class TestDensityCommand:
         assert err.count("\n") == 1
 
     def test_bound_past_int64_limit_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(density, "_sieve", None)   # never reached
+        monkeypatch.setattr(density, "_base_primes", None)   # never reached
         code, text = run(["density", "--poly", "x^6+x^3+1",
                           "--bound", "1239850264"])
         assert code == 1 and text == ""

@@ -235,8 +235,9 @@ class TestBatchAgainstScalar:
             density_report((1,) + (0,) * 64 + (1,), bound=100)
 
     def test_refuses_bound_past_int64_limit(self, monkeypatch):
-        """Refused before the sieve, which would need gigabytes here."""
-        monkeypatch.setattr(density, "_sieve", None)
+        """Refused before any sieving: the first sieve call, for the base
+        primes up to sqrt(bound), is never reached."""
+        monkeypatch.setattr(density, "_base_primes", None)
         with pytest.raises(ValueError, match="fits in int64"):
             density_report((1, 0, 0, 1, 0, 0, 1), bound=3 * 10 ** 9)
         with pytest.raises(ValueError, match="fits in int64"):
@@ -284,10 +285,11 @@ class TestBatchAgainstScalar:
 
     def test_blocks_do_not_change_reports(self, monkeypatch):
         """Reports are identical in many small blocks, and when two worker
-        processes share those blocks."""
+        processes share those blocks' segments."""
         polys = [(1, 0, 0, 1, 0, 0, 1), (2, 3, 0, 5), (-4, 0, 1, 0, 2)]
         whole = [density_report(c, bound=5000) for c in polys]
         monkeypatch.setattr(density, "_BLOCK_CELLS", 300)
+        monkeypatch.setattr(density, "_SEGMENT", 300)   # 9 segments
         assert [density_report(c, bound=5000) for c in polys] == whole
         assert [density_report(c, bound=5000, workers=2)
                 for c in polys] == whole
@@ -933,13 +935,14 @@ class TestCyclotomicBeyondDegree8:
 
 
 class TestWorkspaceReuse:
-    """A worker runs its whole share of blocks in one workspace, sized for
-    its first block.  In blocks of _BLOCK_CELLS // (n + 1)^2 primes, each
+    """A worker runs its whole share of segments in one workspace, sized for
+    a block of _BLOCK_CELLS // (n + 1)^2 primes.  In such blocks, each
     report's last block short, reports of mixed degrees run one after
     another give what each gives in a single block, and the scalar route's
     counts on their top primes, in one process and in two."""
 
     CELLS = 16_000   # blocks of 44, 326, 16, 4 and 4000 primes at n = 18, 6, 30, 60, 1
+    SEGMENT = 256   # odd slots: two workers share the segments of all cases but the one to 110
     CASES = [(FOLD_POLYS[3], 3000), (FOLD_POLYS[0], 20_000),
              (tuple(random.Random(30).randrange(-9, 10) for _ in range(30))
               + (3,), 1000),
@@ -953,6 +956,7 @@ class TestWorkspaceReuse:
                 for c, b in self.CASES] == [(9, 34), (6, 306), (10, 8), (7, 1),
                                             (1, 1133), (3, 1)]   # full, last
         monkeypatch.setattr(density, "_BLOCK_CELLS", self.CELLS)
+        monkeypatch.setattr(density, "_SEGMENT", self.SEGMENT)
         for workers in (1, 2):
             assert [density_report(c, bound=b, workers=workers)
                     for c, b in self.CASES] == alone, workers
@@ -960,6 +964,7 @@ class TestWorkspaceReuse:
     def test_top_primes_against_scalar(self, monkeypatch):
         """The top full block and the short last one of each report."""
         monkeypatch.setattr(density, "_BLOCK_CELLS", self.CELLS)
+        monkeypatch.setattr(density, "_SEGMENT", self.SEGMENT)
         for coeffs, bound in self.CASES:
             primes, step = sieve_primes(bound), self.CELLS // len(coeffs) ** 2
             floor = ([0] + primes)[-(step + len(primes) % step) - 1]
@@ -977,21 +982,23 @@ class TestWorkspaceReuse:
         primes = np.array(_largest_primes(_int64_limit(n), 30), dtype=np.int64)
         blocks = [primes[:12], primes[12:24], primes[24:29], primes[29:]]
         route = _route(coeffs)
-        share = (coeffs, route, density._power_table(route.monic, 30), blocks)
-        skipped, tested, inert = density._classify_blocks(share)
+        table = density._power_table(route.monic, 30)
+        skipped, tested, inert = density._classify_blocks(coeffs, route, table, 12, blocks)
         good = [r for r in (reduce_mod_p(coeffs, int(p)) for p in primes)
                 if isinstance(r, PolyModP)]
         assert (tested, skipped) == (len(good), 30 - len(good))
         assert inert == sum(map(is_irreducible_mod_p, good))
 
     def test_survivors_refill_kernel_blocks(self, monkeypatch):
-        """x^6+x+1 to 3000 in blocks of 40 primes: the screen keeps about
-        half of each, so the survivors of several blocks fill one kernel
-        block of 40 and the last leaves a short tail.  The report is the
-        one of a single block and the scalar route's, for 1 and 2 workers."""
+        """x^6+x+1 to 3000 in blocks of 40 primes, cut at the ends of
+        segments of 100 odd slots: the screen keeps about half of each, so
+        the survivors of several blocks fill one kernel block of 40 and the
+        last leaves a short tail.  The report is the one of a single block
+        and the scalar route's, for 1 and 2 workers."""
         coeffs = (1, 1, 0, 0, 0, 0, 1)
         alone, want = density_report(coeffs, bound=3000), _scalar_counts(coeffs, 3000)
         monkeypatch.setattr(density, "_BLOCK_CELLS", 40 * 49)
+        monkeypatch.setattr(density, "_SEGMENT", 100)
         for workers in (2, 1):
             assert density_report(coeffs, bound=3000, workers=workers) == alone
         assert _counts(alone) == want
@@ -1004,23 +1011,108 @@ class TestWorkspaceReuse:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's count of minor page faults")
     def test_a_report_does_not_fault_block_after_block(self):
-        """x^6+x^3+1 to 2 * 10^6, 28 blocks, in a fresh process: under 5000
+        """x^6+x^3+1 to 2 * 10^6, 8 segments, in a fresh process: under 5000
         minor page faults around the call, where a kernel that allocates
         its temporaries anew for every block took about 36 000."""
-        code = ("import resource\n"
-                "from cycle_census.density import density_report\n"
-                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                "density_report((1, 0, 0, 1, 0, 0, 1), bound=2_000_000)\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
-                " - before)\n")
-        src = str(Path(density.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 5000
+        assert int(_in_fresh_process(
+            "import resource\n"
+            "from cycle_census.density import density_report\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "density_report((1, 0, 0, 1, 0, 0, 1), bound=2_000_000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")) < 5000
+
+
+def _in_fresh_process(code):
+    """The standard output of code, run by a fresh interpreter that imports
+    this checkout's package."""
+    src = str(Path(density.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _window_primes(floor, bound):
+    """The primes in (floor, bound], floor >= sqrt(bound), left when every
+    multiple of a prime q <= sqrt(bound) (found by is_prime) is dropped:
+    an oracle that shares no code with density's sieve."""
+    ns = np.arange(floor + 1, bound + 1)
+    for q in filter(is_prime, range(2, math.isqrt(bound) + 1)):
+        ns = ns[ns % q != 0]
+    return ns.tolist()
+
+
+class TestSegmentedSieve:
+    """density_report sieves (floor, bound] in segments of _SEGMENT odd
+    slots from the window's first odd number above 1, patched small here:
+    each report equals the scalar route's counts in one process and in two,
+    wherever its window ends against a segment boundary."""
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_sieve_primes_joins_its_segments(self, size, monkeypatch):
+        """Every bound to 120, in segments of 1, 3 and 8 odd slots."""
+        monkeypatch.setattr(density, "_SEGMENT", size)
+        want = [p for p in range(121) if is_prime(p)]
+        for bound in range(2, 121):
+            assert sieve_primes(bound) == [p for p in want if p <= bound], bound
+
+    def test_windows_about_a_segment_boundary(self, monkeypatch):
+        """Segments of 8 odd slots (16 integers).  Windows from floors 0, 16,
+        17 and 10^6 end on the last odd number of segment 0 or 1, the even
+        one after it, the first odd number of segment 1 or 2, or the even one
+        after that; primes end segment 0 and start segment 1 of some."""
+        coeffs, edges, windows = (1, 0, 0, 1, 0, 0, 1), [], []
+        for floor in (0, 16, 17, 10 ** 6):
+            first = 2 * max(1, (floor + 1) // 2) + 1   # segment 0 starts here
+            edges += [first + 16, first + 32]   # segments 1 and 2 start here
+            windows += [(floor, b) for edge in edges[-2:] for b in range(edge - 2, edge + 2)]
+        assert edges[:2] == [19, 35] and is_prime(17) and is_prime(19)
+        wants = [_scalar_counts(coeffs, bound, floor) for floor, bound in windows]
+        monkeypatch.setattr(density, "_SEGMENT", 8)
+        for (floor, bound), want in zip(windows, wants):
+            for workers in (1, 2):
+                assert _counts(density_report(coeffs, bound=bound, floor=floor,
+                                              workers=workers)) == want, (floor, bound)
+
+    def test_small_bounds_and_far_floors(self, monkeypatch):
+        """bound 2, 3, 9 and 10 from floors 0, 1, 2, the bound and past it;
+        x^2+1 to 100 from floors -10^30, 10^30 and 2^63, which no segment
+        of int64 numbers can reach from 0 or 1."""
+        cases = [(coeffs, bound, floor) for coeffs in [(1, 0, 1), (1, 0, 0, 1, 0, 0, 1)]
+                 for bound in (2, 3, 9, 10) for floor in (0, 1, 2, bound, bound + 1)]
+        far = [((1, 0, 1), 100, floor) for floor in (-10 ** 30, 10 ** 30, 2 ** 63)]
+        wants = [_scalar_counts(*case) for case in cases + far]
+        assert wants[-3:] == [(24, 1, 13), (0, 0, 0), (0, 0, 0)]
+        monkeypatch.setattr(density, "_SEGMENT", 8)
+        for (coeffs, bound, floor), want in zip(cases + far, wants):
+            for workers in (1, 2):
+                assert _counts(density_report(coeffs, bound=bound, floor=floor,
+                                              workers=workers)) == want, (coeffs, bound, floor)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads ru_maxrss in KiB, as Linux gives it")
+    def test_a_window_at_the_degree_6_limit(self):
+        """x^6+x^3+1 on (L - 2 * 10^4, L], L = 1 239 850 263 the largest
+        bound at degree 6, where the kernel folds residues: in a fresh
+        process, the scalar route's counts, and peak RSS at most 10 MiB
+        above the imported package's, where flags from 2 to L take 1.2 GB."""
+        coeffs, bound = (1, 0, 0, 1, 0, 0, 1), _int64_limit(6)
+        floor = bound - 2 * 10 ** 4
+        assert bound == 1_239_850_263 and floor > _fold_limit(coeffs)
+        *counts, grown = map(int, _in_fresh_process(
+            "import resource\n"
+            "from cycle_census.density import density_report\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"r = density_report({coeffs}, bound={bound}, floor={floor})\n"
+            "print(r.primes_tested, r.primes_skipped, r.inert_count,\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n").split())
+        verdicts = [_scalar_verdict(coeffs, p) for p in _window_primes(floor, bound)]
+        assert None not in verdicts and len(verdicts) > 900
+        assert counts == [len(verdicts), 0, sum(verdicts)]
+        assert grown <= 10 * 1024
 
 
 def _int_mul(a, b):
@@ -1322,8 +1414,10 @@ class TestDensityCorpus:
                            for i in range(len(CORPUS))])
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
-    def test_two_workers(self):
-        """Every sixth report, degree 48 with 3-bit coefficients among them."""
+    def test_two_workers(self, monkeypatch):
+        """Every sixth report, degree 48 with 3-bit coefficients among them,
+        in segments of 2^9 odd slots, so that two processes share each."""
+        monkeypatch.setattr(density, "_SEGMENT", 1 << 9)
         for i in range(0, len(CORPUS), 6):
             _, coeffs, bound, floor = CORPUS[i]
             assert density_report(coeffs, bound=bound, floor=floor,
@@ -1331,12 +1425,14 @@ class TestDensityCorpus:
 
     def test_small_blocks(self, monkeypatch):
         """Every sixth report of degree up to 18, from the fourth, and the
-        named ones to 2 * 10^4, in blocks of 4000 // (n + 1)^2 primes (11 at degree 18),
-        each over many blocks, kernel calls and workers."""
+        named ones to 2 * 10^4, in blocks of 4000 // (n + 1)^2 primes (11 at degree 18)
+        and segments of 2^12 odd slots, each over many blocks, segments, kernel
+        calls and workers."""
         cases = [i for i, (_, coeffs, bound, _) in enumerate(CORPUS)
                  if len(coeffs) <= 19 and bound <= 50_000 and (
                      i % 6 == 3 or i >= 66)]   # 66: the named
         monkeypatch.setattr(density, "_BLOCK_CELLS", 4000)
+        monkeypatch.setattr(density, "_SEGMENT", 1 << 12)
         for i, workers in zip(cases, itertools.cycle((1, 2))):
             _, coeffs, bound, floor = CORPUS[i]
             assert density_report(coeffs, bound=bound, floor=floor,
@@ -1398,14 +1494,15 @@ class TestReports:
             slack = 3 * math.sqrt(ceiling / report.primes_tested)
             assert float(report.empirical_density) <= ceiling + slack
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_worker_independent(self, monkeypatch):
+        monkeypatch.setattr(density, "_SEGMENT", 1 << 12)   # 4 segments
         one = density_report((1, 0, 0, 1, 0, 0, 1), bound=30_000, workers=1)
         two = density_report((1, 0, 0, 1, 0, 0, 1), bound=30_000, workers=3)
         assert one == two
 
     def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
-        """The pool takes the least of the workers asked for, the blocks and
-        the CPUs; one process runs no pool.  A fake context records each
+        """The pool takes the least of the workers asked for, the segments
+        and the CPUs; one process runs no pool.  A fake context records each
         pool's size and starts no process."""
         sizes = []
 
@@ -1424,13 +1521,13 @@ class TestReports:
 
         monkeypatch.setattr(density, "get_context",
                             lambda method: type("Fake", (), {"Pool": FakePool}))
-        monkeypatch.setattr(density, "_BLOCK_CELLS", 300)   # 112 blocks
+        monkeypatch.setattr(density, "_SEGMENT", 1000)   # 3 segments of 2 499 odd slots
         coeffs = (1, 0, 0, 1, 0, 0, 1)
         whole = density_report(coeffs, bound=5000)
-        for cpus, workers in ((3, 5000), (None, 5000), (8, 2), (1, 2)):
+        for cpus, workers in ((3, 5000), (None, 5000), (8, 2), (1, 2), (8, 5000)):
             monkeypatch.setattr(density.os, "cpu_count", lambda: cpus)
             assert density_report(coeffs, bound=5000, workers=workers) == whole
-        assert sizes == [3, 2]
+        assert sizes == [3, 2, 3]
 
     def test_numpy_integers_are_read_exactly(self):
         """int64 coefficients, bound and floor give the tuple's report, in
